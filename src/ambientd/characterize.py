@@ -17,8 +17,6 @@ from .scene import SyntheticImage
 
 FAST_DEFAULT_THRESHOLD = 20
 FINE_TEXTURE_CORNER_THRESHOLD = 250
-CANONICAL_WIDTH = 320
-CANONICAL_HEIGHT = 240
 
 DESCRIPTOR_BITS = 256
 DESCRIPTOR_PATTERN_SEED = 0x5EED
@@ -103,61 +101,56 @@ def compute_metrics(image: SyntheticImage, lux: Optional[float] = None) -> Image
     return ImageMetrics(brightness, contrast, edge_strength, len(corners), lux)
 
 
-def _arc_qualifies(mask: np.ndarray) -> np.ndarray:
-    """Any run of >= FAST_ARC_LENGTH contiguous True planes (circular)."""
-    out = np.zeros(mask.shape[1:], dtype=bool)
-    for start in range(16):
-        acc = mask[start].copy()
-        for k in range(1, FAST_ARC_LENGTH):
-            acc &= mask[(start + k) % 16]
-            if not acc.any():
-                break
-        out |= acc
-    return out
+def _arc_table() -> np.ndarray:
+    """Entry m: does the 16-bit circle mask m hold a circular run of >=
+    FAST_ARC_LENGTH set bits? A run survives bit reversal."""
+    ring = np.arange(1 << 16, dtype=np.uint32) * 0x10001      # m | m << 16
+    run = np.bitwise_and.reduce([ring >> k for k in range(FAST_ARC_LENGTH)])
+    return (run & 0xFFFF) != 0
+
+
+_ARC = _arc_table()
 
 
 def detect_fast_corners(image: SyntheticImage, threshold: int) -> List[Corner]:
     """FAST-9 segment-test corners with 3x3 non-max suppression.
 
-    Score is the sum of |circle - center| over circle pixels beyond the
+    One int16 pass over the 16 circle offsets packs the brighter and darker
+    tests into 16-bit masks, which a 65 536-entry table checks for a 9-pixel
+    arc. Score is the sum of |circle - center| over circle pixels beyond the
     threshold in the qualifying polarity. Ties in suppression resolve in
     row-major scan order (earlier pixel wins).
     """
     if threshold < 1:
         raise InvalidArgumentError("threshold must be >= 1")
     H, W = image.height, image.width
-    if H < 7 or W < 7:
+    # |circle - center| <= 255, so no pixel passes a threshold of 255
+    if H < 7 or W < 7 or threshold >= 255:
         return []
-    a = image.pixels.astype(np.int32)
+    a = image.pixels.astype(np.int16)
     center = a[3:H - 3, 3:W - 3]
-    diffs = np.stack([a[3 + dy:H - 3 + dy, 3 + dx:W - 3 + dx] - center
-                      for dx, dy in FAST_CIRCLE])
-    brighter = diffs > threshold
-    darker = diffs < -threshold
-    is_b = _arc_qualifies(brighter)
-    is_d = _arc_qualifies(darker)
-    adiff = np.abs(diffs)
-    score_valid = (np.where(is_b, (adiff * brighter).sum(axis=0), 0)
-                   + np.where(is_d, (adiff * darker).sum(axis=0), 0))
-
-    score = np.zeros((H, W), dtype=np.int64)
-    score[3:H - 3, 3:W - 3] = score_valid
-    keep = score > 0
-    for dy in (-1, 0, 1):
-        for dx in (-1, 0, 1):
-            if dy == 0 and dx == 0:
-                continue
-            nb = np.zeros_like(score)
-            ys = slice(max(0, -dy), H - max(0, dy))
-            yd = slice(max(0, dy), H - max(0, -dy))
-            xs = slice(max(0, -dx), W - max(0, dx))
-            xd = slice(max(0, dx), W - max(0, -dx))
-            nb[ys, xs] = score[yd, xd]
-            earlier = dy < 0 or (dy == 0 and dx < 0)
-            keep &= (score > nb) if earlier else (score >= nb)
-    ys_idx, xs_idx = np.nonzero(keep)
-    return [Corner(int(x), int(y), int(score[y, x]))
-            for y, x in zip(ys_idx, xs_idx)]
+    bright, dark = np.zeros((2,) + center.shape, dtype=np.uint16)
+    bright_sum, dark_sum = np.zeros((2,) + center.shape, dtype=np.int16)
+    for dx, dy in FAST_CIRCLE:
+        d = a[3 + dy:H - 3 + dy, 3 + dx:W - 3 + dx] - center
+        for mask, total, hit in ((bright, bright_sum, d > threshold),
+                                 (dark, dark_sum, d < -threshold)):
+            mask <<= 1
+            mask |= hit
+            total += d * hit     # |total| <= 16 * 255 fits in int16
+    # no pixel has 9 of its 16 circle pixels in both polarities
+    score = np.zeros((H, W), dtype=np.int16)
+    score[3:H - 3, 3:W - 3] = bright_sum * _ARC[bright] - dark_sum * _ARC[dark]
+    # scored pixels sit >= 3 px inside the frame, so all 8 neighbours exist
+    flat = score.ravel()
+    idx = np.flatnonzero(flat)
+    s = flat[idx]
+    keep = np.ones(idx.size, dtype=bool)
+    for off in (-W - 1, -W, -W + 1, -1):     # earlier pixels win ties
+        keep &= s > flat[idx + off]
+        keep &= s >= flat[idx - off]
+    ys, xs = np.divmod(idx[keep], W)
+    return list(map(Corner, xs.tolist(), ys.tolist(), s[keep].tolist()))
 
 
 _DESCRIPTOR_PAIRS: Optional[np.ndarray] = None
@@ -237,19 +230,26 @@ def match_against_reference(scene: List[Descriptor],
     return MatchReport(matched, len(reference))
 
 
-def _bimodal_threshold(p: np.ndarray) -> float:
+def _bimodal_threshold(pixels: np.ndarray) -> float:
     """Mean-of-class-means threshold iterated to fixpoint.
 
     Initialized at the midpoint of the intensity range; a mean init collapses
-    into the dominant mode when the background covers most of the image.
+    into the dominant mode when the background covers most of the image. On
+    the 8-bit histogram the class sums are exact integers, so each class mean
+    is the same correctly rounded quotient as a mean over the pixels.
     """
-    t = (float(p.min()) + float(p.max())) / 2.0
+    hist = np.bincount(pixels.ravel(), minlength=256)
+    # below[k], below_sum[k]: count and sum of the pixels < k
+    below = [0] + np.cumsum(hist).tolist()
+    below_sum = [0] + np.cumsum(hist * np.arange(256)).tolist()
+    n, total = below[256], below_sum[256]
+    t = (float(pixels.min()) + float(pixels.max())) / 2.0
     for _ in range(100):
-        lo = p[p < t]
-        hi = p[p >= t]
-        if lo.size == 0 or hi.size == 0:
+        k = math.ceil(t)                 # integer p < t  <=>  p < ceil(t)
+        n_lo, s_lo = below[k], below_sum[k]
+        if n_lo in (0, n):
             return t
-        t_new = (float(lo.mean()) + float(hi.mean())) / 2.0
+        t_new = (s_lo / n_lo + (total - s_lo) / (n - n_lo)) / 2.0
         if abs(t_new - t) < 0.5:
             return t_new
         t = t_new
@@ -261,9 +261,8 @@ def crop_to_marker_roi(image: SyntheticImage) -> SyntheticImage:
 
     Returns the full image when no dark component exceeds the minimum area.
     """
-    p = image.pixels.astype(np.float64)
-    t = _bimodal_threshold(p)
-    dark = p < t
+    # an integer bound keeps the comparison in uint8 under any numpy casting
+    dark = image.pixels < math.ceil(_bimodal_threshold(image.pixels))
     labels, n = ndimage.label(dark, structure=np.ones((3, 3), dtype=int))
     if n == 0:
         return image

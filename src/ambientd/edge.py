@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import base64
 import json
-import os
 import threading
 import time
 from dataclasses import dataclass, field
@@ -20,8 +19,6 @@ from .characterize import ImageMetrics, TextureClass
 from .errors import (BadRequestError, InvalidArgumentError, NotFoundError,
                      StaleReadingError)
 from .scene import MarkerSpec, SyntheticImage
-
-DISPATCH_LATENCY_BUDGET_S = 0.5
 
 
 @dataclass

@@ -9,9 +9,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import heapq
-import io
 import json
-import math
 import tempfile
 import threading
 import urllib.request

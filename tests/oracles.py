@@ -112,3 +112,21 @@ def fast_oracle(pixels, threshold):
         if not suppressed:
             corners.add((x, y, score))
     return corners
+
+
+def bimodal_threshold_reference(pixels):
+    """Mean-of-class-means threshold iterated to fixpoint, over the pixels
+    themselves: each iteration splits a float64 copy of the frame and takes
+    the mean of each class."""
+    p = pixels.astype(np.float64)
+    t = (float(p.min()) + float(p.max())) / 2.0
+    for _ in range(100):
+        lo = p[p < t]
+        hi = p[p >= t]
+        if lo.size == 0 or hi.size == 0:
+            return t
+        t_new = (float(lo.mean()) + float(hi.mean())) / 2.0
+        if abs(t_new - t) < 0.5:
+            return t_new
+        t = t_new
+    return t

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from ambientd.characterize import (FINE_TEXTURE_CORNER_THRESHOLD, ImageMetrics,
-                                   TextureClass, classify_texture,
+                                   TextureClass, _bimodal_threshold,
+                                   classify_texture,
                                    compute_metrics, crop_to_marker_roi,
                                    detect_fast_corners, detect_scene_change,
                                    extract_descriptors, match_against_reference)
@@ -10,7 +13,7 @@ from ambientd.errors import InvalidArgumentError
 from ambientd.scene import (MarkerPlacement, MarkerSpec, Region, SyntheticImage,
                             TextureSpec, render_region)
 
-from oracles import brute_metrics, fast_oracle
+from oracles import bimodal_threshold_reference, brute_metrics, fast_oracle
 
 
 def as_image(pixels, seed=0):
@@ -103,6 +106,24 @@ class TestFastCorners:
         for i, tex in enumerate(textures):
             img = render(tex, 300.0, seed=i, w=48, h=48)
             self._check_against_oracle(img.pixels)
+
+    @pytest.mark.parametrize("name", ["speckle-750", "checker-300", "shelf-60"])
+    def test_oracle_equivalence_canonical_windows(self, name):
+        # 64x64 windows of 320x240 frames as the loop renders them, from the
+        # dense 750-lux speckle to the dim marker shelf
+        shelf = MarkerPlacement(MarkerSpec("binary-grid-A", 0), 90.0, 0.0)
+        texture, lux, marker = {
+            "speckle-750": (TextureSpec("speckle", frequency=0.5), 750.0, None),
+            "checker-300": (TextureSpec("checkerboard", cell=32), 300.0, None),
+            "shelf-60": (TextureSpec("flat", value=0.6), 60.0, shelf),
+        }[name]
+        frame = render(texture, lux, seed=0, w=320, h=240, marker=marker)
+        window = frame.pixels[88:152, 128:192]
+        for threshold in (1, 15, 20, 254, 255, 256):
+            self._check_against_oracle(window, threshold)
+        # no circle pixel can differ from its center by more than 255
+        for threshold in (255, 256, 10 ** 6):
+            assert detect_fast_corners(as_image(window), threshold) == []
 
     def test_corner_count_rises_with_threshold_drop(self):
         img = render(TextureSpec("speckle", frequency=0.5), 300.0, w=96, h=96)
@@ -210,6 +231,23 @@ class TestRoiCrop:
         slanted = crop_to_marker_roi(self._marker_image(angle=60.0))
         assert slanted.width < 0.6 * straight.width
         assert abs(slanted.height - straight.height) <= 2
+
+    def test_threshold_matches_per_pixel_reference(self):
+        images = [self._marker_image(distance=d, lux=lux, seed=d).pixels
+                  for d in (20, 55, 90) for lux in (50.0, 300.0, 1000.0)]
+        images += [render(TextureSpec("speckle", frequency=0.5), lux,
+                          w=320, h=240).pixels for lux in (50.0, 750.0)]
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            h, w = (int(v) for v in rng.integers(1, 80, size=2))
+            lo, hi = sorted(int(v) for v in rng.integers(0, 256, size=2))
+            images.append(rng.integers(lo, hi + 1, size=(h, w), dtype=np.uint8))
+        images.append(np.full((8, 8), 77, dtype=np.uint8))
+        for pixels in images:
+            t = _bimodal_threshold(pixels)
+            assert t == bimodal_threshold_reference(pixels)
+            assert np.array_equal(pixels < math.ceil(t),
+                                  pixels.astype(np.float64) < t)
 
     def test_no_marker_returns_full_image(self):
         img = render(TextureSpec("flat", value=0.9), 500.0, w=64, h=64,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -169,6 +170,28 @@ class TestMarkerLoop:
         sim.queue.run_until(3000)
         kinds = [e["kind"] for e in sim.event_log]
         assert kinds == ["command-noop"]
+
+
+class TestGolden:
+    # sha256 of the artifacts of the 3-region mix at seed 0; a change to any
+    # layer that moves one byte of the event log or report shows here
+    EVENTS_SHA256 = "abb4624eb897e08d5b72e9a3ecccf853a050ed990041cedd8767dfb46cc629ff"
+    REPORT_SHA256 = "203b1218cfcdc395a1d8dc33854023cc2b15ce2ad4f893f9fe443c16f586d782"
+
+    def test_mix3_artifacts_are_byte_identical(self, tmp_path):
+        shelf = MarkerPlacement(MarkerSpec("binary-grid-A", 0), 90.0, 0.0)
+        scenario = Scenario(regions=[
+            RegionScenario("desk", TextureSpec("checkerboard", cell=32), 80.0),
+            RegionScenario("wall", FINE, 80.0),
+            RegionScenario("shelf", TextureSpec("flat", value=0.6), 60.0,
+                           mode="marker", marker=shelf),
+        ], duration_s=20.0, sensor_period_s=1.0, seed=0)
+        run_scenario(scenario, out_dir=tmp_path)
+
+        def digest(name):
+            return hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert digest("events.jsonl") == self.EVENTS_SHA256
+        assert digest("report.json") == self.REPORT_SHA256
 
 
 class TestTransports:
