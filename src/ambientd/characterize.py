@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -73,6 +73,9 @@ class ImageMetrics:
     edge_strength: float
     corner_count: int
     illuminance: Optional[float] = None
+
+    def to_json(self) -> dict:
+        return asdict(self)
 
 
 def compute_metrics(image: SyntheticImage, lux: Optional[float] = None) -> ImageMetrics:

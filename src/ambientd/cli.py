@@ -69,16 +69,9 @@ def cmd_serve(args) -> int:
         except ConfigError as e:
             _err(f"config error: {e}")
             return EXIT_CONFIG
-        curve = policy.CalibrationCurve(scenario.lux_curve_points)
-        for r in scenario.regions:
-            service.register_region(RegionConfig(
-                region_id=r.id, mode=r.mode, curve=curve,
-                deadband_fraction=scenario.deadband_fraction,
-                settle_s=scenario.settle_s,
-                target_percentage=scenario.target_percentage,
-                initial_marker=(r.marker.spec if r.marker else None),
-                constraints=r.constraints))
-            regions.append(r.id)
+        for config in scenario.region_configs():
+            service.register_region(config)
+            regions.append(config.region_id)
     else:
         # re-register any regions with persisted logs so GETs work after restart
         for path in sorted(Path(data_dir).glob("region_*.jsonl")):
@@ -108,14 +101,7 @@ def cmd_characterize(args) -> int:
     except (OSError, InvalidArgumentError) as e:
         _err(str(e))
         return EXIT_CONFIG
-    doc = {
-        "brightness": metrics.brightness,
-        "contrast": metrics.contrast,
-        "edge_strength": metrics.edge_strength,
-        "corner_count": metrics.corner_count,
-        "illuminance": metrics.illuminance,
-        "texture_class": classify_texture(metrics).value,
-    }
+    doc = dict(metrics.to_json(), texture_class=classify_texture(metrics).value)
     print(json.dumps(doc, sort_keys=True))
     return EXIT_OK
 
@@ -138,12 +124,7 @@ def cmd_predict(args) -> int:
     except InvalidArgumentError as e:
         _err(str(e))
         return EXIT_CONFIG
-    print(json.dumps({
-        "expected_error_cm": pred.expected_error_cm,
-        "class": pred.quality,
-        "estimated": pred.estimated,
-        "guidance": list(pred.guidance),
-    }, sort_keys=True))
+    print(json.dumps(pred.to_json(), sort_keys=True))
     return EXIT_OK
 
 

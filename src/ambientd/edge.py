@@ -18,7 +18,7 @@ from . import characterize, markerpipe, policy
 from .characterize import ImageMetrics, TextureClass
 from .errors import (BadRequestError, InvalidArgumentError, NotFoundError,
                      StaleReadingError)
-from .scene import MarkerSpec, SyntheticImage
+from .scene import DEFAULT_LUX_CURVE, LuxCurve, MarkerSpec, SyntheticImage
 
 
 @dataclass
@@ -43,8 +43,12 @@ class ActuatorCommand:
 
     def __post_init__(self):
         if self.kind == "set-brightness":
-            if not isinstance(self.payload, (int, float)):
-                raise BadRequestError("set-brightness payload must be a percent")
+            # the range test also rejects NaN and infinities
+            if (isinstance(self.payload, bool)
+                    or not isinstance(self.payload, (int, float))
+                    or not 0.0 <= self.payload <= 100.0):
+                raise BadRequestError(
+                    "set-brightness payload must be a percent in [0, 100]")
         elif self.kind == "set-marker":
             if not isinstance(self.payload, MarkerSpec):
                 raise BadRequestError("set-marker payload must be a marker spec")
@@ -88,13 +92,7 @@ class MetricsRecord:
         return {
             "region_id": self.region_id,
             "timestamp_ms": self.timestamp_ms,
-            "metrics": {
-                "brightness": self.metrics.brightness,
-                "contrast": self.metrics.contrast,
-                "edge_strength": self.metrics.edge_strength,
-                "corner_count": self.metrics.corner_count,
-                "illuminance": self.metrics.illuminance,
-            },
+            "metrics": self.metrics.to_json(),
             "texture_class": self.texture_class.value,
             "scene_change": self.scene_change,
         }
@@ -127,8 +125,7 @@ class RegionConfig:
     mode: str = "markerless"             # "markerless" | "marker"
     bulb_actuator: Optional[str] = None
     eink_actuator: Optional[str] = None
-    curve: policy.CalibrationCurve = field(
-        default_factory=lambda: policy.DEFAULT_CALIBRATION_CURVE)
+    curve: LuxCurve = DEFAULT_LUX_CURVE
     deadband_fraction: float = policy.DEFAULT_DEADBAND_FRACTION
     settle_s: float = policy.DEFAULT_SETTLE_S
     target_percentage: float = policy.DEFAULT_TARGET_PERCENTAGE

@@ -82,13 +82,7 @@ class _Handler(BaseHTTPRequestHandler):
                     lux = float(query["lux"][0])
                 except (KeyError, ValueError):
                     raise BadRequestError("missing or bad texture/lux")
-                pred = policy.predict_tracking(texture, lux)
-                self._reply(200, {
-                    "expected_error_cm": pred.expected_error_cm,
-                    "class": pred.quality,
-                    "estimated": pred.estimated,
-                    "guidance": list(pred.guidance),
-                })
+                self._reply(200, policy.predict_tracking(texture, lux).to_json())
             else:
                 self._reply(404, {"error": "no such route"})
         except Exception as e:  # noqa: BLE001 - mapped to HTTP statuses

@@ -6,14 +6,14 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from .errors import CalibrationError, InvalidArgumentError
 from .characterize import MatchReport, TextureClass
-from .scene import MARKER_PATTERNS, MarkerSpec
+from .scene import MARKER_PATTERNS, LuxCurve, MarkerSpec
 
 OPTIMAL_LUX_COARSE = 300.0
 OPTIMAL_LUX_FINE = 750.0
@@ -44,71 +44,6 @@ def select_optimal_lux(texture: TextureClass) -> float:
     return OPTIMAL_LUX_FINE if texture is TextureClass.FINE else OPTIMAL_LUX_COARSE
 
 
-class CalibrationCurve:
-    """Command-percent to lux map built from measured samples.
-
-    Lux values are made monotone non-decreasing with pool-adjacent-violators
-    before use; inversion is piecewise linear.
-    """
-
-    def __init__(self, points):
-        pts = sorted((float(c), float(l)) for c, l in points)
-        if len(pts) < 2:
-            raise CalibrationError("calibration needs at least 2 points")
-        cmds = [p[0] for p in pts]
-        if any(b <= a for a, b in zip(cmds, cmds[1:])):
-            raise CalibrationError("calibration commands must be strictly increasing")
-        self.commands = np.array(cmds)
-        self.luxes = _pool_adjacent_violators(np.array([p[1] for p in pts]))
-        self.points = list(zip(self.commands.tolist(), self.luxes.tolist()))
-
-    def lux_at(self, command: float) -> float:
-        return float(np.interp(command, self.commands, self.luxes))
-
-    def invert(self, target_lux: float) -> Tuple[float, bool]:
-        """Lowest command achieving target_lux.
-
-        If the target exceeds the curve's maximum, returns the lowest command
-        achieving that maximum with reachable=False.
-        """
-        max_lux = float(self.luxes[-1])
-        if target_lux > max_lux:
-            idx = int(np.argmax(self.luxes >= max_lux))
-            return float(np.clip(self.commands[idx], 0.0, 100.0)), False
-        if target_lux <= self.luxes[0]:
-            return float(np.clip(self.commands[0], 0.0, 100.0)), True
-        idx = int(np.searchsorted(self.luxes, target_lux, side="left"))
-        lo_l, hi_l = self.luxes[idx - 1], self.luxes[idx]
-        lo_c, hi_c = self.commands[idx - 1], self.commands[idx]
-        if hi_l == lo_l:
-            cmd = lo_c
-        else:
-            cmd = lo_c + (hi_c - lo_c) * (target_lux - lo_l) / (hi_l - lo_l)
-        return float(np.clip(cmd, 0.0, 100.0)), True
-
-
-def _pool_adjacent_violators(y: np.ndarray) -> np.ndarray:
-    values = y.astype(float).tolist()
-    weights = [1.0] * len(values)
-    means: List[float] = []
-    counts: List[float] = []
-    for v, w in zip(values, weights):
-        means.append(v)
-        counts.append(w)
-        while len(means) > 1 and means[-2] > means[-1]:
-            m = (means[-2] * counts[-2] + means[-1] * counts[-1]) / (counts[-2] + counts[-1])
-            c = counts[-2] + counts[-1]
-            means = means[:-2] + [m]
-            counts = counts[:-2] + [c]
-    out = []
-    for m, c in zip(means, counts):
-        out.extend([m] * int(c))
-    return np.array(out)
-
-
-DEFAULT_CALIBRATION_CURVE = CalibrationCurve([(0.0, 10.0), (100.0, 1000.0)])
-
-
 @dataclass
 class IlluminancePolicyState:
     optimal_lux: float = OPTIMAL_LUX_COARSE
@@ -123,7 +58,7 @@ class IlluminancePolicyState:
 
 
 def illuminance_control_step(state: IlluminancePolicyState, measured_lux: float,
-                             curve: CalibrationCurve, now: float
+                             curve: LuxCurve, now: float
                              ) -> Optional[float]:
     """One control cycle; returns a bulb command percent or None.
 
@@ -140,23 +75,38 @@ def illuminance_control_step(state: IlluminancePolicyState, measured_lux: float,
 
 
 def calibrate(set_brightness: Callable[[float], None],
-              read_lux: Callable[[], float], steps: int = 11) -> CalibrationCurve:
-    """Sweep bulb commands and record settled lux at each knot.
+              read_lux: Callable[[], float], steps: int = 11) -> LuxCurve:
+    """Sweep bulb commands, record settled lux at each knot and fit a curve.
 
     set_brightness must block (in simulation: advance the virtual clock) until
-    the bulb has settled.
+    the bulb has settled. The measured lux values are made monotone
+    non-decreasing with pool-adjacent-violators.
     """
     if steps < 2:
         raise CalibrationError("calibration needs at least 2 steps")
-    points = []
-    for command in np.linspace(0.0, 100.0, steps):
-        set_brightness(float(command))
+    commands = np.linspace(0.0, 100.0, steps).tolist()
+    luxes = []
+    for command in commands:
+        set_brightness(command)
         try:
-            lux = read_lux()
+            luxes.append(float(read_lux()))
         except TimeoutError as e:
             raise CalibrationError(f"light sensor timeout at command {command}") from e
-        points.append((float(command), float(lux)))
-    return CalibrationCurve(points)
+    return LuxCurve(zip(commands, _pool_adjacent_violators(luxes)))
+
+
+def _pool_adjacent_violators(values: List[float]) -> List[float]:
+    """Least-squares non-decreasing fit with unit weights."""
+    means: List[float] = []
+    counts: List[int] = []
+    for v in values:
+        means.append(v)
+        counts.append(1)
+        while len(means) > 1 and means[-2] > means[-1]:
+            c = counts[-2] + counts[-1]
+            means[-2:] = [(means[-2] * counts[-2] + means[-1] * counts[-1]) / c]
+            counts[-2:] = [c]
+    return [m for m, c in zip(means, counts) for _ in range(c)]
 
 
 class MarkerPhase(enum.Enum):
@@ -192,7 +142,7 @@ class MarkerControllerState:
 
 def marker_control_step(state: MarkerControllerState, report: MatchReport,
                         texture: TextureClass, measured_lux: float,
-                        curve: CalibrationCurve, now: float
+                        curve: LuxCurve, now: float
                         ) -> Tuple[MarkerControllerState, list]:
     """One observation of the marker adaptation loop.
 
@@ -283,6 +233,11 @@ class TrackingPrediction:
     quality: str                 # "Good" | "Poor"
     estimated: bool
     guidance: Tuple[str, ...]
+
+    def to_json(self) -> dict:
+        return {"expected_error_cm": self.expected_error_cm,
+                "class": self.quality, "estimated": self.estimated,
+                "guidance": list(self.guidance)}
 
 
 def lux_band(lux: float) -> str:

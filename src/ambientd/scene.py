@@ -1,5 +1,9 @@
 """Procedural indoor scene model: region textures, light-dependent imaging,
-and emulated smart-bulb / E-Ink marker actuators.
+and the bulb's command <-> lux curve.
+
+`LuxCurve` is the only command <-> lux curve; `policy.calibrate` fits a
+measured sweep (isotonic) and returns one. Actuator latency and the displayed
+marker live in the simulator's bulb and E-Ink nodes (`sim.py`).
 
 All randomness is drawn from explicit seeds so renders and sensor reads are
 bit-reproducible.
@@ -7,8 +11,8 @@ bit-reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -137,45 +141,56 @@ class SyntheticImage:
         return SyntheticImage(width, height, pixels.copy(), seed)
 
 
-@dataclass
-class BulbState:
-    brightness_command: float = 0.0
-    actuation_latency: float = DEFAULT_BULB_LATENCY_S
-
-    def __post_init__(self):
-        if not (0.0 <= self.brightness_command <= 100.0):
-            raise InvalidArgumentError("brightness command must be in [0,100]")
-
-
-@dataclass
-class EInkState:
-    displayed: MarkerSpec
-    update_latency: float = DEFAULT_EINK_LATENCY_S
-
-    def __post_init__(self):
-        if self.update_latency <= 0:
-            raise InvalidArgumentError("update latency must be > 0")
-
-
 class LuxCurve:
-    """Monotone piecewise-linear map from bulb command percent to lux."""
+    """Monotone piecewise-linear map between bulb command percent and lux.
+
+    The environment reads it forward (`lux_at`) to settle a bulb command; the
+    policy reads it backward (`invert`) to pick the command for a setpoint.
+    """
 
     def __init__(self, points):
         pts = sorted((float(c), float(l)) for c, l in points)
         if len(pts) < 2:
             raise InvalidArgumentError("lux curve needs >= 2 points")
-        cmds = [p[0] for p in pts]
-        luxes = [p[1] for p in pts]
-        if any(b <= a for a, b in zip(cmds, cmds[1:])):
+        self.points = tuple(pts)
+        self.commands = np.array([c for c, _ in pts])
+        self.luxes = np.array([l for _, l in pts])
+        if not (np.isfinite(self.commands).all() and np.isfinite(self.luxes).all()):
+            raise InvalidArgumentError("curve points must be finite")
+        if (np.diff(self.commands) <= 0).any():
             raise InvalidArgumentError("curve commands must be strictly increasing")
-        if any(b < a for a, b in zip(luxes, luxes[1:])):
+        if (np.diff(self.luxes) < 0).any():
             raise InvalidArgumentError("curve lux values must be non-decreasing")
-        self.points = pts
-        self._cmds = np.array(cmds)
-        self._luxes = np.array(luxes)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, LuxCurve) and self.points == other.points
+
+    def __hash__(self) -> int:
+        return hash(self.points)
 
     def lux_at(self, command: float) -> float:
-        return float(np.interp(command, self._cmds, self._luxes))
+        return float(np.interp(command, self.commands, self.luxes))
+
+    def invert(self, target_lux: float) -> Tuple[float, bool]:
+        """Lowest command achieving target_lux.
+
+        If the target exceeds the curve's maximum, returns the lowest command
+        achieving that maximum with reachable=False.
+        """
+        max_lux = float(self.luxes[-1])
+        if target_lux > max_lux:
+            idx = int(np.argmax(self.luxes >= max_lux))
+            return float(np.clip(self.commands[idx], 0.0, 100.0)), False
+        if target_lux <= self.luxes[0]:
+            return float(np.clip(self.commands[0], 0.0, 100.0)), True
+        idx = int(np.searchsorted(self.luxes, target_lux, side="left"))
+        lo_l, hi_l = self.luxes[idx - 1], self.luxes[idx]
+        lo_c, hi_c = self.commands[idx - 1], self.commands[idx]
+        if hi_l == lo_l:
+            cmd = lo_c
+        else:
+            cmd = lo_c + (hi_c - lo_c) * (target_lux - lo_l) / (hi_l - lo_l)
+        return float(np.clip(cmd, 0.0, 100.0)), True
 
 
 DEFAULT_LUX_CURVE = LuxCurve([(0.0, 10.0), (100.0, 1000.0)])
@@ -314,23 +329,16 @@ def read_light_sensor(region: Region, seed: int,
     return region.illuminance * (1.0 + e)
 
 
-def apply_bulb_command(state: BulbState, env: EnvironmentState,
-                       region_id: str) -> EnvironmentState:
-    """Apply a settled bulb command to a region's illuminance.
+def apply_bulb_command(env: EnvironmentState, region_id: str,
+                       command: float) -> EnvironmentState:
+    """Apply a settled bulb command percent to a region's illuminance.
 
     Timing (actuation latency) is the caller's concern; the simulator invokes
     this once the latency has elapsed on its clock.
     """
     region = env.region(region_id)
-    lux = env.lux_curve.lux_at(state.brightness_command)
+    lux = env.lux_curve.lux_at(command)
     if region.max_lux is not None:
         lux = min(lux, region.max_lux)
     region.illuminance = lux
     return env
-
-
-def apply_eink_update(state: EInkState, spec: MarkerSpec) -> EInkState:
-    """Settled E-Ink update. Identical spec is a no-op (same object returned)."""
-    if spec == state.displayed:
-        return state
-    return replace(state, displayed=spec)

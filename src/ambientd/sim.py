@@ -14,7 +14,7 @@ import tempfile
 import threading
 import urllib.request
 from base64 import b64encode
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -26,8 +26,8 @@ from .errors import ConfigError, InvalidArgumentError
 from .markerpipe import DEFAULT_MATCH_FAST_THRESHOLD, match_marker
 from .scene import (DEFAULT_BULB_LATENCY_S, DEFAULT_EINK_LATENCY_S,
                     EnvironmentState, LuxCurve, MarkerPlacement, MarkerSpec,
-                    Region, SyntheticImage, TextureSpec, apply_bulb_command,
-                    BulbState, read_light_sensor, render_region)
+                    Region, TextureSpec, apply_bulb_command, read_light_sensor,
+                    render_region)
 
 CANONICAL_W = 320
 CANONICAL_H = 240
@@ -91,6 +91,41 @@ class Scenario:
             if event.get("region") not in ids:
                 raise ConfigError(
                     f"trajectory references unknown region {event.get('region')!r}")
+        if self.bulb_latency_s < 0 or self.eink_latency_s < 0:
+            raise ConfigError("bulb_latency_s and eink_latency_s must be >= 0")
+        try:
+            LuxCurve(self.lux_curve_points)
+        except InvalidArgumentError as e:
+            raise ConfigError(f"lux_curve: {e}")
+
+    def environment(self) -> EnvironmentState:
+        """The simulated world at t=0: one region per scenario region.
+
+        Marker placements are copied, so a run that moves or updates a
+        marker leaves the scenario as it was.
+        """
+        return EnvironmentState(
+            regions={r.id: Region(r.id, r.texture, r.illuminance,
+                                  marker=replace(r.marker) if r.marker else None,
+                                  max_lux=r.max_lux)
+                     for r in self.regions},
+            lux_curve=LuxCurve(self.lux_curve_points))
+
+    def region_configs(self) -> List[RegionConfig]:
+        """Edge-service config per region, without actuator ids."""
+        curve = LuxCurve(self.lux_curve_points)
+        return [RegionConfig(
+                    region_id=r.id,
+                    mode=r.mode,
+                    curve=curve,
+                    deadband_fraction=self.deadband_fraction,
+                    settle_s=self.settle_s,
+                    target_percentage=self.target_percentage,
+                    marker_fast_threshold=self.marker_fast_threshold,
+                    initial_marker=(r.marker.spec if r.marker else None),
+                    max_size_index=self.max_size_index,
+                    constraints=r.constraints)
+                for r in self.regions]
 
 
 def _texture_from_json(doc: dict, where: str) -> TextureSpec:
@@ -231,7 +266,7 @@ class _BulbNode:
         sim.log(f"bulb/{self.region_id}", "command-accepted",
                 {"command": command})
         def apply():
-            apply_bulb_command(BulbState(command), sim.env, self.region_id)
+            apply_bulb_command(sim.env, self.region_id, command)
             sim.log(f"bulb/{self.region_id}", "applied",
                     {"command": command,
                      "lux": sim.env.region(self.region_id).illuminance})
@@ -324,35 +359,19 @@ class Simulator:
         self.scenario = scenario
         self.queue = _EventQueue()
         self.event_log: List[dict] = []
-        self.env = EnvironmentState(
-            regions={r.id: Region(r.id, r.texture, r.illuminance,
-                                  marker=r.marker, max_lux=r.max_lux)
-                     for r in scenario.regions},
-            lux_curve=LuxCurve(scenario.lux_curve_points))
+        self.env = scenario.environment()
         self._tmpdir = None
         if data_dir is None:
             self._tmpdir = tempfile.TemporaryDirectory(prefix="ambientd-sim-")
             data_dir = self._tmpdir.name
         self.service = EdgeService(data_dir)
-        curve = policy.CalibrationCurve(scenario.lux_curve_points)
         self._lux_readings: Dict[str, List[Tuple[int, float]]] = {}
         self._cycles: Dict[str, int] = {}
-        for r in scenario.regions:
+        for r, config in zip(scenario.regions, scenario.region_configs()):
             bulb_id = f"bulb:{r.id}"
             eink_id = f"eink:{r.id}"
-            self.service.register_region(RegionConfig(
-                region_id=r.id,
-                mode=r.mode,
-                bulb_actuator=bulb_id,
-                eink_actuator=eink_id,
-                curve=curve,
-                deadband_fraction=scenario.deadband_fraction,
-                settle_s=scenario.settle_s,
-                target_percentage=scenario.target_percentage,
-                marker_fast_threshold=scenario.marker_fast_threshold,
-                initial_marker=(r.marker.spec if r.marker else None),
-                max_size_index=scenario.max_size_index,
-                constraints=r.constraints))
+            self.service.register_region(replace(
+                config, bulb_actuator=bulb_id, eink_actuator=eink_id))
             bulb = _BulbNode(self, r.id, scenario.bulb_latency_s)
             self.service.register_actuator(bulb_id, bulb.accept)
             if r.marker is not None:
@@ -504,18 +523,14 @@ def _write_metrics_csv(sim: Simulator, path: Path) -> None:
 
 
 def run_calibration(scenario: Scenario, region_id: str,
-                    steps: int = 11) -> policy.CalibrationCurve:
+                    steps: int = 11) -> LuxCurve:
     """Sweep the bulb over a region of the scenario and fit a curve."""
-    env = EnvironmentState(
-        regions={r.id: Region(r.id, r.texture, r.illuminance, marker=r.marker,
-                              max_lux=r.max_lux)
-                 for r in scenario.regions},
-        lux_curve=LuxCurve(scenario.lux_curve_points))
+    env = scenario.environment()
     env.region(region_id)  # not-found check up front
     counter = {"n": 0}
 
     def set_brightness(command: float) -> None:
-        apply_bulb_command(BulbState(command), env, region_id)
+        apply_bulb_command(env, region_id, command)
 
     def read_lux() -> float:
         counter["n"] += 1

@@ -18,11 +18,12 @@ from ambientd.characterize import (ImageMetrics, TextureClass, classify_texture,
                                    detect_fast_corners)
 from ambientd.edge import EdgeService, RegionConfig
 from ambientd.httpapi import make_server
-from ambientd.policy import (ControlConstraint, DEFAULT_CALIBRATION_CURVE,
-                             IlluminancePolicyState, illuminance_control_step,
-                             predict_tracking, resolve_constraints)
-from ambientd.scene import (MARKER_PATTERNS, MarkerPlacement, MarkerSpec,
-                            Region, SyntheticImage, TextureSpec, render_region)
+from ambientd.policy import (ControlConstraint, IlluminancePolicyState,
+                             illuminance_control_step, predict_tracking,
+                             resolve_constraints)
+from ambientd.scene import (DEFAULT_LUX_CURVE, MARKER_PATTERNS, MarkerPlacement,
+                            MarkerSpec, Region, SyntheticImage, TextureSpec,
+                            render_region)
 from ambientd.sim import (RegionScenario, Scenario, Simulator, run_scenario,
                           sweep_marker_grid)
 
@@ -211,7 +212,7 @@ def test_criterion_8_oscillation_guard():
     rng = random.Random(8)
     for i in range(1000):
         lux = 300.0 + rng.uniform(-30.0, 30.0)
-        assert illuminance_control_step(state, lux, DEFAULT_CALIBRATION_CURVE,
+        assert illuminance_control_step(state, lux, DEFAULT_LUX_CURVE,
                                         float(i)) is None
     sim = Simulator(Scenario(regions=[RegionScenario("r", COARSE, 80.0)],
                              duration_s=60.0))

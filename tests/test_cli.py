@@ -10,7 +10,9 @@ import urllib.request
 
 import pytest
 
+from ambientd import cli, httpapi
 from ambientd.scene import Region, TextureSpec, render_region
+from ambientd.sim import load_scenario
 
 CLI = [sys.executable, "-m", "ambientd.cli"]
 
@@ -62,6 +64,20 @@ class TestRun:
         path.write_text("{nope")
         result = run_cli("run", str(path))
         assert result.returncode == 2
+
+    @pytest.mark.parametrize("overrides", [
+        {"lux_curve": [[0, 100], [50, 40], [100, 1000]]},
+        {"lux_curve": [[0, 10]]},
+        {"bulb_latency_s": -1},
+        {"eink_latency_s": -1},
+    ], ids=["non-monotone-curve", "single-point-curve", "negative-bulb-latency",
+            "negative-eink-latency"])
+    def test_bad_actuation_config_exit_2(self, tmp_path, overrides):
+        scenario = write_scenario(tmp_path / "s.json", **overrides)
+        result = run_cli("run", str(scenario))
+        assert result.returncode == 2
+        assert result.stderr.startswith("ambientd: config error")
+        assert "Traceback" not in result.stderr
 
     def test_require_convergence_exit_3(self, tmp_path):
         # a 400-lux cap makes the 750-lux fine-texture target unreachable
@@ -223,6 +239,43 @@ class TestServe:
         finally:
             proc.send_signal(signal.SIGINT)
             proc.wait(timeout=10)
+
+    def test_scenario_registers_its_region_configs(self, tmp_path,
+                                                     monkeypatch):
+        scenario = write_scenario(
+            tmp_path / "s.json",
+            policy={"marker_fast_threshold": 30, "max_size_index": 1,
+                    "deadband_fraction": 0.2},
+            regions=[
+                {"id": "desk", "illuminance": 80.0,
+                 "texture": {"kind": "checkerboard", "cell": 32},
+                 "constraints": [{"range": [50, 200], "preferred": 150,
+                                  "priority": 1}]},
+                {"id": "shelf", "illuminance": 60.0, "mode": "marker",
+                 "texture": {"kind": "flat", "value": 0.6},
+                 "marker": {"pattern": "binary-grid-B", "size_index": 1}}],
+            lux_curve=[[0, 20], [50, 300], [100, 900]])
+        served = {}
+
+        class StopAtOnce:
+            def serve_forever(self):
+                raise KeyboardInterrupt
+
+            def server_close(self):
+                pass
+
+        def make_server(service, host, port):
+            served["service"] = service
+            return StopAtOnce()
+
+        monkeypatch.setattr(httpapi, "make_server", make_server)
+        code = cli.main(["serve", "--scenario", str(scenario),
+                         "--bind", "127.0.0.1:0",
+                         "--data-dir", str(tmp_path / "data")])
+        assert code == 0
+        registered = [runtime.config
+                      for runtime in served["service"]._regions.values()]
+        assert registered == load_scenario(scenario).region_configs()
 
     def test_occupied_port_exit_1(self, tmp_path):
         with socket.socket() as blocker:

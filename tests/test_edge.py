@@ -99,14 +99,15 @@ class TestPolicyStepping:
     def test_constraints_cap_the_target(self, tmp_path):
         accepted = []
         svc = EdgeService(tmp_path)
-        from ambientd.policy import ControlConstraint, DEFAULT_CALIBRATION_CURVE
+        from ambientd.policy import ControlConstraint
+        from ambientd.scene import DEFAULT_LUX_CURVE
         cap = ControlConstraint("energy", 50.0, 200.0, 150.0, priority=1)
         svc.register_region(RegionConfig("r1", bulb_actuator="bulb1",
                                          constraints=[cap]))
         svc.register_actuator("bulb1", accepted.append)
         svc.ingest_reading(reading(1000, lux=80.0))
         assert len(accepted) == 1
-        want, _ = DEFAULT_CALIBRATION_CURVE.invert(200.0)
+        want, _ = DEFAULT_LUX_CURVE.invert(200.0)
         assert accepted[0].payload == pytest.approx(want)
 
     def test_marker_mode_drives_eink(self, tmp_path):
@@ -197,6 +198,16 @@ class TestDispatch:
         latency = service.dispatch_command(
             ActuatorCommand("bulb1", "set-brightness", 50.0))
         assert 0.0 <= latency < 500.0
+
+    @pytest.mark.parametrize("payload", [150, -1, -0.5, 100.5, float("nan"),
+                                         float("inf"), True, "50", None])
+    def test_brightness_outside_percent_rejected(self, payload):
+        with pytest.raises(BadRequestError):
+            ActuatorCommand("bulb1", "set-brightness", payload)
+
+    def test_brightness_percent_bounds_accepted(self):
+        for payload in (0, 100, 0.0, 100.0, 55.5):
+            ActuatorCommand("bulb1", "set-brightness", payload)
 
     def test_bad_kind_rejected(self):
         with pytest.raises(BadRequestError):

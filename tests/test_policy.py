@@ -4,13 +4,12 @@ import pytest
 
 from ambientd.characterize import MatchReport, TextureClass
 from ambientd.errors import CalibrationError, InvalidArgumentError
-from ambientd.policy import (CalibrationCurve, ControlConstraint,
-                             DEFAULT_CALIBRATION_CURVE, IlluminancePolicyState,
+from ambientd.policy import (ControlConstraint, IlluminancePolicyState,
                              MarkerControllerState, MarkerPhase, SetBrightness,
                              SetMarker, calibrate, illuminance_control_step,
                              lux_band, marker_control_step, predict_tracking,
                              resolve_constraints, select_optimal_lux)
-from ambientd.scene import MarkerSpec
+from ambientd.scene import DEFAULT_LUX_CURVE, MarkerSpec
 
 
 class TestOptimalLux:
@@ -22,31 +21,31 @@ class TestOptimalLux:
 class TestIlluminanceControl:
     def test_command_for_coarse_target(self):
         state = IlluminancePolicyState(optimal_lux=300.0)
-        cmd = illuminance_control_step(state, 80.0, DEFAULT_CALIBRATION_CURVE,
+        cmd = illuminance_control_step(state, 80.0, DEFAULT_LUX_CURVE,
                                        now=0.0)
         assert cmd == pytest.approx(29.2929, abs=1e-3)
 
     def test_command_for_fine_target(self):
         state = IlluminancePolicyState(optimal_lux=750.0)
-        cmd = illuminance_control_step(state, 80.0, DEFAULT_CALIBRATION_CURVE,
+        cmd = illuminance_control_step(state, 80.0, DEFAULT_LUX_CURVE,
                                        now=0.0)
         assert cmd == pytest.approx(74.7474, abs=1e-3)
 
     def test_deadband_suppresses_command(self):
         state = IlluminancePolicyState(optimal_lux=300.0)
         assert illuminance_control_step(state, 295.0,
-                                        DEFAULT_CALIBRATION_CURVE, 0.0) is None
+                                        DEFAULT_LUX_CURVE, 0.0) is None
         assert illuminance_control_step(state, 330.0,
-                                        DEFAULT_CALIBRATION_CURVE, 1.0) is None
+                                        DEFAULT_LUX_CURVE, 1.0) is None
 
     def test_settle_window_suppresses_command(self):
         state = IlluminancePolicyState(optimal_lux=300.0)
         assert illuminance_control_step(state, 80.0,
-                                        DEFAULT_CALIBRATION_CURVE, 0.0) is not None
+                                        DEFAULT_LUX_CURVE, 0.0) is not None
         assert illuminance_control_step(state, 80.0,
-                                        DEFAULT_CALIBRATION_CURVE, 1.9) is None
+                                        DEFAULT_LUX_CURVE, 1.9) is None
         assert illuminance_control_step(state, 80.0,
-                                        DEFAULT_CALIBRATION_CURVE, 2.0) is not None
+                                        DEFAULT_LUX_CURVE, 2.0) is not None
 
     def test_thousand_in_deadband_steps_never_command(self):
         state = IlluminancePolicyState(optimal_lux=300.0)
@@ -54,7 +53,7 @@ class TestIlluminanceControl:
         for i in range(1000):
             lux = 300.0 + rng.uniform(-30.0, 30.0)
             assert illuminance_control_step(state, lux,
-                                            DEFAULT_CALIBRATION_CURVE,
+                                            DEFAULT_LUX_CURVE,
                                             float(i)) is None
 
     def test_deadband_fraction_validated(self):
@@ -97,14 +96,14 @@ class TestCalibration:
             calibrate(lambda c: None, read, steps=3)
 
     def test_noisy_plateau_is_monotone(self):
-        curve = CalibrationCurve([(0.0, 100.0), (25.0, 310.0), (50.0, 300.0),
-                                  (75.0, 305.0), (100.0, 900.0)])
+        reads = iter([100.0, 310.0, 300.0, 305.0, 900.0])
+        curve = calibrate(lambda c: None, lambda: next(reads), steps=5)
         luxes = [l for _, l in curve.points]
         assert all(b >= a for a, b in zip(luxes, luxes[1:]))
 
     def test_invert_plateau_returns_lowest_command(self):
-        curve = CalibrationCurve([(0.0, 100.0), (25.0, 300.0), (50.0, 300.0),
-                                  (75.0, 300.0), (100.0, 900.0)])
+        reads = iter([100.0, 300.0, 300.0, 300.0, 900.0])
+        curve = calibrate(lambda c: None, lambda: next(reads), steps=5)
         command, reachable = curve.invert(300.0)
         assert reachable
         assert command == pytest.approx(25.0)
@@ -117,7 +116,7 @@ class TestMarkerController:
     def step(self, state, pct, now, lux=80.0, texture=TextureClass.COARSE):
         report = MatchReport(int(pct), 100)
         return marker_control_step(state, report, texture, lux,
-                                   DEFAULT_CALIBRATION_CURVE, now)
+                                   DEFAULT_LUX_CURVE, now)
 
     def test_satisfied_immediately(self):
         state, intents = self.step(self.make_state(), 80, 0.0)

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from ambientd.errors import InvalidArgumentError, NotFoundError
-from ambientd.scene import (BulbState, EInkState, EnvironmentState, LuxCurve,
-                            MarkerPlacement, MarkerSpec, Region, SyntheticImage,
-                            TextureSpec, apply_bulb_command, apply_eink_update,
-                            marker_patch_size, read_light_sensor, render_region)
+from ambientd.scene import (EnvironmentState, LuxCurve, MarkerPlacement,
+                            MarkerSpec, Region, SyntheticImage, TextureSpec,
+                            apply_bulb_command, marker_patch_size,
+                            read_light_sensor, render_region)
 
 from oracles import reference_checkerboard_render
 
@@ -107,32 +107,25 @@ class TestActuators:
 
     def test_bulb_curve_endpoints(self):
         env = self.make_env()
-        apply_bulb_command(BulbState(0.0), env, "a")
+        apply_bulb_command(env, "a", 0.0)
         assert env.region("a").illuminance == 10.0
-        apply_bulb_command(BulbState(100.0), env, "a")
+        apply_bulb_command(env, "a", 100.0)
         assert env.region("a").illuminance == 1000.0
 
     def test_bulb_curve_midpoint(self):
         env = self.make_env()
-        apply_bulb_command(BulbState(50.0), env, "a")
+        apply_bulb_command(env, "a", 50.0)
         assert env.region("a").illuminance == pytest.approx(505.0)
 
     def test_bulb_respects_region_cap(self):
         env = self.make_env(max_lux=600.0)
-        apply_bulb_command(BulbState(100.0), env, "a")
+        apply_bulb_command(env, "a", 100.0)
         assert env.region("a").illuminance == 600.0
 
     def test_unknown_region(self):
         env = self.make_env()
         with pytest.raises(NotFoundError):
-            apply_bulb_command(BulbState(10.0), env, "nope")
-
-    def test_eink_update_and_idempotence(self):
-        state = EInkState(MarkerSpec("binary-grid-A", 0))
-        updated = apply_eink_update(state, MarkerSpec("binary-grid-A", 2))
-        assert updated.displayed.size_index == 2
-        again = apply_eink_update(updated, MarkerSpec("binary-grid-A", 2))
-        assert again is updated  # no-op for identical spec
+            apply_bulb_command(env, "nope", 10.0)
 
 
 class TestLightSensor:

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import urllib.error
+import urllib.request
 
 import pytest
 
@@ -73,6 +75,18 @@ class TestScenarioParsing:
         with pytest.raises(ConfigError, match="ghost"):
             scenario_from_json(doc)
 
+    @pytest.mark.parametrize("points", [
+        [[0, 100], [50, 40], [100, 1000]],
+        [[0, 10]],
+        [[0, 10], [0, 20], [100, 1000]],
+        [[0, float("nan")], [100, 1000]],
+    ], ids=["non-monotone", "single-point", "repeated-command", "nan"])
+    def test_bad_lux_curve_names_field(self, points):
+        doc = self.base_doc()
+        doc["lux_curve"] = points
+        with pytest.raises(ConfigError, match="lux_curve"):
+            scenario_from_json(doc)
+
     def test_duplicate_region_ids(self):
         doc = self.base_doc()
         doc["regions"].append(dict(doc["regions"][0]))
@@ -111,6 +125,17 @@ class TestClosedLoop:
         for name in ("events.jsonl", "report.json", "metrics.csv"):
             assert ((tmp_path / "a" / name).read_bytes()
                     == (tmp_path / "b" / name).read_bytes()), name
+
+    def test_rerun_of_one_scenario_is_identical(self):
+        scenario = marker_scenario(duration_s=20.0)
+        scenario.sensor_period_s = 1.0
+        scenario.trajectory = [{"t_s": 7.0, "region": "m",
+                                "distance_cm": 60.0}]
+        first = run_scenario(scenario)
+        assert first[1]["regions"]["m"]["eink_commands"] >= 1
+        assert run_scenario(scenario) == first
+        assert scenario.regions[0].marker == MarkerPlacement(
+            MarkerSpec("binary-grid-A", 0), 90.0, 0.0)
 
     def test_bulb_latency_on_virtual_clock(self, tmp_path):
         events, _ = run_scenario(coarse_scenario())
@@ -202,6 +227,25 @@ class TestTransports:
                                           transport="real-http")
         assert report_a == report_b
         assert events_a == events_b
+
+
+    def test_http_rejects_out_of_range_brightness(self):
+        sim = Simulator(coarse_scenario(duration_s=10.0), transport="real-http")
+        url = f"{sim.transport.base_url}/v1/actuators/bulb:r/commands"
+        for payload in (150, float("nan"), -1):
+            req = urllib.request.Request(
+                url, method="POST", headers={"Content-Type": "application/json"},
+                data=json.dumps({"kind": "set-brightness",
+                                 "payload": payload}).encode())
+            with pytest.raises(urllib.error.HTTPError) as err:
+                urllib.request.urlopen(req, timeout=10)
+            assert err.value.code == 400
+            err.value.close()
+        # the bulb node logs every command it is handed
+        assert sim.event_log == []
+        events, report = sim.run()
+        want_events, want_report = run_scenario(coarse_scenario(duration_s=10.0))
+        assert (events, report) == (want_events, want_report)
 
 
 class TestCalibrationHarness:
