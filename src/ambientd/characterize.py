@@ -1,13 +1,16 @@
 """Environment characterization: image metrics, FAST corners, binary
 descriptors, marker matching, ROI cropping, texture classification and
 scene-change detection.
+
+Corners travel as an (N, 3) int array of (x, y, score) rows, descriptors as
+an (M, 32) uint8 array of packed 256-bit rows.
 """
 from __future__ import annotations
 
 import enum
 import math
 from dataclasses import asdict, dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 from scipy import ndimage
@@ -41,19 +44,6 @@ FAST_ARC_LENGTH = 9
 class TextureClass(enum.Enum):
     COARSE = "Coarse"
     FINE = "Fine"
-
-
-@dataclass(frozen=True)
-class Corner:
-    x: int
-    y: int
-    score: int
-
-
-@dataclass(frozen=True)
-class Descriptor:
-    bits: bytes          # 32 packed bytes, 256 bits
-    anchor: Corner
 
 
 @dataclass(frozen=True)
@@ -115,9 +105,10 @@ def _arc_table() -> np.ndarray:
 _ARC = _arc_table()
 
 
-def detect_fast_corners(image: SyntheticImage, threshold: int) -> List[Corner]:
+def detect_fast_corners(image: SyntheticImage, threshold: int) -> np.ndarray:
     """FAST-9 segment-test corners with 3x3 non-max suppression.
 
+    Returns an (N, 3) int array of (x, y, score) rows in row-major order.
     One int16 pass over the 16 circle offsets packs the brighter and darker
     tests into 16-bit masks, which a 65 536-entry table checks for a 9-pixel
     arc. Score is the sum of |circle - center| over circle pixels beyond the
@@ -129,7 +120,7 @@ def detect_fast_corners(image: SyntheticImage, threshold: int) -> List[Corner]:
     H, W = image.height, image.width
     # |circle - center| <= 255, so no pixel passes a threshold of 255
     if H < 7 or W < 7 or threshold >= 255:
-        return []
+        return np.empty((0, 3), np.intp)
     a = image.pixels.astype(np.int16)
     center = a[3:H - 3, 3:W - 3]
     bright, dark = np.zeros((2,) + center.shape, dtype=np.uint16)
@@ -153,7 +144,7 @@ def detect_fast_corners(image: SyntheticImage, threshold: int) -> List[Corner]:
         keep &= s > flat[idx + off]
         keep &= s >= flat[idx - off]
     ys, xs = np.divmod(idx[keep], W)
-    return list(map(Corner, xs.tolist(), ys.tolist(), s[keep].tolist()))
+    return np.stack([xs, ys, s[keep]], axis=1)
 
 
 _DESCRIPTOR_PAIRS: Optional[np.ndarray] = None
@@ -171,33 +162,33 @@ def _descriptor_pairs() -> np.ndarray:
 
 
 def extract_descriptors(image: SyntheticImage,
-                        corners: List[Corner]) -> List[Descriptor]:
+                        corners: np.ndarray) -> np.ndarray:
     """256-bit intensity-comparison descriptors over a box-smoothed patch.
 
-    bit_i = 1 iff smoothed(a_i) < smoothed(b_i), strictly. Corners too close
-    to the border for the full smoothed patch are skipped.
+    bit_i = 1 iff smoothed(a_i) < smoothed(b_i), strictly. Returns an (M, 32)
+    uint8 array, one packed row per usable corner in input order; corners too
+    close to the border for the full smoothed patch are skipped.
     """
     H, W = image.height, image.width
     margin = DESCRIPTOR_PATCH_HALF + _SMOOTH_HALF
-    usable = [c for c in corners
-              if margin <= c.x < W - margin and margin <= c.y < H - margin]
-    if not usable:
-        return []
+    cx, cy = corners[:, 0], corners[:, 1]
+    usable = ((margin <= cx) & (cx < W - margin)
+              & (margin <= cy) & (cy < H - margin))
+    cx, cy = cx[usable], cy[usable]
+    if cx.size == 0:
+        return np.empty((0, DESCRIPTOR_BITS // 8), np.uint8)
     # exact integer 5x5 box sums; S[y, x] covers pixels [y, y+4] x [x, x+4]
     ii = np.zeros((H + 1, W + 1), dtype=np.int64)
     ii[1:, 1:] = np.cumsum(np.cumsum(image.pixels, axis=0), axis=1)
     box = (ii[5:, 5:] - ii[:-5, 5:] - ii[5:, :-5] + ii[:-5, :-5])
     # box[y, x] = sum of the 5x5 window centered at (x+2, y+2)
     pairs = _descriptor_pairs()
-    cx = np.array([c.x for c in usable])
-    cy = np.array([c.y for c in usable])
     ax = cx[:, None] + pairs[None, :, 0] - _SMOOTH_HALF
     ay = cy[:, None] + pairs[None, :, 1] - _SMOOTH_HALF
     bx = cx[:, None] + pairs[None, :, 2] - _SMOOTH_HALF
     by = cy[:, None] + pairs[None, :, 3] - _SMOOTH_HALF
     bits = box[ay, ax] < box[by, bx]
-    packed = np.packbits(bits, axis=1)
-    return [Descriptor(packed[i].tobytes(), c) for i, c in enumerate(usable)]
+    return np.packbits(bits, axis=1)
 
 
 _POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.int32)
@@ -207,30 +198,27 @@ def _hamming_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _POPCOUNT[a[:, None, :] ^ b[None, :, :]].sum(axis=2)
 
 
-def match_against_reference(scene: List[Descriptor],
-                            reference: List[Descriptor]) -> MatchReport:
-    """Mutual-nearest-neighbour Hamming matching against the reference set.
+def match_against_reference(scene: np.ndarray,
+                            reference: np.ndarray) -> MatchReport:
+    """Mutual-nearest-neighbour Hamming matching of descriptor rows against
+    the reference rows; argmin ties go to the lowest index.
 
-    Scene descriptors are canonically ordered internally, so the report is
-    invariant under permutation of the scene list.
+    Scene rows are sorted by their bytes first, so the report is invariant
+    under permutation of the scene rows: rows with equal bytes have equal
+    distances, so their order among themselves cannot change the count.
     """
-    if not reference:
+    if len(reference) == 0:
         raise InvalidArgumentError("reference descriptor set is empty")
-    if not scene:
+    if len(scene) == 0:
         return MatchReport(0, len(reference))
-    scene = sorted(scene, key=lambda d: (d.bits, d.anchor.x, d.anchor.y))
-    s = np.frombuffer(b"".join(d.bits for d in scene),
-                      dtype=np.uint8).reshape(len(scene), -1)
-    r = np.frombuffer(b"".join(d.bits for d in reference),
-                      dtype=np.uint8).reshape(len(reference), -1)
-    dist = _hamming_matrix(s, r)
+    # lexsort keys run last-to-first: column 0 is the primary key
+    scene = scene[np.lexsort(scene.T[::-1])]
+    dist = _hamming_matrix(scene, reference)
     nn_of_scene = dist.argmin(axis=1)
     nn_of_ref = dist.argmin(axis=0)
-    matched = 0
-    for i, j in enumerate(nn_of_scene):
-        if nn_of_ref[j] == i and dist[i, j] <= MATCH_HAMMING_THRESHOLD:
-            matched += 1
-    return MatchReport(matched, len(reference))
+    mutual = nn_of_ref[nn_of_scene] == np.arange(len(scene))
+    close = dist.min(axis=1) <= MATCH_HAMMING_THRESHOLD
+    return MatchReport(int(np.count_nonzero(mutual & close)), len(reference))
 
 
 def _bimodal_threshold(pixels: np.ndarray) -> float:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import base64
 import json
+import sys
 import threading
 import time
 from dataclasses import dataclass, field
@@ -30,6 +31,20 @@ class SensorReading:
     image_pgm_b64: Optional[str] = None
 
     def __post_init__(self):
+        # checked before anything is persisted; good values are not coerced,
+        # so the log holds exactly what was sent
+        if not isinstance(self.region_id, str):
+            raise BadRequestError("region_id must be a string")
+        if (type(self.timestamp_ms) is not int     # bool is an int subclass
+                or not -2 ** 63 <= self.timestamp_ms < 2 ** 63):
+            raise BadRequestError("timestamp_ms must be a 64-bit integer")
+        # the range test also rejects NaN, infinities and ints beyond a float
+        if self.lux is not None and (
+                isinstance(self.lux, bool) or not isinstance(self.lux, (int, float))
+                or not 0.0 <= self.lux <= sys.float_info.max):
+            raise BadRequestError("lux must be a finite number >= 0")
+        if self.image_pgm_b64 is not None and not isinstance(self.image_pgm_b64, str):
+            raise BadRequestError("image_pgm_b64 must be a string")
         if self.lux is None and self.image_pgm_b64 is None:
             raise BadRequestError("reading must carry lux and/or an image")
 

@@ -46,83 +46,69 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _read_body(self) -> dict:
-        length = int(self.headers.get("Content-Length", 0))
-        raw = self.rfile.read(length)
+        length = self.headers.get("Content-Length", "0").strip()
+        if not length.isdecimal():
+            # the body's end is unknown, so the connection cannot be reused
+            self.close_connection = True
+            raise BadRequestError("Content-Length must be a non-negative integer")
+        raw = self.rfile.read(int(length))
         try:
             doc = json.loads(raw)
-        except json.JSONDecodeError:
+        except (ValueError, RecursionError):    # bad UTF-8 or deep nesting too
             raise BadRequestError("request body is not valid JSON")
         if not isinstance(doc, dict):
             raise BadRequestError("request body must be a JSON object")
         return doc
 
-    def do_GET(self):
-        url = urlparse(self.path)
-        parts = url.path.strip("/").split("/")
-        query = parse_qs(url.query)
+    def _dispatch(self):
         try:
-            if parts == ["v1", "health"]:
-                self._reply(200, {"status": "ok"})
-            elif (len(parts) == 5 and parts[:2] == ["v1", "regions"]
-                    and parts[3:] == ["metrics", "latest"]):
-                record = self.service.get_latest_metrics(parts[2])
-                self._reply(200, record.to_json())
-            elif (len(parts) == 5 and parts[:2] == ["v1", "regions"]
-                    and parts[3:] == ["metrics", "trend"]):
+            url = urlparse(self.path)
+            parts = url.path.strip("/").split("/")
+            query = parse_qs(url.query)
+            # the third path segment is the id segment of every route
+            rid = parts[2] if len(parts) > 2 else None
+            route = f"{self.command} " + "/".join(
+                parts[:2] + ["{id}"] * (rid is not None) + parts[3:])
+            if route == "GET v1/health":
+                status, doc = 200, {"status": "ok"}
+            elif route == "GET v1/regions/{id}/metrics/latest":
+                status, doc = 200, self.service.get_latest_metrics(rid).to_json()
+            elif route == "GET v1/regions/{id}/metrics/trend":
                 try:
                     window_s = float(query["window_s"][0])
                 except (KeyError, ValueError):
                     raise BadRequestError("missing or bad window_s")
-                trend = self.service.get_trend(parts[2], window_s)
-                self._reply(200, trend.to_json())
-            elif (len(parts) == 4 and parts[:2] == ["v1", "regions"]
-                    and parts[3] == "prediction"):
+                status, doc = 200, self.service.get_trend(rid, window_s).to_json()
+            elif route == "GET v1/regions/{id}/prediction":
                 try:
                     texture = query["texture"][0]
                     lux = float(query["lux"][0])
                 except (KeyError, ValueError):
                     raise BadRequestError("missing or bad texture/lux")
-                self._reply(200, policy.predict_tracking(texture, lux).to_json())
+                status, doc = 200, policy.predict_tracking(texture, lux).to_json()
+            elif route == "PUT v1/sensors/{id}/readings":
+                body = self._read_body()
+                try:
+                    reading = SensorReading(
+                        sensor_id=rid,
+                        region_id=body["region_id"],
+                        timestamp_ms=int(body["timestamp_ms"]),
+                        lux=body.get("lux"),
+                        image_pgm_b64=body.get("image_pgm_b64"))
+                except (KeyError, TypeError, ValueError, OverflowError) as e:
+                    raise BadRequestError(f"malformed reading: {e}")
+                status, doc = 200, self.service.ingest_reading(reading).to_json()
+            elif route == "POST v1/actuators/{id}/commands":
+                cmd = ActuatorCommand.from_json(rid, self._read_body())
+                status, doc = 202, {
+                    "dispatch_latency_ms": self.service.dispatch_command(cmd)}
             else:
-                self._reply(404, {"error": "no such route"})
+                status, doc = 404, {"error": "no such route"}
+            self._reply(status, doc)
         except Exception as e:  # noqa: BLE001 - mapped to HTTP statuses
             self._reply(_status_for(e), {"error": str(e)})
 
-    def do_PUT(self):
-        parts = urlparse(self.path).path.strip("/").split("/")
-        try:
-            if (len(parts) == 4 and parts[:2] == ["v1", "sensors"]
-                    and parts[3] == "readings"):
-                doc = self._read_body()
-                try:
-                    reading = SensorReading(
-                        sensor_id=parts[2],
-                        region_id=doc["region_id"],
-                        timestamp_ms=int(doc["timestamp_ms"]),
-                        lux=doc.get("lux"),
-                        image_pgm_b64=doc.get("image_pgm_b64"))
-                except (KeyError, TypeError, ValueError) as e:
-                    raise BadRequestError(f"malformed reading: {e}")
-                record = self.service.ingest_reading(reading)
-                self._reply(200, record.to_json())
-            else:
-                self._reply(404, {"error": "no such route"})
-        except Exception as e:  # noqa: BLE001
-            self._reply(_status_for(e), {"error": str(e)})
-
-    def do_POST(self):
-        parts = urlparse(self.path).path.strip("/").split("/")
-        try:
-            if (len(parts) == 4 and parts[:2] == ["v1", "actuators"]
-                    and parts[3] == "commands"):
-                doc = self._read_body()
-                cmd = ActuatorCommand.from_json(parts[2], doc)
-                latency_ms = self.service.dispatch_command(cmd)
-                self._reply(202, {"dispatch_latency_ms": latency_ms})
-            else:
-                self._reply(404, {"error": "no such route"})
-        except Exception as e:  # noqa: BLE001
-            self._reply(_status_for(e), {"error": str(e)})
+    do_GET = do_PUT = do_POST = _dispatch
 
 
 def make_server(service: EdgeService, host: str = "127.0.0.1",

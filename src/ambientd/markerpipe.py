@@ -8,12 +8,12 @@ feature content survives the viewing conditions rather than pipeline bias.
 """
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 from scipy import ndimage
 
-from .characterize import (Descriptor, MatchReport, ROI_MARGIN_PX,
+from .characterize import (MatchReport, ROI_MARGIN_PX,
                            crop_to_marker_roi, detect_fast_corners,
                            extract_descriptors, match_against_reference)
 from .scene import MarkerSpec, SyntheticImage, marker_reflectance
@@ -23,7 +23,8 @@ DEFAULT_MATCH_FAST_THRESHOLD = 15
 # Pre-description blur; stabilizes comparisons across rescale quantization.
 DESCRIBE_BLUR_PX = 13
 
-_REFERENCE_CACHE: Dict[Tuple[MarkerSpec, int], List[Descriptor]] = {}
+# read-only (M, 32) descriptor rows per (spec, FAST threshold)
+_REFERENCE_CACHE: Dict[Tuple[MarkerSpec, int], np.ndarray] = {}
 
 
 def resize_bilinear(image: SyntheticImage, width: int, height: int) -> SyntheticImage:
@@ -68,7 +69,7 @@ def _strip_roi_margin(roi: SyntheticImage, full: SyntheticImage) -> SyntheticIma
                           roi.pixels[m:-m, m:-m].copy(), roi.seed)
 
 
-def _scene_descriptors(image: SyntheticImage, threshold: int) -> List[Descriptor]:
+def _scene_descriptors(image: SyntheticImage, threshold: int) -> np.ndarray:
     roi = crop_to_marker_roi(image)
     roi = _strip_roi_margin(roi, image)
     roi = resize_bilinear(roi, REFERENCE_SIDE_PX, REFERENCE_SIDE_PX)
@@ -87,11 +88,12 @@ def render_marker_reference(spec: MarkerSpec,
 
 def reference_descriptors(spec: MarkerSpec,
                           threshold: int = DEFAULT_MATCH_FAST_THRESHOLD
-                          ) -> List[Descriptor]:
+                          ) -> np.ndarray:
     key = (spec, threshold)
     cached = _REFERENCE_CACHE.get(key)
     if cached is None:
         cached = _scene_descriptors(render_marker_reference(spec), threshold)
+        cached.flags.writeable = False
         _REFERENCE_CACHE[key] = cached
     return cached
 

@@ -93,6 +93,10 @@ class Scenario:
                     f"trajectory references unknown region {event.get('region')!r}")
         if self.bulb_latency_s < 0 or self.eink_latency_s < 0:
             raise ConfigError("bulb_latency_s and eink_latency_s must be >= 0")
+        if not 0.0 < self.deadband_fraction < 0.5:
+            raise ConfigError("policy.deadband_fraction must be in (0, 0.5)")
+        if self.max_size_index not in (0, 1, 2):
+            raise ConfigError("policy.max_size_index must be 0, 1 or 2")
         try:
             LuxCurve(self.lux_curve_points)
         except InvalidArgumentError as e:

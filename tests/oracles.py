@@ -130,3 +130,32 @@ def bimodal_threshold_reference(pixels):
             return t_new
         t = t_new
     return t
+
+
+def match_oracle(scene_rows, ref_rows, threshold=64):
+    """Mutual-nearest-neighbour match count over packed descriptor rows.
+
+    Scene rows are sorted as byte strings, distances are per-pair popcounts
+    of the XOR, and a nearest-neighbour tie goes to the first index.
+    """
+    scene = sorted(bytes(row) for row in scene_rows)
+    ref = [bytes(row) for row in ref_rows]
+
+    def hamming(a, b):
+        return sum(bin(x ^ y).count("1") for x, y in zip(a, b))
+
+    def first_min(values):
+        best = 0
+        for k in range(1, len(values)):
+            if values[k] < values[best]:
+                best = k
+        return best
+
+    dist = [[hamming(s, r) for r in ref] for s in scene]
+    matched = 0
+    for i in range(len(scene)):
+        j = first_min(dist[i])
+        column = [dist[k][j] for k in range(len(scene))]
+        if first_min(column) == i and dist[i][j] <= threshold:
+            matched += 1
+    return matched

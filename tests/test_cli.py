@@ -70,8 +70,11 @@ class TestRun:
         {"lux_curve": [[0, 10]]},
         {"bulb_latency_s": -1},
         {"eink_latency_s": -1},
+        {"policy": {"deadband_fraction": 0.6}},
+        {"policy": {"max_size_index": 5}},
     ], ids=["non-monotone-curve", "single-point-curve", "negative-bulb-latency",
-            "negative-eink-latency"])
+            "negative-eink-latency", "deadband-out-of-range",
+            "max-size-index-out-of-range"])
     def test_bad_actuation_config_exit_2(self, tmp_path, overrides):
         scenario = write_scenario(tmp_path / "s.json", **overrides)
         result = run_cli("run", str(scenario))

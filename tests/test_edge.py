@@ -1,10 +1,14 @@
 import base64
 import json
+import socket
 import urllib.error
 import urllib.request
+from http.client import HTTPConnection, HTTPResponse
 from threading import Thread
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ambientd.edge import (ActuatorCommand, EdgeService, MetricsRecord,
                            RegionConfig, SensorReading)
@@ -74,6 +78,28 @@ class TestIngestion:
         with pytest.raises(BadRequestError):
             service.ingest_reading(SensorReading("s1", "r1", 1000,
                                                  image_pgm_b64=bad))
+
+    @pytest.mark.parametrize("field,value", [
+        ("lux", "bright"), ("lux", float("nan")), ("lux", float("inf")),
+        ("lux", -5.0), ("lux", True), ("lux", 10 ** 400),
+        ("region_id", 7), ("timestamp_ms", True), ("timestamp_ms", 1000.0),
+        ("timestamp_ms", 2 ** 63), ("image_pgm_b64", 5),
+    ], ids=["lux-str", "lux-nan", "lux-inf", "lux-negative", "lux-bool",
+            "lux-int-beyond-float", "region-int", "timestamp-bool",
+            "timestamp-float", "timestamp-beyond-int64", "image-int"])
+    def test_bad_field_rejected_before_persisting(self, service, tmp_path,
+                                                  field, value):
+        fields = {"sensor_id": "s1", "region_id": "r1", "timestamp_ms": 1000,
+                  "lux": 80.0, field: value}
+        with pytest.raises(BadRequestError):
+            service.ingest_reading(SensorReading(**fields))
+        assert not (tmp_path / "region_r1.jsonl").exists()
+
+    def test_good_fields_are_not_coerced(self, service, tmp_path):
+        service.ingest_reading(SensorReading("s1", "r1", 1000, lux=0))
+        line = (tmp_path / "region_r1.jsonl").read_text()
+        assert json.loads(line)["metrics"]["illuminance"] == 0
+        assert '"illuminance": 0}' in line
 
 
 class TestPolicyStepping:
@@ -304,3 +330,108 @@ class TestHttpApi:
 
     def test_unknown_route_404(self, http_server):
         assert http("GET", f"{http_server}/v1/bogus")[0] == 404
+
+    @pytest.mark.parametrize("field,value", [
+        ("lux", "bright"), ("region_id", ["r1"]), ("image_pgm_b64", 5)],
+        ids=["lux-str", "region-list", "image-int"])
+    def test_bad_reading_400_and_log_stays_clean(self, http_server, tmp_path,
+                                                 field, value):
+        url = f"{http_server}/v1/sensors/s1/readings"
+        assert http("PUT", url, {"region_id": "r1", "timestamp_ms": 1000,
+                                 "lux": 80.0})[0] == 200
+        body = {"region_id": "r1", "timestamp_ms": 2000, "lux": 80.0,
+                field: value}
+        assert http("PUT", url, body)[0] == 400
+        assert len((tmp_path / "region_r1.jsonl").read_text().splitlines()) == 1
+        trend = f"{http_server}/v1/regions/r1/metrics/trend?window_s=60"
+        assert http("GET", trend)[0] == 200
+
+    @pytest.mark.parametrize("raw", [b'"timestamp_ms": 1e400', b'"lux": NaN',
+                                     b'"lux": -Infinity'],
+                             ids=["timestamp-1e400", "lux-NaN", "lux-minus-Infinity"])
+    def test_non_finite_json_numbers_400(self, http_server, tmp_path, raw):
+        # a repeated key overrides the earlier one
+        body = b'{"region_id": "r1", "timestamp_ms": 1000, "lux": 1.0, %s}' % raw
+        status, _ = raw_request(http_server, b"PUT /v1/sensors/s1/readings "
+                                b"HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s"
+                                % (len(body), body))
+        assert status == 400
+        assert not (tmp_path / "region_r1.jsonl").exists()
+
+    @pytest.mark.parametrize("body", [b"[" * 100_000, b"\xff{}"],
+                             ids=["deeply-nested", "not-utf8"])
+    def test_undecodable_body_400(self, http_server, body):
+        status, doc = raw_request(http_server, b"PUT /v1/sensors/s1/readings "
+                                  b"HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s"
+                                  % (len(body), body))
+        assert (status, doc) == (400, {"error": "request body is not valid JSON"})
+
+    @pytest.mark.parametrize("length", [b"abc", b"-1", b"1.5"])
+    def test_bad_content_length_400(self, http_server, length):
+        # a negative length used to block the handler in rfile.read(-1)
+        status, doc = raw_request(
+            http_server, b"PUT /v1/sensors/s1/readings HTTP/1.1\r\n"
+            b"Content-Length: " + length + b"\r\n\r\n{}")
+        assert status == 400
+        assert "Content-Length" in doc["error"]
+
+
+def raw_request(base_url, request: bytes):
+    """Send request bytes as they are; returns (status, JSON body)."""
+    host, port = base_url.removeprefix("http://").split(":")
+    with socket.create_connection((host, int(port)), timeout=5) as sock:
+        sock.sendall(request)
+        resp = HTTPResponse(sock)
+        resp.begin()
+        return resp.status, json.loads(resp.read())
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8)
+
+
+class TestIngestProperty:
+    def test_no_body_gives_5xx_or_poisons_the_log(self, tmp_path):
+        svc = EdgeService(tmp_path)
+        svc.register_region(RegionConfig("r1", bulb_actuator="bulb1"))
+        svc.register_actuator("bulb1", lambda cmd: None)
+        server = make_server(svc)
+        Thread(target=server.serve_forever, daemon=True).start()
+        image = base64.b64encode(render_region(
+            Region("r", TextureSpec("checkerboard", cell=8), 300.0),
+            1, 48, 48).to_pgm()).decode("ascii")
+        # reading-shaped bodies reach validation, ingest and the policy step
+        readings = st.fixed_dictionaries(
+            {"region_id": st.just("r1") | JSON_VALUES,
+             "timestamp_ms": st.integers() | JSON_VALUES,
+             "lux": st.floats(min_value=0) | JSON_VALUES},
+            optional={"image_pgm_b64": st.just(image) | JSON_VALUES})
+
+        @settings(max_examples=200, deadline=None, derandomize=True,
+                  database=None)
+        @given(JSON_VALUES | readings)
+        def put(body):
+            conn = HTTPConnection("127.0.0.1", server.server_port, timeout=10)
+            try:
+                conn.request("PUT", "/v1/sensors/s/readings",
+                             body=json.dumps(body).encode())
+                assert conn.getresponse().status < 500
+            finally:
+                conn.close()
+
+        try:
+            put()
+        finally:
+            server.shutdown()
+            server.server_close()
+        lines = (tmp_path / "region_r1.jsonl").read_text().splitlines()
+        assert lines
+        for line in lines:
+            json.loads(line, parse_constant=_reject_constant)
