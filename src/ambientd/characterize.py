@@ -278,13 +278,10 @@ def classify_texture(metrics: ImageMetrics) -> TextureClass:
     return TextureClass.COARSE
 
 
-def detect_scene_change(previous: ImageMetrics, current: ImageMetrics,
-                        *, brightness_delta: float = SCENE_CHANGE_BRIGHTNESS_DELTA,
-                        edge_ratio: float = SCENE_CHANGE_EDGE_RATIO,
-                        corner_delta: int = SCENE_CHANGE_CORNER_DELTA) -> bool:
-    if abs(current.brightness - previous.brightness) > brightness_delta:
+def detect_scene_change(previous: ImageMetrics, current: ImageMetrics) -> bool:
+    if abs(current.brightness - previous.brightness) > SCENE_CHANGE_BRIGHTNESS_DELTA:
         return True
     rel = abs(current.edge_strength - previous.edge_strength) / max(previous.edge_strength, 1.0)
-    if rel > edge_ratio:
+    if rel > SCENE_CHANGE_EDGE_RATIO:
         return True
-    return abs(current.corner_count - previous.corner_count) > corner_delta
+    return abs(current.corner_count - previous.corner_count) > SCENE_CHANGE_CORNER_DELTA

@@ -62,28 +62,29 @@ def cmd_serve(args) -> int:
         _err(f"bad bind address {bind!r}")
         return EXIT_CONFIG
     service = EdgeService(data_dir)
-    regions = []
-    if args.scenario:
-        try:
-            scenario = sim.load_scenario(args.scenario)
-        except ConfigError as e:
-            _err(f"config error: {e}")
-            return EXIT_CONFIG
-        for config in scenario.region_configs():
-            service.register_region(config)
-            regions.append(config.region_id)
-    else:
-        # re-register any regions with persisted logs so GETs work after restart
-        for path in sorted(Path(data_dir).glob("region_*.jsonl")):
-            region_id = path.stem[len("region_"):]
-            service.register_region(RegionConfig(region_id=region_id))
-            regions.append(region_id)
+    try:
+        if args.scenario:
+            configs = sim.load_scenario(args.scenario).region_configs()
+        else:
+            # re-register any regions with persisted logs so GETs work after
+            # restart
+            configs = [RegionConfig(region_id=path.stem[len("region_"):])
+                       for path in sorted(Path(data_dir).glob("region_*.jsonl"))]
+        for config in configs:
+            dropped = service.register_region(config)
+            if dropped:
+                _err(f"region {config.region_id}: dropped a torn last line "
+                     f"of {dropped} bytes from its log")
+    except ConfigError as e:
+        _err(f"config error: {e}")
+        return EXIT_CONFIG
+    regions = ", ".join(config.region_id for config in configs)
     try:
         server = make_server(service, host or "127.0.0.1", port)
     except OSError as e:
         _err(f"cannot bind {bind}: {e}")
         return EXIT_ERROR
-    _err(f"serving on {bind} (regions: {', '.join(regions) or 'none'})")
+    _err(f"serving on {bind} (regions: {regions or 'none'})")
     try:
         server.serve_forever()
     except KeyboardInterrupt:

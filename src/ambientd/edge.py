@@ -2,13 +2,14 @@
 actuator dispatch, append-only metrics persistence and trend queries.
 
 Transport-agnostic; the HTTP layer in httpapi.py is a thin wrapper around
-EdgeService.
+EdgeService. Each region has its own lock, staleness map, policy state and
+NDJSON log; a policy step computes the region's optimum lux once and hands
+it, with the region's `PolicyConfig`, to the step function of its mode.
 """
 from __future__ import annotations
 
 import base64
 import json
-import sys
 import threading
 import time
 from dataclasses import dataclass, field
@@ -17,9 +18,14 @@ from typing import Callable, Dict, List, Optional
 
 from . import characterize, markerpipe, policy
 from .characterize import ImageMetrics, TextureClass
-from .errors import (BadRequestError, InvalidArgumentError, NotFoundError,
-                     StaleReadingError)
+from .errors import (BadRequestError, ConfigError, InvalidArgumentError,
+                     NotFoundError, StaleReadingError)
+from .policy import PolicyConfig
 from .scene import DEFAULT_LUX_CURVE, LuxCurve, MarkerSpec, SyntheticImage
+
+# Direct sunlight is about 1e5 lux; the bound also keeps trend sums finite.
+MAX_LUX = 2.0e5
+MAX_TREND_WINDOW_S = 365 * 24 * 3600.0   # one year
 
 
 @dataclass
@@ -38,11 +44,11 @@ class SensorReading:
         if (type(self.timestamp_ms) is not int     # bool is an int subclass
                 or not -2 ** 63 <= self.timestamp_ms < 2 ** 63):
             raise BadRequestError("timestamp_ms must be a 64-bit integer")
-        # the range test also rejects NaN, infinities and ints beyond a float
+        # the range test also rejects NaN and infinities
         if self.lux is not None and (
                 isinstance(self.lux, bool) or not isinstance(self.lux, (int, float))
-                or not 0.0 <= self.lux <= sys.float_info.max):
-            raise BadRequestError("lux must be a finite number >= 0")
+                or not 0.0 <= self.lux <= MAX_LUX):
+            raise BadRequestError(f"lux must be a number in [0, {MAX_LUX:g}]")
         if self.image_pgm_b64 is not None and not isinstance(self.image_pgm_b64, str):
             raise BadRequestError("image_pgm_b64 must be a string")
         if self.lux is None and self.image_pgm_b64 is None:
@@ -141,12 +147,9 @@ class RegionConfig:
     bulb_actuator: Optional[str] = None
     eink_actuator: Optional[str] = None
     curve: LuxCurve = DEFAULT_LUX_CURVE
-    deadband_fraction: float = policy.DEFAULT_DEADBAND_FRACTION
-    settle_s: float = policy.DEFAULT_SETTLE_S
-    target_percentage: float = policy.DEFAULT_TARGET_PERCENTAGE
+    policy: PolicyConfig = PolicyConfig()
     marker_fast_threshold: int = markerpipe.DEFAULT_MATCH_FAST_THRESHOLD
     initial_marker: Optional[MarkerSpec] = None
-    max_size_index: int = 2
     constraints: List[policy.ControlConstraint] = field(default_factory=list)
 
 
@@ -159,19 +162,16 @@ class _RegionRuntime:
         self.last_image_metrics: Optional[ImageMetrics] = None
         self.last_texture = TextureClass.COARSE
         self.last_lux: Optional[float] = None
-        self.illum_state = policy.IlluminancePolicyState(
-            deadband_fraction=config.deadband_fraction, settle_s=config.settle_s)
+        # the optimum of the latest policy step
+        self.optimal_lux = policy.OPTIMAL_LUX_COARSE
+        self.illum_state = policy.IlluminancePolicyState()
         self.marker_state: Optional[policy.MarkerControllerState] = None
         if config.mode == "marker":
-            spec = config.initial_marker or MarkerSpec("binary-grid-A", 0)
             self.marker_state = policy.MarkerControllerState(
-                current_spec=spec,
-                target_percentage=config.target_percentage,
-                max_size_index=config.max_size_index,
-                deadband_fraction=config.deadband_fraction,
-                settle_s=config.settle_s)
+                config.initial_marker or MarkerSpec("binary-grid-A", 0))
         self.last_match: Optional[characterize.MatchReport] = None
         self.commands: List[ActuatorCommand] = []
+        self.sensor_last_ts: Dict[str, int] = {}
 
 
 class EdgeService:
@@ -182,26 +182,37 @@ class EdgeService:
         self.data_dir.mkdir(parents=True, exist_ok=True)
         self._regions: Dict[str, _RegionRuntime] = {}
         self._actuators: Dict[str, Callable[[ActuatorCommand], None]] = {}
-        self._sensor_last_ts: Dict[str, int] = {}
         self._global_lock = threading.Lock()
 
     # -- registration -----------------------------------------------------
 
-    def register_region(self, config: RegionConfig) -> None:
+    def register_region(self, config: RegionConfig) -> int:
+        """Register a region and replay its log; returns the number of bytes
+        of a torn last line cut from the log.
+
+        A complete line that does not parse raises ConfigError.
+        """
         path = self.data_dir / f"region_{config.region_id}.jsonl"
         runtime = _RegionRuntime(config, path)
-        if path.exists():
-            with path.open() as fh:
-                for line in fh:
-                    line = line.strip()
-                    if line:
-                        runtime.records.append(MetricsRecord.from_json(json.loads(line)))
-            for rec in runtime.records:
-                if rec.metrics.illuminance is not None:
-                    runtime.last_lux = rec.metrics.illuminance
-                runtime.last_texture = rec.texture_class
+        data = path.read_bytes() if path.exists() else b""
+        keep = data.rfind(b"\n") + 1
+        if keep < len(data):     # a write cut short; appends go after it
+            with path.open("r+b") as fh:
+                fh.truncate(keep)
+        for lineno, line in enumerate(data[:keep].split(b"\n")[:-1], 1):
+            if not line.strip():
+                continue
+            try:
+                record = MetricsRecord.from_json(json.loads(line))
+            except (ValueError, KeyError, TypeError) as e:
+                raise ConfigError(f"{path}:{lineno}: bad record: {e}")
+            runtime.records.append(record)
+            if record.metrics.illuminance is not None:
+                runtime.last_lux = record.metrics.illuminance
+            runtime.last_texture = record.texture_class
         with self._global_lock:
             self._regions[config.region_id] = runtime
+        return len(data) - keep
 
     def register_actuator(self, actuator_id: str,
                           accept: Callable[[ActuatorCommand], None]) -> None:
@@ -226,11 +237,11 @@ class EdgeService:
             except (ValueError, InvalidArgumentError) as e:
                 raise BadRequestError(f"bad image payload: {e}")
         with runtime.lock:
-            last = self._sensor_last_ts.get(reading.sensor_id)
+            last = runtime.sensor_last_ts.get(reading.sensor_id)
             if last is not None and reading.timestamp_ms <= last:
                 raise StaleReadingError(
                     f"timestamp {reading.timestamp_ms} not newer than {last}")
-            self._sensor_last_ts[reading.sensor_id] = reading.timestamp_ms
+            runtime.sensor_last_ts[reading.sensor_id] = reading.timestamp_ms
 
             scene_change = False
             if image is not None:
@@ -257,7 +268,7 @@ class EdgeService:
                                    metrics, texture, scene_change)
             runtime.records.append(record)
             with runtime.log_path.open("a") as fh:
-                fh.write(json.dumps(record.to_json()) + "\n")
+                fh.write(json.dumps(record.to_json(), allow_nan=False) + "\n")
 
             self._policy_step(runtime, record, image)
         return record
@@ -266,17 +277,18 @@ class EdgeService:
                      image: Optional[SyntheticImage]) -> None:
         config = runtime.config
         now_s = record.timestamp_ms / 1000.0
+        optimal = policy.select_optimal_lux(record.texture_class)
+        if config.mode == "markerless" and config.constraints:
+            system = policy.ControlConstraint(
+                "ar-tracking", 50.0, 1000.0, optimal, priority=0)
+            optimal = policy.resolve_constraints([system] + config.constraints)
+        runtime.optimal_lux = optimal
         if config.mode == "markerless":
             if runtime.last_lux is None:
                 return
-            optimal = policy.select_optimal_lux(record.texture_class)
-            if config.constraints:
-                system = policy.ControlConstraint(
-                    "ar-tracking", 50.0, 1000.0, optimal, priority=0)
-                optimal = policy.resolve_constraints([system] + config.constraints)
-            runtime.illum_state.optimal_lux = optimal
             command = policy.illuminance_control_step(
-                runtime.illum_state, runtime.last_lux, config.curve, now_s)
+                runtime.illum_state, config.policy, optimal, runtime.last_lux,
+                config.curve, now_s)
             if command is not None and config.bulb_actuator:
                 self._issue(runtime, ActuatorCommand(
                     config.bulb_actuator, "set-brightness", command,
@@ -289,7 +301,7 @@ class EdgeService:
                 config.marker_fast_threshold)
             runtime.last_match = report
             state, intents = policy.marker_control_step(
-                runtime.marker_state, report, record.texture_class,
+                runtime.marker_state, config.policy, report, optimal,
                 runtime.last_lux, config.curve, now_s)
             runtime.marker_state = state
             for intent in intents:
@@ -316,8 +328,10 @@ class EdgeService:
             return runtime.records[-1]
 
     def get_trend(self, region_id: str, window_s: float) -> TrendSummary:
-        if window_s <= 0:
-            raise BadRequestError("window must be > 0")
+        # the range test also rejects NaN and infinities
+        if not 0 < window_s <= MAX_TREND_WINDOW_S:
+            raise BadRequestError(
+                f"window must be in (0, {MAX_TREND_WINDOW_S:g}] s")
         runtime = self._runtime(region_id)
         with runtime.lock:
             if not runtime.records:

@@ -14,6 +14,10 @@ class BadRequestError(AmbientError):
     pass
 
 
+class PayloadTooLargeError(BadRequestError):
+    """Request body over the size the HTTP layer accepts."""
+
+
 class StaleReadingError(AmbientError):
     """Reading timestamp is not newer than the last one seen for the sensor."""
 

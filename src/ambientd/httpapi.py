@@ -7,6 +7,11 @@ Routes:
     POST /v1/actuators/{actuator_id}/commands
     GET  /v1/regions/{region_id}/prediction?texture=...&lux=...
     GET  /v1/health
+
+Every request body is read in full before routing, so a keep-alive connection
+never takes an unread body for the next request. A body over MAX_BODY_BYTES
+gets a 413 and a request with Transfer-Encoding a 400; both close the
+connection, since the end of the body is not read.
 """
 from __future__ import annotations
 
@@ -17,7 +22,10 @@ from urllib.parse import parse_qs, urlparse
 from . import policy
 from .edge import ActuatorCommand, EdgeService, SensorReading
 from .errors import (BadRequestError, InvalidArgumentError, NotFoundError,
-                     StaleReadingError)
+                     PayloadTooLargeError, StaleReadingError)
+
+# a 320x240 PGM in base64 is about 103 KB
+MAX_BODY_BYTES = 1 << 20
 
 
 def _status_for(exc: Exception) -> int:
@@ -25,6 +33,8 @@ def _status_for(exc: Exception) -> int:
         return 404
     if isinstance(exc, StaleReadingError):
         return 409
+    if isinstance(exc, PayloadTooLargeError):
+        return 413
     if isinstance(exc, (BadRequestError, InvalidArgumentError)):
         return 400
     return 500
@@ -38,20 +48,31 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
     def _reply(self, status: int, doc: dict) -> None:
-        body = json.dumps(doc).encode("utf-8")
+        body = json.dumps(doc, allow_nan=False).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
         self.wfile.write(body)
 
-    def _read_body(self) -> dict:
+    def _read_body(self) -> bytes:
+        # on each error the body's end is unknown or unread, so the
+        # connection cannot be reused
+        if "Transfer-Encoding" in self.headers:
+            self.close_connection = True
+            raise BadRequestError("Transfer-Encoding is not supported")
         length = self.headers.get("Content-Length", "0").strip()
         if not length.isdecimal():
-            # the body's end is unknown, so the connection cannot be reused
             self.close_connection = True
             raise BadRequestError("Content-Length must be a non-negative integer")
-        raw = self.rfile.read(int(length))
+        if int(length) > MAX_BODY_BYTES:
+            self.close_connection = True
+            raise PayloadTooLargeError(
+                f"request body over {MAX_BODY_BYTES} bytes")
+        return self.rfile.read(int(length))
+
+    @staticmethod
+    def _parse_body(raw: bytes) -> dict:
         try:
             doc = json.loads(raw)
         except (ValueError, RecursionError):    # bad UTF-8 or deep nesting too
@@ -62,6 +83,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _dispatch(self):
         try:
+            raw = self._read_body()
             url = urlparse(self.path)
             parts = url.path.strip("/").split("/")
             query = parse_qs(url.query)
@@ -87,7 +109,7 @@ class _Handler(BaseHTTPRequestHandler):
                     raise BadRequestError("missing or bad texture/lux")
                 status, doc = 200, policy.predict_tracking(texture, lux).to_json()
             elif route == "PUT v1/sensors/{id}/readings":
-                body = self._read_body()
+                body = self._parse_body(raw)
                 try:
                     reading = SensorReading(
                         sensor_id=rid,
@@ -99,7 +121,7 @@ class _Handler(BaseHTTPRequestHandler):
                     raise BadRequestError(f"malformed reading: {e}")
                 status, doc = 200, self.service.ingest_reading(reading).to_json()
             elif route == "POST v1/actuators/{id}/commands":
-                cmd = ActuatorCommand.from_json(rid, self._read_body())
+                cmd = ActuatorCommand.from_json(rid, self._parse_body(raw))
                 status, doc = 202, {
                     "dispatch_latency_ms": self.service.dispatch_command(cmd)}
             else:

@@ -79,8 +79,8 @@ def _scene_descriptors(image: SyntheticImage, threshold: int) -> np.ndarray:
     return extract_descriptors(roi, corners)
 
 
-def render_marker_reference(spec: MarkerSpec,
-                            side: int = REFERENCE_SIDE_PX) -> SyntheticImage:
+def render_marker_reference(spec: MarkerSpec) -> SyntheticImage:
+    side = REFERENCE_SIDE_PX
     refl = marker_reflectance(spec, side, side)
     pixels = np.clip(np.rint(refl * 255.0), 0, 255).astype(np.uint8)
     return SyntheticImage(side, side, pixels, 0)

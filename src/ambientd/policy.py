@@ -1,6 +1,10 @@
 """Decision layer: illuminance setpoint control with a deadband, actuator
 calibration, the marker adaptation state machine, constraint resolution, and
 tracking-quality prediction.
+
+`PolicyConfig` holds the four controller settings and is their only home;
+the two step functions take it, the optimum lux (computed by the caller) and
+a mutable state that holds only what changes between steps.
 """
 from __future__ import annotations
 
@@ -17,9 +21,6 @@ from .scene import MARKER_PATTERNS, LuxCurve, MarkerSpec
 
 OPTIMAL_LUX_COARSE = 300.0
 OPTIMAL_LUX_FINE = 750.0
-DEFAULT_DEADBAND_FRACTION = 0.10
-DEFAULT_SETTLE_S = 2.0
-DEFAULT_TARGET_PERCENTAGE = 60.0
 GOOD_TRACKING_ERROR_CM = 5.0
 
 # Escalation order for pattern switching; image markers last (most robust
@@ -30,7 +31,7 @@ LUX_BANDS = (("low", 50.0, 100.0), ("medium", 150.0, 450.0), ("high", 500.0, 100
 
 # (texture label, band) -> (mean error cm, estimated). Non-estimated cells are
 # measured values; estimated ones are shipped defaults and flagged as such.
-DEFAULT_ERROR_TABLE = {
+ERROR_TABLE = {
     ("checkerboard", "low"): (15.0, True),
     ("checkerboard", "medium"): (4.1, False),
     ("checkerboard", "high"): (3.0, True),
@@ -44,33 +45,39 @@ def select_optimal_lux(texture: TextureClass) -> float:
     return OPTIMAL_LUX_FINE if texture is TextureClass.FINE else OPTIMAL_LUX_COARSE
 
 
-@dataclass
-class IlluminancePolicyState:
-    optimal_lux: float = OPTIMAL_LUX_COARSE
-    deadband_fraction: float = DEFAULT_DEADBAND_FRACTION
-    settle_s: float = DEFAULT_SETTLE_S
-    last_command: Optional[float] = None
-    settle_until: float = -math.inf
+@dataclass(frozen=True)
+class PolicyConfig:
+    """Controller settings shared by both loops of a region."""
+    deadband_fraction: float = 0.10   # of the optimum lux; no command inside
+    settle_s: float = 2.0             # no new actuation until this has passed
+    target_percentage: float = 60.0   # marker match that satisfies the loop
+    max_size_index: int = 2           # largest marker size the loop may use
 
     def __post_init__(self):
-        if not (0.0 < self.deadband_fraction < 0.5):
-            raise InvalidArgumentError("deadband fraction must be in (0, 0.5)")
+        if not 0.0 < self.deadband_fraction < 0.5:
+            raise InvalidArgumentError("deadband_fraction must be in (0, 0.5)")
+        if self.max_size_index not in (0, 1, 2):
+            raise InvalidArgumentError("max_size_index must be 0, 1 or 2")
 
 
-def illuminance_control_step(state: IlluminancePolicyState, measured_lux: float,
-                             curve: LuxCurve, now: float
-                             ) -> Optional[float]:
+@dataclass
+class IlluminancePolicyState:
+    settle_until: float = -math.inf
+
+
+def illuminance_control_step(state: IlluminancePolicyState, config: PolicyConfig,
+                             optimal_lux: float, measured_lux: float,
+                             curve: LuxCurve, now: float) -> Optional[float]:
     """One control cycle; returns a bulb command percent or None.
 
     No command inside the deadband or while a previous command settles.
     """
-    if abs(measured_lux - state.optimal_lux) <= state.deadband_fraction * state.optimal_lux:
+    if abs(measured_lux - optimal_lux) <= config.deadband_fraction * optimal_lux:
         return None
     if now < state.settle_until:
         return None
-    command, _ = curve.invert(state.optimal_lux)
-    state.last_command = command
-    state.settle_until = now + state.settle_s
+    command, _ = curve.invert(optimal_lux)
+    state.settle_until = now + config.settle_s
     return command
 
 
@@ -130,19 +137,15 @@ class SetMarker:
 @dataclass
 class MarkerControllerState:
     current_spec: MarkerSpec
-    target_percentage: float = DEFAULT_TARGET_PERCENTAGE
     phase: MarkerPhase = MarkerPhase.ADJUST_LIGHT
     light_attempts: int = 0
-    max_size_index: int = 2
-    deadband_fraction: float = DEFAULT_DEADBAND_FRACTION
-    settle_s: float = DEFAULT_SETTLE_S
     settle_until: float = -math.inf
     patterns_tried: tuple = ()
 
 
-def marker_control_step(state: MarkerControllerState, report: MatchReport,
-                        texture: TextureClass, measured_lux: float,
-                        curve: LuxCurve, now: float
+def marker_control_step(state: MarkerControllerState, config: PolicyConfig,
+                        report: MatchReport, optimal_lux: float,
+                        measured_lux: float, curve: LuxCurve, now: float
                         ) -> Tuple[MarkerControllerState, list]:
     """One observation of the marker adaptation loop.
 
@@ -151,31 +154,31 @@ def marker_control_step(state: MarkerControllerState, report: MatchReport,
     every escalation is spent). At most one actuation per observation.
     """
     if state.phase in (MarkerPhase.SATISFIED, MarkerPhase.EXHAUSTED):
-        if report.percentage >= state.target_percentage:
+        if report.percentage >= config.target_percentage:
             state.phase = MarkerPhase.SATISFIED
         return state, []
     if now < state.settle_until:
         return state, []
-    if report.percentage >= state.target_percentage:
+    if report.percentage >= config.target_percentage:
         state.phase = MarkerPhase.SATISFIED
         return state, []
 
     if state.phase is MarkerPhase.ADJUST_LIGHT:
-        optimal = select_optimal_lux(texture)
-        off_target = abs(measured_lux - optimal) > state.deadband_fraction * optimal
+        off_target = (abs(measured_lux - optimal_lux)
+                      > config.deadband_fraction * optimal_lux)
         if state.light_attempts < 2 and off_target:
             state.light_attempts += 1
-            state.settle_until = now + state.settle_s
-            command, _ = curve.invert(optimal)
+            state.settle_until = now + config.settle_s
+            command, _ = curve.invert(optimal_lux)
             return state, [SetBrightness(command)]
         state.phase = MarkerPhase.ENLARGE_MARKER
 
     if state.phase is MarkerPhase.ENLARGE_MARKER:
-        if state.current_spec.size_index < state.max_size_index:
+        if state.current_spec.size_index < config.max_size_index:
             spec = replace(state.current_spec,
                            size_index=state.current_spec.size_index + 1)
             state.current_spec = spec
-            state.settle_until = now + state.settle_s
+            state.settle_until = now + config.settle_s
             return state, [SetMarker(spec)]
         state.phase = MarkerPhase.SWITCH_PATTERN
         state.patterns_tried = (state.current_spec.pattern,)
@@ -186,7 +189,7 @@ def marker_control_step(state: MarkerControllerState, report: MatchReport,
             state.patterns_tried = state.patterns_tried + (pattern,)
             spec = replace(state.current_spec, pattern=pattern)
             state.current_spec = spec
-            state.settle_until = now + state.settle_s
+            state.settle_until = now + config.settle_s
             return state, [SetMarker(spec)]
     state.phase = MarkerPhase.EXHAUSTED
     return state, []
@@ -255,15 +258,12 @@ def lux_band(lux: float) -> str:
     return "high"
 
 
-def predict_tracking(texture_label: str, lux: float,
-                     table=None) -> TrackingPrediction:
-    if table is None:
-        table = DEFAULT_ERROR_TABLE
+def predict_tracking(texture_label: str, lux: float) -> TrackingPrediction:
     band = lux_band(lux)
     key = (texture_label, band)
-    if key not in table:
+    if key not in ERROR_TABLE:
         raise InvalidArgumentError(f"unknown texture label {texture_label!r}")
-    error_cm, estimated = table[key]
+    error_cm, estimated = ERROR_TABLE[key]
     quality = "Good" if error_cm <= GOOD_TRACKING_ERROR_CM else "Poor"
     guidance: List[str] = []
     if quality == "Poor":

@@ -201,11 +201,6 @@ class EnvironmentState:
     regions: dict
     lux_curve: LuxCurve = field(default_factory=lambda: DEFAULT_LUX_CURVE)
 
-    def __post_init__(self):
-        ids = list(self.regions)
-        if len(ids) != len(set(ids)):
-            raise InvalidArgumentError("region ids must be unique")
-
     def region(self, region_id: str) -> Region:
         try:
             return self.regions[region_id]

@@ -3,6 +3,10 @@
 Wires synthetic sensors, actuators and the edge service together on a virtual
 clock. In-process transport is single-threaded and byte-reproducible; the
 real-http transport drives the same edge service through a local HTTP server.
+
+A scenario file parses into a `Scenario`; a key left out of the file keeps
+the dataclass default, and the `policy` object becomes one
+`policy.PolicyConfig` shared by every region's `RegionConfig`.
 """
 from __future__ import annotations
 
@@ -14,7 +18,7 @@ import tempfile
 import threading
 import urllib.request
 from base64 import b64encode
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -24,7 +28,9 @@ from . import policy
 from .edge import ActuatorCommand, EdgeService, RegionConfig, SensorReading
 from .errors import ConfigError, InvalidArgumentError
 from .markerpipe import DEFAULT_MATCH_FAST_THRESHOLD, match_marker
+from .policy import PolicyConfig
 from .scene import (DEFAULT_BULB_LATENCY_S, DEFAULT_EINK_LATENCY_S,
+                    DEFAULT_LUX_CURVE, NOISE_SIGMA0, SENSOR_NOISE_FRACTION,
                     EnvironmentState, LuxCurve, MarkerPlacement, MarkerSpec,
                     Region, TextureSpec, apply_bulb_command, read_light_sensor,
                     render_region)
@@ -33,6 +39,7 @@ CANONICAL_W = 320
 CANONICAL_H = 240
 DEFAULT_SENSOR_PERIOD_S = 5.0
 DEFAULT_SWEEP_TRIALS = 20
+SWEEP_BACKGROUND = TextureSpec("flat", value=0.6)
 
 
 def stable_seed(*parts) -> int:
@@ -66,14 +73,11 @@ class Scenario:
     bulb_latency_s: float = DEFAULT_BULB_LATENCY_S
     eink_latency_s: float = DEFAULT_EINK_LATENCY_S
     lux_curve_points: List[Tuple[float, float]] = field(
-        default_factory=lambda: [(0.0, 10.0), (100.0, 1000.0)])
-    deadband_fraction: float = policy.DEFAULT_DEADBAND_FRACTION
-    settle_s: float = policy.DEFAULT_SETTLE_S
-    target_percentage: float = policy.DEFAULT_TARGET_PERCENTAGE
+        default_factory=lambda: list(DEFAULT_LUX_CURVE.points))
+    policy: PolicyConfig = PolicyConfig()
     marker_fast_threshold: int = DEFAULT_MATCH_FAST_THRESHOLD
-    max_size_index: int = 2
-    sensor_noise_fraction: float = 0.02
-    camera_sigma0: float = 4.0
+    sensor_noise_fraction: float = SENSOR_NOISE_FRACTION
+    camera_sigma0: float = NOISE_SIGMA0
     trajectory: List[dict] = field(default_factory=list)
     seed: int = 0
 
@@ -93,10 +97,6 @@ class Scenario:
                     f"trajectory references unknown region {event.get('region')!r}")
         if self.bulb_latency_s < 0 or self.eink_latency_s < 0:
             raise ConfigError("bulb_latency_s and eink_latency_s must be >= 0")
-        if not 0.0 < self.deadband_fraction < 0.5:
-            raise ConfigError("policy.deadband_fraction must be in (0, 0.5)")
-        if self.max_size_index not in (0, 1, 2):
-            raise ConfigError("policy.max_size_index must be 0, 1 or 2")
         try:
             LuxCurve(self.lux_curve_points)
         except InvalidArgumentError as e:
@@ -122,12 +122,9 @@ class Scenario:
                     region_id=r.id,
                     mode=r.mode,
                     curve=curve,
-                    deadband_fraction=self.deadband_fraction,
-                    settle_s=self.settle_s,
-                    target_percentage=self.target_percentage,
+                    policy=self.policy,
                     marker_fast_threshold=self.marker_fast_threshold,
                     initial_marker=(r.marker.spec if r.marker else None),
-                    max_size_index=self.max_size_index,
                     constraints=r.constraints)
                 for r in self.regions]
 
@@ -148,6 +145,13 @@ def _texture_from_json(doc: dict, where: str) -> TextureSpec:
         raise ConfigError(f"{where}.texture: {e}")
 
 
+def _present(doc: dict, converters: dict) -> dict:
+    """The keys of doc that converters names, converted; an absent key is
+    left out so the dataclass default applies."""
+    return {key: convert(doc[key]) for key, convert in converters.items()
+            if key in doc}
+
+
 def scenario_from_json(doc: dict) -> Scenario:
     if not isinstance(doc, dict):
         raise ConfigError("scenario must be a JSON object")
@@ -164,8 +168,8 @@ def scenario_from_json(doc: dict) -> Scenario:
             try:
                 marker = MarkerPlacement(
                     MarkerSpec(m["pattern"], int(m.get("size_index", 0))),
-                    float(m.get("distance_cm", 30.0)),
-                    float(m.get("viewing_angle_deg", 0.0)))
+                    **_present(m, {"distance_cm": float,
+                                   "viewing_angle_deg": float}))
             except (KeyError, TypeError, ValueError, InvalidArgumentError) as e:
                 raise ConfigError(f"{where}.marker: {e}")
         constraints = []
@@ -196,28 +200,25 @@ def scenario_from_json(doc: dict) -> Scenario:
             max_lux=(float(r["max_lux"]) if r.get("max_lux") is not None else None),
             constraints=constraints))
     pol = doc.get("policy", {})
+    if not isinstance(pol, dict):
+        raise ConfigError("policy must be an object")
     try:
-        scenario = Scenario(
-            regions=regions,
-            duration_s=float(doc.get("duration_s", 60.0)),
-            sensor_period_s=float(doc.get("sensor_period_s", DEFAULT_SENSOR_PERIOD_S)),
-            bulb_latency_s=float(doc.get("bulb_latency_s", DEFAULT_BULB_LATENCY_S)),
-            eink_latency_s=float(doc.get("eink_latency_s", DEFAULT_EINK_LATENCY_S)),
-            lux_curve_points=[(float(c), float(l))
-                              for c, l in doc.get("lux_curve",
-                                                  [[0, 10], [100, 1000]])],
-            deadband_fraction=float(pol.get("deadband_fraction",
-                                            policy.DEFAULT_DEADBAND_FRACTION)),
-            settle_s=float(pol.get("settle_s", policy.DEFAULT_SETTLE_S)),
-            target_percentage=float(pol.get("target_percentage",
-                                            policy.DEFAULT_TARGET_PERCENTAGE)),
-            marker_fast_threshold=int(pol.get("marker_fast_threshold",
-                                              DEFAULT_MATCH_FAST_THRESHOLD)),
-            max_size_index=int(pol.get("max_size_index", 2)),
-            sensor_noise_fraction=float(doc.get("sensor_noise_fraction", 0.02)),
-            camera_sigma0=float(doc.get("camera_sigma0", 4.0)),
-            trajectory=list(doc.get("trajectory", [])),
-            seed=int(doc.get("seed", 0)))
+        # each setting's type is the type of its default
+        config = PolicyConfig(**_present(pol, {
+            f.name: type(f.default) for f in fields(PolicyConfig)}))
+    except (TypeError, ValueError, InvalidArgumentError) as e:
+        raise ConfigError(f"policy: {e}")
+    try:
+        kwargs = _present(doc, {"duration_s": float, "sensor_period_s": float,
+                                "bulb_latency_s": float, "eink_latency_s": float,
+                                "sensor_noise_fraction": float,
+                                "camera_sigma0": float, "trajectory": list,
+                                "seed": int})
+        kwargs.update(_present(pol, {"marker_fast_threshold": int}))
+        if "lux_curve" in doc:
+            kwargs["lux_curve_points"] = [(float(c), float(l))
+                                          for c, l in doc["lux_curve"]]
+        scenario = Scenario(regions=regions, policy=config, **kwargs)
     except (TypeError, ValueError) as e:
         raise ConfigError(f"bad scenario field: {e}")
     scenario.validate()
@@ -459,10 +460,8 @@ class Simulator:
             runtime = self.service._runtime(r.id)
             reads = self._lux_readings[r.id]
             tail = [lux for _, lux in reads[-3:]]
-            optimal = runtime.illum_state.optimal_lux
-            if r.mode == "marker" and runtime.marker_state is not None:
-                optimal = policy.select_optimal_lux(runtime.last_texture)
-            deadband = scenario.deadband_fraction * optimal
+            optimal = runtime.optimal_lux
+            deadband = scenario.policy.deadband_fraction * optimal
             converged = (len(tail) == 3
                          and all(abs(v - optimal) <= deadband for v in tail))
             commands = self.service.region_commands(r.id)
@@ -551,9 +550,7 @@ def run_calibration(scenario: Scenario, region_id: str,
 
 def sweep_marker_grid(patterns=None, distances=None, angles=None,
                       lux_levels=None, trials: int = DEFAULT_SWEEP_TRIALS,
-                      size_index: int = 0, seed: int = 0,
-                      threshold: int = DEFAULT_MATCH_FAST_THRESHOLD,
-                      background: Optional[TextureSpec] = None) -> List[dict]:
+                      size_index: int = 0, seed: int = 0) -> List[dict]:
     """Open-loop grid of mean match percentages (controller disabled)."""
     if trials < 1:
         raise InvalidArgumentError("trials must be >= 1")
@@ -562,14 +559,13 @@ def sweep_marker_grid(patterns=None, distances=None, angles=None,
     distances = list(distances or range(20, 91, 10))
     angles = list(angles or range(0, 61, 15))
     lux_levels = list(lux_levels or default_sweep_lux_levels())
-    background = background or TextureSpec("flat", value=0.6)
     rows = []
     for pattern in patterns:
         for distance in distances:
             for angle in angles:
                 for lux in lux_levels:
                     spec = MarkerSpec(pattern, size_index)
-                    region = Region("sweep", background, float(lux),
+                    region = Region("sweep", SWEEP_BACKGROUND, float(lux),
                                     marker=MarkerPlacement(spec, float(distance),
                                                            float(angle)))
                     total = 0.0
@@ -579,7 +575,7 @@ def sweep_marker_grid(patterns=None, distances=None, angles=None,
                             stable_seed(seed, "sweep", pattern, distance,
                                         angle, lux, trial),
                             CANONICAL_W, CANONICAL_H)
-                        total += match_marker(image, spec, threshold).percentage
+                        total += match_marker(image, spec).percentage
                     rows.append({"pattern": pattern, "distance_cm": distance,
                                  "angle_deg": angle, "lux": lux,
                                  "trials": trials,

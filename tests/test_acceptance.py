@@ -19,8 +19,8 @@ from ambientd.characterize import (ImageMetrics, TextureClass, classify_texture,
 from ambientd.edge import EdgeService, RegionConfig
 from ambientd.httpapi import make_server
 from ambientd.policy import (ControlConstraint, IlluminancePolicyState,
-                             illuminance_control_step, predict_tracking,
-                             resolve_constraints)
+                             PolicyConfig, illuminance_control_step,
+                             predict_tracking, resolve_constraints)
 from ambientd.scene import (DEFAULT_LUX_CURVE, MARKER_PATTERNS, MarkerPlacement,
                             MarkerSpec, Region, SyntheticImage, TextureSpec,
                             render_region)
@@ -58,7 +58,7 @@ def marker_scenario(max_lux=None, max_size_index=2):
         regions=[RegionScenario("m", TextureSpec("flat", value=0.6), 60.0,
                                 mode="marker", marker=placement,
                                 max_lux=max_lux)],
-        duration_s=60.0, max_size_index=max_size_index)
+        duration_s=60.0, policy=PolicyConfig(max_size_index=max_size_index))
 
 
 @criterion(1, "coarse scenario converges to 300 lux and fine to 750 lux, "
@@ -208,12 +208,12 @@ def test_criterion_7_protocol_conformance(tmp_path):
 @criterion(8, "1000 in-deadband steps emit zero commands and the converged "
               "run issues no further bulb commands")
 def test_criterion_8_oscillation_guard():
-    state = IlluminancePolicyState(optimal_lux=300.0)
+    state = IlluminancePolicyState()
     rng = random.Random(8)
     for i in range(1000):
         lux = 300.0 + rng.uniform(-30.0, 30.0)
-        assert illuminance_control_step(state, lux, DEFAULT_LUX_CURVE,
-                                        float(i)) is None
+        assert illuminance_control_step(state, PolicyConfig(), 300.0, lux,
+                                        DEFAULT_LUX_CURVE, float(i)) is None
     sim = Simulator(Scenario(regions=[RegionScenario("r", COARSE, 80.0)],
                              duration_s=60.0))
     _, report = sim.run()

@@ -72,9 +72,10 @@ class TestRun:
         {"eink_latency_s": -1},
         {"policy": {"deadband_fraction": 0.6}},
         {"policy": {"max_size_index": 5}},
+        {"policy": [0.2]},
     ], ids=["non-monotone-curve", "single-point-curve", "negative-bulb-latency",
             "negative-eink-latency", "deadband-out-of-range",
-            "max-size-index-out-of-range"])
+            "max-size-index-out-of-range", "policy-not-an-object"])
     def test_bad_actuation_config_exit_2(self, tmp_path, overrides):
         scenario = write_scenario(tmp_path / "s.json", **overrides)
         result = run_cli("run", str(scenario))
@@ -203,6 +204,16 @@ def http(method, url, doc=None):
         return e.code, json.loads(e.read())
 
 
+class StopAtOnce:
+    """A server that stops as soon as it starts serving."""
+
+    def serve_forever(self):
+        raise KeyboardInterrupt
+
+    def server_close(self):
+        pass
+
+
 class TestServe:
     def serve(self, tmp_path, port, scenario=None):
         args = CLI + ["serve", "--bind", f"127.0.0.1:{port}",
@@ -260,13 +271,6 @@ class TestServe:
             lux_curve=[[0, 20], [50, 300], [100, 900]])
         served = {}
 
-        class StopAtOnce:
-            def serve_forever(self):
-                raise KeyboardInterrupt
-
-            def server_close(self):
-                pass
-
         def make_server(service, host, port):
             served["service"] = service
             return StopAtOnce()
@@ -279,6 +283,32 @@ class TestServe:
         registered = [runtime.config
                       for runtime in served["service"]._regions.values()]
         assert registered == load_scenario(scenario).region_configs()
+
+    def test_torn_last_line_reported(self, tmp_path, monkeypatch, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        record = (b'{"region_id": "r", "timestamp_ms": 1000, "metrics": '
+                  b'{"brightness": 1.0, "contrast": 1.0, "edge_strength": 1.0,'
+                  b' "corner_count": 0, "illuminance": 80.0}, '
+                  b'"texture_class": "Coarse", "scene_change": false}\n')
+        (data / "region_r.jsonl").write_bytes(record + record[:-7])
+        monkeypatch.setattr(httpapi, "make_server",
+                            lambda service, host, port: StopAtOnce())
+        code = cli.main(["serve", "--bind", "127.0.0.1:0",
+                         "--data-dir", str(data)])
+        assert code == 0
+        assert f"{len(record) - 7} bytes" in capsys.readouterr().err
+        assert (data / "region_r.jsonl").read_bytes() == record
+
+    def test_unparseable_log_line_exit_2(self, tmp_path):
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "region_r.jsonl").write_text("not json\n")
+        result = run_cli("serve", "--bind", "127.0.0.1:0",
+                         "--data-dir", str(data))
+        assert result.returncode == 2
+        assert "region_r.jsonl:1:" in result.stderr
+        assert "Traceback" not in result.stderr
 
     def test_occupied_port_exit_1(self, tmp_path):
         with socket.socket() as blocker:

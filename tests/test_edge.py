@@ -3,7 +3,7 @@ import json
 import socket
 import urllib.error
 import urllib.request
-from http.client import HTTPConnection, HTTPResponse
+from http.client import HTTPConnection
 from threading import Thread
 
 import pytest
@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 from ambientd.edge import (ActuatorCommand, EdgeService, MetricsRecord,
                            RegionConfig, SensorReading)
-from ambientd.errors import (BadRequestError, NotFoundError, StaleReadingError)
-from ambientd.httpapi import make_server
+from ambientd.errors import (BadRequestError, ConfigError, NotFoundError,
+                             StaleReadingError)
+from ambientd.httpapi import MAX_BODY_BYTES, make_server
 from ambientd.scene import MarkerSpec, Region, TextureSpec, render_region
 
 
@@ -69,6 +70,13 @@ class TestIngestion:
         service.ingest_reading(reading(2000, sensor="s1"))
         service.ingest_reading(reading(1000, sensor="s2", seed=2))
 
+    def test_staleness_tracked_per_region(self, service):
+        service.register_region(RegionConfig("r2"))
+        service.ingest_reading(reading(2000, region="r1"))
+        service.ingest_reading(reading(1000, region="r2", seed=2))
+        with pytest.raises(StaleReadingError):
+            service.ingest_reading(reading(1000, region="r2", seed=3))
+
     def test_unknown_region(self, service):
         with pytest.raises(NotFoundError):
             service.ingest_reading(reading(1000, region="nope"))
@@ -81,12 +89,13 @@ class TestIngestion:
 
     @pytest.mark.parametrize("field,value", [
         ("lux", "bright"), ("lux", float("nan")), ("lux", float("inf")),
-        ("lux", -5.0), ("lux", True), ("lux", 10 ** 400),
+        ("lux", -5.0), ("lux", True), ("lux", 10 ** 400), ("lux", 1e308),
         ("region_id", 7), ("timestamp_ms", True), ("timestamp_ms", 1000.0),
         ("timestamp_ms", 2 ** 63), ("image_pgm_b64", 5),
     ], ids=["lux-str", "lux-nan", "lux-inf", "lux-negative", "lux-bool",
-            "lux-int-beyond-float", "region-int", "timestamp-bool",
-            "timestamp-float", "timestamp-beyond-int64", "image-int"])
+            "lux-int-beyond-float", "lux-beyond-sunlight", "region-int",
+            "timestamp-bool", "timestamp-float", "timestamp-beyond-int64",
+            "image-int"])
     def test_bad_field_rejected_before_persisting(self, service, tmp_path,
                                                   field, value):
         fields = {"sensor_id": "s1", "region_id": "r1", "timestamp_ms": 1000,
@@ -177,8 +186,9 @@ class TestTrend:
 
     def test_bad_window_rejected(self, service):
         service.ingest_reading(reading(1000))
-        with pytest.raises(BadRequestError):
-            service.get_trend("r1", 0.0)
+        for window_s in (0.0, float("inf"), float("nan"), 1e308):
+            with pytest.raises(BadRequestError):
+                service.get_trend("r1", window_s)
 
     def test_empty_region_not_found(self, service):
         with pytest.raises(NotFoundError):
@@ -199,6 +209,33 @@ class TestDurability:
         svc2.register_region(RegionConfig("r1"))
         assert svc2.get_latest_metrics("r1").to_json() == latest
         assert svc2.get_trend("r1", 60.0).count == 3
+
+    def test_torn_last_line_is_cut(self, tmp_path):
+        svc = EdgeService(tmp_path)
+        svc.register_region(RegionConfig("r1"))
+        for i in range(3):
+            svc.ingest_reading(reading(1000 * (i + 1), lux=80.0 + i, seed=i + 1))
+        log = tmp_path / "region_r1.jsonl"
+        lines = log.read_bytes().splitlines(keepends=True)
+        log.write_bytes(b"".join(lines)[:-7])    # as `truncate -s -7`
+
+        svc2 = EdgeService(tmp_path)
+        assert svc2.register_region(RegionConfig("r1")) == len(lines[2]) - 7
+        assert log.read_bytes() == lines[0] + lines[1]
+        assert svc2.get_trend("r1", 60.0).count == 2
+        svc2.ingest_reading(reading(4000, seed=4))
+        svc3 = EdgeService(tmp_path)
+        assert svc3.register_region(RegionConfig("r1")) == 0
+        assert svc3.get_trend("r1", 60.0).count == 3
+
+    def test_unparseable_line_names_file_and_line(self, tmp_path):
+        svc = EdgeService(tmp_path)
+        svc.register_region(RegionConfig("r1"))
+        svc.ingest_reading(reading(1000))
+        log = tmp_path / "region_r1.jsonl"
+        log.write_bytes(log.read_bytes() + b'{"region_id": "r1"}\n')
+        with pytest.raises(ConfigError, match=r"region_r1\.jsonl:2:"):
+            EdgeService(tmp_path).register_region(RegionConfig("r1"))
 
     def test_json_round_trip_is_bit_exact(self, service):
         record = service.ingest_reading(reading(1000))
@@ -303,9 +340,20 @@ class TestHttpApi:
         assert status == 200
         assert doc["count"] == 2
         assert doc["metrics"]["illuminance"]["max"] == 90.0
-        status, _ = http(
-            "GET", f"{http_server}/v1/regions/r1/metrics/trend?window_s=-1")
-        assert status == 400
+        for window_s in ("-1", "inf", "nan", "1e308"):
+            status, _ = http("GET", f"{http_server}/v1/regions/r1/metrics/"
+                             f"trend?window_s={window_s}")
+            assert status == 400, window_s
+
+    def test_trend_reply_is_strict_json(self, http_server):
+        url = f"{http_server}/v1/sensors/s1/readings"
+        for ts, lux in ((1000, 80.0), (2000, 1e308), (3000, 1e308)):
+            http("PUT", url, {"region_id": "r1", "timestamp_ms": ts, "lux": lux})
+        with urllib.request.urlopen(
+                f"{http_server}/v1/regions/r1/metrics/trend?window_s=60",
+                timeout=10) as resp:
+            doc = json.loads(resp.read(), parse_constant=_reject_constant)
+        assert doc["metrics"]["illuminance"]["max"] == 80.0
 
     def test_actuator_command(self, http_server):
         status, doc = http("POST", f"{http_server}/v1/actuators/bulb1/commands",
@@ -375,15 +423,47 @@ class TestHttpApi:
         assert status == 400
         assert "Content-Length" in doc["error"]
 
+    def test_oversized_body_413_and_closed(self, http_server):
+        # only the head is sent: the server must answer without the body
+        status, _ = raw_request(
+            http_server, b"PUT /v1/sensors/s1/readings HTTP/1.1\r\n"
+            b"Content-Length: %d\r\n\r\n" % (MAX_BODY_BYTES + 1),
+            expect_close=True)
+        assert status == 413
 
-def raw_request(base_url, request: bytes):
-    """Send request bytes as they are; returns (status, JSON body)."""
+    def test_transfer_encoding_400_and_closed(self, http_server):
+        status, doc = raw_request(
+            http_server, b"PUT /v1/sensors/s1/readings HTTP/1.1\r\n"
+            b"Transfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n",
+            expect_close=True)
+        assert status == 400
+        assert "Transfer-Encoding" in doc["error"]
+
+
+def raw_request(base_url, request: bytes, expect_close=False):
+    """Send request bytes as they are; returns (status, JSON body). With
+    expect_close, also checks that the server then closes the connection."""
     host, port = base_url.removeprefix("http://").split(":")
     with socket.create_connection((host, int(port)), timeout=5) as sock:
         sock.sendall(request)
-        resp = HTTPResponse(sock)
-        resp.begin()
-        return resp.status, json.loads(resp.read())
+        replies = sock.makefile("rb")
+        reply = read_response(replies)
+        if expect_close:
+            assert replies.read(1) == b"", "connection left open"
+        return reply
+
+
+def read_response(replies):
+    """One (status, JSON body) from a buffered socket file, or None at EOF."""
+    status_line = replies.readline()
+    if not status_line:
+        return None
+    length = 0
+    while (line := replies.readline()) not in (b"\r\n", b""):
+        name, _, value = line.partition(b":")
+        if name.lower() == b"content-length":
+            length = int(value)
+    return int(status_line.split()[1]), json.loads(replies.read(length))
 
 
 def _reject_constant(name):
@@ -422,7 +502,13 @@ class TestIngestProperty:
             try:
                 conn.request("PUT", "/v1/sensors/s/readings",
                              body=json.dumps(body).encode())
-                assert conn.getresponse().status < 500
+                resp = conn.getresponse()
+                assert resp.status < 500
+                resp.read()
+                conn.request("GET", "/v1/regions/r1/metrics/trend?window_s=1e6")
+                resp = conn.getresponse()
+                assert resp.status < 500
+                json.loads(resp.read(), parse_constant=_reject_constant)
             finally:
                 conn.close()
 
@@ -435,3 +521,55 @@ class TestIngestProperty:
         assert lines
         for line in lines:
             json.loads(line, parse_constant=_reject_constant)
+
+
+# (method, path, status): the status does not depend on the body; the
+# latest-metrics 404 names the region, which tags the reply with its request
+PIPELINE_ROUTES = [
+    ("GET", "/v1/health", 200),
+    ("GET", "/v1/regions/q{i}/metrics/latest", 404),
+    ("PUT", "/v1/nowhere/q{i}", 404),
+    ("PUT", "/v1/sensors/q{i}/readings", 400),
+    ("POST", "/v1/actuators/q{i}/commands", 400),
+]
+PIPELINE_BODIES = st.sampled_from([
+    b"", b"{}", b"GET /v1/health HTTP/1.1\r\n\r\n",
+    b"PUT /v1/nowhere HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}",
+]) | st.binary(max_size=64)
+
+
+class TestPipelineProperty:
+    def test_one_in_order_response_per_request(self, service):
+        server = make_server(service)
+        Thread(target=server.serve_forever, daemon=True).start()
+
+        @settings(max_examples=100, deadline=None, derandomize=True,
+                  database=None)
+        @given(st.lists(st.tuples(st.sampled_from(PIPELINE_ROUTES),
+                                  PIPELINE_BODIES), min_size=1, max_size=6))
+        def pipeline(requests):
+            wire, want = b"", []
+            for i, ((method, path, status), body) in enumerate(requests):
+                path = path.format(i=i)
+                wire += (f"{method} {path} HTTP/1.1\r\n"
+                         f"Content-Length: {len(body)}\r\n\r\n").encode() + body
+                want.append((status, path))
+            # a last request that closes, so a surplus response shows
+            wire += b"GET /v1/health HTTP/1.1\r\nConnection: close\r\n\r\n"
+            want.append((200, "/v1/health"))
+            with socket.create_connection(("127.0.0.1", server.server_port),
+                                          timeout=10) as sock:
+                sock.sendall(wire)
+                replies = sock.makefile("rb")
+                for i, (status, path) in enumerate(want):
+                    got_status, doc = read_response(replies)
+                    assert got_status == status, (i, path, doc)
+                    if "/latest" in path:
+                        assert f"'q{i}'" in doc["error"]
+                assert replies.read(1) == b""
+
+        try:
+            pipeline()
+        finally:
+            server.shutdown()
+            server.server_close()

@@ -5,11 +5,15 @@ import pytest
 from ambientd.characterize import MatchReport, TextureClass
 from ambientd.errors import CalibrationError, InvalidArgumentError
 from ambientd.policy import (ControlConstraint, IlluminancePolicyState,
-                             MarkerControllerState, MarkerPhase, SetBrightness,
-                             SetMarker, calibrate, illuminance_control_step,
-                             lux_band, marker_control_step, predict_tracking,
+                             MarkerControllerState, MarkerPhase, PolicyConfig,
+                             SetBrightness, SetMarker, calibrate,
+                             illuminance_control_step, lux_band,
+                             marker_control_step, predict_tracking,
                              resolve_constraints, select_optimal_lux)
 from ambientd.scene import DEFAULT_LUX_CURVE, MarkerSpec
+
+
+CONFIG = PolicyConfig()
 
 
 class TestOptimalLux:
@@ -19,46 +23,45 @@ class TestOptimalLux:
 
 
 class TestIlluminanceControl:
+    def step(self, state, measured_lux, now, optimal_lux=300.0):
+        return illuminance_control_step(state, CONFIG, optimal_lux,
+                                        measured_lux, DEFAULT_LUX_CURVE, now)
+
     def test_command_for_coarse_target(self):
-        state = IlluminancePolicyState(optimal_lux=300.0)
-        cmd = illuminance_control_step(state, 80.0, DEFAULT_LUX_CURVE,
-                                       now=0.0)
+        cmd = self.step(IlluminancePolicyState(), 80.0, now=0.0)
         assert cmd == pytest.approx(29.2929, abs=1e-3)
 
     def test_command_for_fine_target(self):
-        state = IlluminancePolicyState(optimal_lux=750.0)
-        cmd = illuminance_control_step(state, 80.0, DEFAULT_LUX_CURVE,
-                                       now=0.0)
+        cmd = self.step(IlluminancePolicyState(), 80.0, now=0.0,
+                        optimal_lux=750.0)
         assert cmd == pytest.approx(74.7474, abs=1e-3)
 
     def test_deadband_suppresses_command(self):
-        state = IlluminancePolicyState(optimal_lux=300.0)
-        assert illuminance_control_step(state, 295.0,
-                                        DEFAULT_LUX_CURVE, 0.0) is None
-        assert illuminance_control_step(state, 330.0,
-                                        DEFAULT_LUX_CURVE, 1.0) is None
+        state = IlluminancePolicyState()
+        assert self.step(state, 295.0, 0.0) is None
+        assert self.step(state, 330.0, 1.0) is None
 
     def test_settle_window_suppresses_command(self):
-        state = IlluminancePolicyState(optimal_lux=300.0)
-        assert illuminance_control_step(state, 80.0,
-                                        DEFAULT_LUX_CURVE, 0.0) is not None
-        assert illuminance_control_step(state, 80.0,
-                                        DEFAULT_LUX_CURVE, 1.9) is None
-        assert illuminance_control_step(state, 80.0,
-                                        DEFAULT_LUX_CURVE, 2.0) is not None
+        state = IlluminancePolicyState()
+        assert self.step(state, 80.0, 0.0) is not None
+        assert self.step(state, 80.0, 1.9) is None
+        assert self.step(state, 80.0, 2.0) is not None
 
     def test_thousand_in_deadband_steps_never_command(self):
-        state = IlluminancePolicyState(optimal_lux=300.0)
+        state = IlluminancePolicyState()
         rng = random.Random(4)
         for i in range(1000):
             lux = 300.0 + rng.uniform(-30.0, 30.0)
-            assert illuminance_control_step(state, lux,
-                                            DEFAULT_LUX_CURVE,
-                                            float(i)) is None
+            assert self.step(state, lux, float(i)) is None
 
     def test_deadband_fraction_validated(self):
         with pytest.raises(InvalidArgumentError):
-            IlluminancePolicyState(deadband_fraction=0.6)
+            PolicyConfig(deadband_fraction=0.6)
+
+    def test_max_size_index_validated(self):
+        # a RegionConfig's policy is checked when it is built, not mid-run
+        with pytest.raises(InvalidArgumentError):
+            PolicyConfig(max_size_index=5)
 
 
 class TestCalibration:
@@ -110,12 +113,14 @@ class TestCalibration:
 
 
 class TestMarkerController:
-    def make_state(self, **kwargs):
-        return MarkerControllerState(MarkerSpec("binary-grid-A", 0), **kwargs)
+    def make_state(self):
+        return MarkerControllerState(MarkerSpec("binary-grid-A", 0))
 
-    def step(self, state, pct, now, lux=80.0, texture=TextureClass.COARSE):
+    def step(self, state, pct, now, lux=80.0, texture=TextureClass.COARSE,
+             config=CONFIG):
         report = MatchReport(int(pct), 100)
-        return marker_control_step(state, report, texture, lux,
+        return marker_control_step(state, config, report,
+                                   select_optimal_lux(texture), lux,
                                    DEFAULT_LUX_CURVE, now)
 
     def test_satisfied_immediately(self):
@@ -164,8 +169,9 @@ class TestMarkerController:
         assert intents == []
 
     def test_size_cap_respected(self):
-        state = self.make_state(max_size_index=0)
-        state, intents = self.step(state, 10, 0.0, lux=300.0)
+        state = self.make_state()
+        state, intents = self.step(state, 10, 0.0, lux=300.0,
+                                   config=PolicyConfig(max_size_index=0))
         # no enlargement possible; goes straight to pattern switching
         assert isinstance(intents[0], SetMarker)
         assert intents[0].spec.size_index == 0

@@ -2,11 +2,14 @@ import hashlib
 import json
 import urllib.error
 import urllib.request
+from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
 from ambientd.edge import ActuatorCommand
 from ambientd.errors import ConfigError
+from ambientd.policy import PolicyConfig
 from ambientd.scene import (MarkerPlacement, MarkerSpec, TextureSpec)
 from ambientd.sim import (RegionScenario, Scenario, Simulator,
                           default_sweep_lux_levels, run_calibration,
@@ -29,7 +32,8 @@ def marker_scenario(distance=90.0, angle=0.0, lux=60.0, max_lux=None,
         regions=[RegionScenario("m", TextureSpec("flat", value=0.6), lux,
                                 mode="marker", marker=placement,
                                 max_lux=max_lux)],
-        duration_s=duration_s, max_size_index=max_size_index)
+        duration_s=duration_s,
+        policy=PolicyConfig(max_size_index=max_size_index))
 
 
 class TestStableSeed:
@@ -40,6 +44,22 @@ class TestStableSeed:
 
 
 class TestScenarioParsing:
+    def test_readme_example_parses_and_runs(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("\n## Scenario files\n", 1)[1]
+        doc = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+        scenario = scenario_from_json(doc)
+        settings = dict(doc["policy"])
+        assert (scenario.marker_fast_threshold
+                == settings.pop("marker_fast_threshold"))
+        assert asdict(scenario.policy) == settings
+        # the documented top-level and policy values are the defaults
+        assert scenario == Scenario(regions=scenario.regions,
+                                    trajectory=scenario.trajectory)
+        scenario.duration_s = 10.0
+        _, report = run_scenario(scenario)
+        assert sorted(report["regions"]) == sorted(r["id"] for r in doc["regions"])
+
     def base_doc(self):
         return {"regions": [{"id": "r", "illuminance": 80.0,
                              "texture": {"kind": "flat", "value": 0.5}}]}
