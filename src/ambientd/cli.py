@@ -9,6 +9,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import policy, sim
@@ -30,17 +31,13 @@ def _err(message: str) -> None:
 def cmd_run(args) -> int:
     try:
         scenario = sim.load_scenario(args.scenario)
-    except ConfigError as e:
+        if args.seed is not None:
+            scenario = replace(scenario, seed=args.seed)
+    except (ConfigError, InvalidArgumentError) as e:
         _err(f"config error: {e}")
         return EXIT_CONFIG
-    if args.seed is not None:
-        scenario.seed = args.seed
-    try:
-        _, report = sim.run_scenario(scenario, transport=args.transport,
-                                     out_dir=args.out)
-    except ConfigError as e:
-        _err(f"config error: {e}")
-        return EXIT_CONFIG
+    _, report = sim.run_scenario(scenario, transport=args.transport,
+                                 out_dir=args.out)
     print(json.dumps(report, sort_keys=True))
     if args.require_convergence:
         markerless = [r for r in report["regions"].values()
@@ -75,7 +72,7 @@ def cmd_serve(args) -> int:
             if dropped:
                 _err(f"region {config.region_id}: dropped a torn last line "
                      f"of {dropped} bytes from its log")
-    except ConfigError as e:
+    except (ConfigError, InvalidArgumentError) as e:
         _err(f"config error: {e}")
         return EXIT_CONFIG
     regions = ", ".join(config.region_id for config in configs)

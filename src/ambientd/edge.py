@@ -5,11 +5,16 @@ Transport-agnostic; the HTTP layer in httpapi.py is a thin wrapper around
 EdgeService. Each region has its own lock, staleness map, policy state and
 NDJSON log; a policy step computes the region's optimum lux once and hands
 it, with the region's `PolicyConfig`, to the step function of its mode.
+
+`SensorReading`, `ActuatorCommand` and `RegionConfig` check their fields in
+their constructors (checks.py), so one that exists is valid and nothing bad
+is persisted.
 """
 from __future__ import annotations
 
 import base64
 import json
+import re
 import threading
 import time
 from dataclasses import dataclass, field
@@ -18,39 +23,33 @@ from typing import Callable, Dict, List, Optional
 
 from . import characterize, markerpipe, policy
 from .characterize import ImageMetrics, TextureClass
+from .checks import check_fields, checked, integer, is_number, number, one_of
 from .errors import (BadRequestError, ConfigError, InvalidArgumentError,
                      NotFoundError, StaleReadingError)
 from .policy import PolicyConfig
-from .scene import DEFAULT_LUX_CURVE, LuxCurve, MarkerSpec, SyntheticImage
+from .scene import (DEFAULT_LUX_CURVE, MAX_ILLUMINANCE, LuxCurve, MarkerSpec,
+                    SyntheticImage)
 
-# Direct sunlight is about 1e5 lux; the bound also keeps trend sums finite.
-MAX_LUX = 2.0e5
+# a read of the brightest region with 100 % sensor noise; keeps trend sums finite
+MAX_LUX = 2 * MAX_ILLUMINANCE
 MAX_TREND_WINDOW_S = 365 * 24 * 3600.0   # one year
+# A region id names the region's log file.
+REGION_ID = re.compile(r"(?!\.)[A-Za-z0-9_.-]{1,64}")
 
 
 @dataclass
 class SensorReading:
     sensor_id: str
-    region_id: str
-    timestamp_ms: int
-    lux: Optional[float] = None
-    image_pgm_b64: Optional[str] = None
+    region_id: str = checked("a string", lambda v: isinstance(v, str))
+    timestamp_ms: int = integer()
+    lux: Optional[float] = number(0.0, MAX_LUX, None, optional=True)
+    image_pgm_b64: Optional[str] = checked(
+        "a string or null", lambda v: v is None or isinstance(v, str), None)
 
     def __post_init__(self):
         # checked before anything is persisted; good values are not coerced,
         # so the log holds exactly what was sent
-        if not isinstance(self.region_id, str):
-            raise BadRequestError("region_id must be a string")
-        if (type(self.timestamp_ms) is not int     # bool is an int subclass
-                or not -2 ** 63 <= self.timestamp_ms < 2 ** 63):
-            raise BadRequestError("timestamp_ms must be a 64-bit integer")
-        # the range test also rejects NaN and infinities
-        if self.lux is not None and (
-                isinstance(self.lux, bool) or not isinstance(self.lux, (int, float))
-                or not 0.0 <= self.lux <= MAX_LUX):
-            raise BadRequestError(f"lux must be a number in [0, {MAX_LUX:g}]")
-        if self.image_pgm_b64 is not None and not isinstance(self.image_pgm_b64, str):
-            raise BadRequestError("image_pgm_b64 must be a string")
+        check_fields(self, BadRequestError)
         if self.lux is None and self.image_pgm_b64 is None:
             raise BadRequestError("reading must carry lux and/or an image")
 
@@ -60,14 +59,12 @@ class ActuatorCommand:
     actuator_id: str
     kind: str                    # "set-brightness" | "set-marker"
     payload: object              # percent float or MarkerSpec
-    issued_at_ms: int = 0
+    issued_at_ms: int = integer(default=0)
 
     def __post_init__(self):
+        check_fields(self, BadRequestError)
         if self.kind == "set-brightness":
-            # the range test also rejects NaN and infinities
-            if (isinstance(self.payload, bool)
-                    or not isinstance(self.payload, (int, float))
-                    or not 0.0 <= self.payload <= 100.0):
+            if not is_number(self.payload, 0.0, 100.0):
                 raise BadRequestError(
                     "set-brightness payload must be a percent in [0, 100]")
         elif self.kind == "set-marker":
@@ -86,19 +83,13 @@ class ActuatorCommand:
     @staticmethod
     def from_json(actuator_id: str, doc: dict) -> "ActuatorCommand":
         try:
-            kind = doc["kind"]
-            payload = doc["payload"]
-            issued = int(doc.get("issued_at_ms", 0))
-        except (KeyError, TypeError, ValueError):
-            raise BadRequestError("malformed command body")
-        if kind == "set-marker":
-            if not isinstance(payload, dict):
-                raise BadRequestError("set-marker payload must be an object")
-            try:
-                payload = MarkerSpec(payload["pattern"], int(payload["size_index"]))
-            except (KeyError, TypeError, ValueError, InvalidArgumentError) as e:
-                raise BadRequestError(f"bad marker payload: {e}")
-        return ActuatorCommand(actuator_id, kind, payload, issued)
+            kind, payload = doc["kind"], doc["payload"]
+            if kind == "set-marker":
+                payload = MarkerSpec(payload["pattern"], payload["size_index"])
+        except (KeyError, TypeError, InvalidArgumentError) as e:
+            raise BadRequestError(f"malformed command body: {e}")
+        return ActuatorCommand(actuator_id, kind, payload,
+                               doc.get("issued_at_ms", 0))
 
 
 @dataclass
@@ -140,17 +131,20 @@ class TrendSummary:
                 "change_events": self.change_events, "metrics": self.stats}
 
 
-@dataclass
+@dataclass(frozen=True)
 class RegionConfig:
-    region_id: str
-    mode: str = "markerless"             # "markerless" | "marker"
+    region_id: str = checked(f"a string matching {REGION_ID.pattern}", lambda v:
+                             isinstance(v, str) and bool(REGION_ID.fullmatch(v)))
+    mode: str = one_of(("markerless", "marker"), "markerless")
     bulb_actuator: Optional[str] = None
     eink_actuator: Optional[str] = None
     curve: LuxCurve = DEFAULT_LUX_CURVE
     policy: PolicyConfig = PolicyConfig()
-    marker_fast_threshold: int = markerpipe.DEFAULT_MATCH_FAST_THRESHOLD
     initial_marker: Optional[MarkerSpec] = None
     constraints: List[policy.ControlConstraint] = field(default_factory=list)
+
+    def __post_init__(self):
+        check_fields(self)
 
 
 class _RegionRuntime:
@@ -281,7 +275,7 @@ class EdgeService:
         if config.mode == "markerless" and config.constraints:
             system = policy.ControlConstraint(
                 "ar-tracking", 50.0, 1000.0, optimal, priority=0)
-            optimal = policy.resolve_constraints([system] + config.constraints)
+            optimal = policy.resolve_constraints([system, *config.constraints])
         runtime.optimal_lux = optimal
         if config.mode == "markerless":
             if runtime.last_lux is None:
@@ -293,12 +287,10 @@ class EdgeService:
                 self._issue(runtime, ActuatorCommand(
                     config.bulb_actuator, "set-brightness", command,
                     record.timestamp_ms))
-        elif config.mode == "marker" and runtime.marker_state is not None:
-            if image is None or runtime.last_lux is None:
-                return
+        elif image is not None and runtime.last_lux is not None:
             report = markerpipe.match_marker(
                 image, runtime.marker_state.current_spec,
-                config.marker_fast_threshold)
+                config.policy.marker_fast_threshold)
             runtime.last_match = report
             state, intents = policy.marker_control_step(
                 runtime.marker_state, config.policy, report, optimal,

@@ -2,9 +2,10 @@
 calibration, the marker adaptation state machine, constraint resolution, and
 tracking-quality prediction.
 
-`PolicyConfig` holds the four controller settings and is their only home;
-the two step functions take it, the optimum lux (computed by the caller) and
-a mutable state that holds only what changes between steps.
+`PolicyConfig` holds the controller settings and is their only home, and
+its constructor checks them, so a config that exists is valid. The two step
+functions take it, the optimum lux (computed by the caller) and a mutable
+state that holds only what changes between steps.
 """
 from __future__ import annotations
 
@@ -15,8 +16,10 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
+from .checks import check_fields, checked, integer, number
 from .errors import CalibrationError, InvalidArgumentError
 from .characterize import MatchReport, TextureClass
+from .markerpipe import DEFAULT_MATCH_FAST_THRESHOLD
 from .scene import MARKER_PATTERNS, LuxCurve, MarkerSpec
 
 OPTIMAL_LUX_COARSE = 300.0
@@ -48,16 +51,19 @@ def select_optimal_lux(texture: TextureClass) -> float:
 @dataclass(frozen=True)
 class PolicyConfig:
     """Controller settings shared by both loops of a region."""
-    deadband_fraction: float = 0.10   # of the optimum lux; no command inside
-    settle_s: float = 2.0             # no new actuation until this has passed
-    target_percentage: float = 60.0   # marker match that satisfies the loop
-    max_size_index: int = 2           # largest marker size the loop may use
+    # of the optimum lux; no command inside
+    deadband_fraction: float = number(0.0, 0.5, 0.10, open_lo=True, open_hi=True)
+    # no new actuation until this has passed
+    settle_s: float = number(0.0, default=2.0)
+    # marker match that satisfies the loop
+    target_percentage: float = number(0.0, 100.0, 60.0)
+    # largest marker size the loop may use
+    max_size_index: int = integer(0, 2, 2)
+    # FAST threshold of marker matching
+    marker_fast_threshold: int = integer(1, default=DEFAULT_MATCH_FAST_THRESHOLD)
 
     def __post_init__(self):
-        if not 0.0 < self.deadband_fraction < 0.5:
-            raise InvalidArgumentError("deadband_fraction must be in (0, 0.5)")
-        if self.max_size_index not in (0, 1, 2):
-            raise InvalidArgumentError("max_size_index must be 0, 1 or 2")
+        check_fields(self)
 
 
 @dataclass
@@ -197,17 +203,16 @@ def marker_control_step(state: MarkerControllerState, config: PolicyConfig,
 
 @dataclass(frozen=True)
 class ControlConstraint:
-    source: str
-    lo: float
-    hi: float
-    preferred: float
-    priority: int = 0
+    source: str = checked("a string", lambda v: isinstance(v, str))
+    lo: float = number()
+    hi: float = number()
+    preferred: float = number()
+    priority: int = integer(0, 3, 0)
 
     def __post_init__(self):
+        check_fields(self)
         if not (self.lo <= self.preferred <= self.hi):
             raise InvalidArgumentError("preferred lux must lie within the range")
-        if not (0 <= self.priority <= 3):
-            raise InvalidArgumentError("priority tier must be 0..3")
 
 
 def resolve_constraints(constraints: List[ControlConstraint]) -> float:

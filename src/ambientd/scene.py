@@ -16,6 +16,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from .checks import check_fields, integer, is_number, number, one_of
 from .errors import InvalidArgumentError, NotFoundError
 
 # Camera response saturates at this illuminance (linear below).
@@ -24,76 +25,69 @@ LIGHT_SATURATION_LUX = 500.0
 NOISE_SIGMA0 = 4.0
 NOISE_LUX_FLOOR = 10.0
 SENSOR_NOISE_FRACTION = 0.02
+# Direct sunlight; the brightest a region or a bulb curve may be.
+MAX_ILLUMINANCE = 1.0e5
 
 MARKER_PATTERNS = ("binary-grid-A", "binary-grid-B", "image-uniform", "image-nonuniform")
 # Rendered side length (px) per size index at the reference viewing distance.
 MARKER_BASE_SIDE_PX = (120, 180, 260)
 MARKER_REFERENCE_DISTANCE_CM = 30.0
+MIN_MARKER_DISTANCE_CM = 1.0
+MAX_VIEWING_ANGLE_DEG = 90.0     # exclusive
 
 DEFAULT_BULB_LATENCY_S = 0.4
 DEFAULT_EINK_LATENCY_S = 1.0
 
 TEXTURE_KINDS = ("flat", "checkerboard", "stripes", "speckle", "marker-grid")
+MAX_CELL_PX = 1024   # a texture field allocates a block of this side squared
 
 
 @dataclass(frozen=True)
 class TextureSpec:
-    kind: str
-    value: float = 0.5          # flat
-    low: float = 0.1            # two-tone / speckle range
-    high: float = 0.9
-    cell: int = 8               # checkerboard / stripes / marker-grid cell size, px
-    frequency: float = 0.5      # speckle: blocks per pixel (block side = round(1/frequency))
-    texture_seed: int = 7       # fixed realization for speckle / marker-grid
+    kind: str = one_of(TEXTURE_KINDS)
+    value: float = number(0.0, 1.0, 0.5)    # flat
+    low: float = number(0.0, 1.0, 0.1)      # two-tone / speckle range
+    high: float = number(0.0, 1.0, 0.9)
+    cell: int = integer(1, MAX_CELL_PX, 8)   # checkerboard / stripes / marker-grid, px
+    # speckle: blocks per pixel (block side = round(1/frequency))
+    frequency: float = number(1.0 / MAX_CELL_PX, default=0.5)
+    texture_seed: int = integer(0, default=7)   # speckle / marker-grid realization
 
     def __post_init__(self):
-        if self.kind not in TEXTURE_KINDS:
-            raise InvalidArgumentError(f"unknown texture kind {self.kind!r}")
-        for v in (self.value, self.low, self.high):
-            if not (0.0 <= v <= 1.0):
-                raise InvalidArgumentError("texture intensities must be in [0,1]")
-        if self.cell < 1:
-            raise InvalidArgumentError("cell size must be >= 1 px")
-        if self.frequency <= 0:
-            raise InvalidArgumentError("speckle frequency must be > 0")
+        check_fields(self)
 
 
 @dataclass(frozen=True)
 class MarkerSpec:
-    pattern: str
-    size_index: int
+    pattern: str = one_of(MARKER_PATTERNS)
+    size_index: int = integer(0, 2, 0)
 
     def __post_init__(self):
-        if self.pattern not in MARKER_PATTERNS:
-            raise InvalidArgumentError(f"unknown marker pattern {self.pattern!r}")
-        if self.size_index not in (0, 1, 2):
-            raise InvalidArgumentError("size_index must be 0, 1 or 2")
+        check_fields(self)
 
 
-@dataclass
+@dataclass(frozen=True)
 class MarkerPlacement:
     spec: MarkerSpec
-    distance_cm: float = MARKER_REFERENCE_DISTANCE_CM
-    viewing_angle_deg: float = 0.0
+    distance_cm: float = number(MIN_MARKER_DISTANCE_CM,
+                                default=MARKER_REFERENCE_DISTANCE_CM)
+    viewing_angle_deg: float = number(0.0, MAX_VIEWING_ANGLE_DEG, 0.0, open_hi=True)
 
     def __post_init__(self):
-        if self.distance_cm <= 0:
-            raise InvalidArgumentError("marker distance must be > 0")
-        if not (0.0 <= self.viewing_angle_deg < 90.0):
-            raise InvalidArgumentError("viewing angle must be in [0, 90)")
+        check_fields(self)
 
 
 @dataclass
 class Region:
     id: str
     texture: TextureSpec
-    illuminance: float
+    illuminance: float = number(0.0, MAX_ILLUMINANCE)
     marker: Optional[MarkerPlacement] = None
-    max_lux: Optional[float] = None  # physical cap; None = uncapped
+    # physical cap; None = uncapped
+    max_lux: Optional[float] = number(0.0, MAX_ILLUMINANCE, None, optional=True)
 
     def __post_init__(self):
-        if self.illuminance < 0:
-            raise InvalidArgumentError("illuminance must be >= 0")
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -149,14 +143,17 @@ class LuxCurve:
     """
 
     def __init__(self, points):
-        pts = sorted((float(c), float(l)) for c, l in points)
+        pts = [(c, l) for c, l in points]
+        if not all(is_number(c, 0.0, 100.0) and is_number(l, 0.0, MAX_ILLUMINANCE)
+                   for c, l in pts):
+            raise InvalidArgumentError(
+                "curve points must be [command, lux] pairs, command in "
+                f"[0, 100] and lux in [0, {MAX_ILLUMINANCE:g}]")
         if len(pts) < 2:
             raise InvalidArgumentError("lux curve needs >= 2 points")
-        self.points = tuple(pts)
-        self.commands = np.array([c for c, _ in pts])
-        self.luxes = np.array([l for _, l in pts])
-        if not (np.isfinite(self.commands).all() and np.isfinite(self.luxes).all()):
-            raise InvalidArgumentError("curve points must be finite")
+        self.points = tuple(sorted((float(c), float(l)) for c, l in pts))
+        self.commands = np.array([c for c, _ in self.points])
+        self.luxes = np.array([l for _, l in self.points])
         if (np.diff(self.commands) <= 0).any():
             raise InvalidArgumentError("curve commands must be strictly increasing")
         if (np.diff(self.luxes) < 0).any():

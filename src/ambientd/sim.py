@@ -4,9 +4,13 @@ Wires synthetic sensors, actuators and the edge service together on a virtual
 clock. In-process transport is single-threaded and byte-reproducible; the
 real-http transport drives the same edge service through a local HTTP server.
 
-A scenario file parses into a `Scenario`; a key left out of the file keeps
-the dataclass default, and the `policy` object becomes one
-`policy.PolicyConfig` shared by every region's `RegionConfig`.
+A scenario file parses into a frozen `Scenario`. Each JSON value goes as it
+is to the constructor of the type that owns it (`RegionScenario`,
+`TrajectoryEvent`, `policy.PolicyConfig`, the scene types), which checks it
+(checks.py): a scenario that exists is valid, and a bad value is a
+`ConfigError` naming its entry before anything runs. A key left out of the
+file keeps the dataclass default, and the `policy` object becomes one
+`PolicyConfig` shared by every region's `RegionConfig`.
 """
 from __future__ import annotations
 
@@ -18,19 +22,22 @@ import tempfile
 import threading
 import urllib.request
 from base64 import b64encode
-from dataclasses import dataclass, field, fields, replace
+from contextlib import contextmanager
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from . import policy
+from .checks import check_fields, integer, number
 from .edge import ActuatorCommand, EdgeService, RegionConfig, SensorReading
 from .errors import ConfigError, InvalidArgumentError
-from .markerpipe import DEFAULT_MATCH_FAST_THRESHOLD, match_marker
+from .markerpipe import match_marker
 from .policy import PolicyConfig
 from .scene import (DEFAULT_BULB_LATENCY_S, DEFAULT_EINK_LATENCY_S,
-                    DEFAULT_LUX_CURVE, NOISE_SIGMA0, SENSOR_NOISE_FRACTION,
+                    DEFAULT_LUX_CURVE, MAX_VIEWING_ANGLE_DEG,
+                    MIN_MARKER_DISTANCE_CM, NOISE_SIGMA0, SENSOR_NOISE_FRACTION,
                     EnvironmentState, LuxCurve, MarkerPlacement, MarkerSpec,
                     Region, TextureSpec, apply_bulb_command, read_light_sensor,
                     render_region)
@@ -53,8 +60,12 @@ def default_sweep_lux_levels(n: int = 9) -> List[float]:
 
 # -- scenario ------------------------------------------------------------
 
+# Scenario times become whole milliseconds on the 64-bit clock of readings.
+MAX_SCENARIO_S = 365 * 24 * 3600.0      # one year
+MIN_SENSOR_PERIOD_S = 0.001             # one millisecond
 
-@dataclass
+
+@dataclass(frozen=True)
 class RegionScenario:
     id: str
     texture: TextureSpec
@@ -62,167 +73,169 @@ class RegionScenario:
     mode: str = "markerless"
     marker: Optional[MarkerPlacement] = None
     max_lux: Optional[float] = None
-    constraints: List[policy.ControlConstraint] = field(default_factory=list)
+    constraints: Tuple[policy.ControlConstraint, ...] = ()
+
+    def __post_init__(self):
+        # the rules of the world's Region and of the edge's RegionConfig
+        self.initial_region()
+        RegionConfig(self.id, self.mode)
+        if self.mode == "marker" and self.marker is None:
+            raise InvalidArgumentError("marker mode requires a marker placement")
+        object.__setattr__(self, "constraints", tuple(self.constraints))
+
+    def initial_region(self) -> Region:
+        """This region of the simulated world at t=0."""
+        return Region(self.id, self.texture, self.illuminance,
+                      marker=self.marker, max_lux=self.max_lux)
 
 
-@dataclass
+@dataclass(frozen=True)
+class TrajectoryEvent:
+    """At t_s, moves the marker of a region; a pose value left None is kept."""
+    region: str
+    t_s: float = number(0.0, MAX_SCENARIO_S, 0.0)
+    distance_cm: Optional[float] = number(MIN_MARKER_DISTANCE_CM, default=None,
+                                          optional=True)
+    angle_deg: Optional[float] = number(0.0, MAX_VIEWING_ANGLE_DEG, None,
+                                        open_hi=True, optional=True)
+
+    def __post_init__(self):
+        check_fields(self)
+
+
+@dataclass(frozen=True)
 class Scenario:
-    regions: List[RegionScenario]
-    duration_s: float = 60.0
-    sensor_period_s: float = DEFAULT_SENSOR_PERIOD_S
-    bulb_latency_s: float = DEFAULT_BULB_LATENCY_S
-    eink_latency_s: float = DEFAULT_EINK_LATENCY_S
-    lux_curve_points: List[Tuple[float, float]] = field(
-        default_factory=lambda: list(DEFAULT_LUX_CURVE.points))
+    regions: Tuple[RegionScenario, ...]
+    duration_s: float = number(MIN_SENSOR_PERIOD_S, MAX_SCENARIO_S, 60.0)
+    sensor_period_s: float = number(MIN_SENSOR_PERIOD_S, MAX_SCENARIO_S,
+                                    DEFAULT_SENSOR_PERIOD_S)
+    bulb_latency_s: float = number(0.0, MAX_SCENARIO_S, DEFAULT_BULB_LATENCY_S)
+    eink_latency_s: float = number(0.0, MAX_SCENARIO_S, DEFAULT_EINK_LATENCY_S)
+    lux_curve: LuxCurve = DEFAULT_LUX_CURVE
     policy: PolicyConfig = PolicyConfig()
-    marker_fast_threshold: int = DEFAULT_MATCH_FAST_THRESHOLD
-    sensor_noise_fraction: float = SENSOR_NOISE_FRACTION
-    camera_sigma0: float = NOISE_SIGMA0
-    trajectory: List[dict] = field(default_factory=list)
-    seed: int = 0
+    # at most 1, so a read of the brightest region stays within edge.MAX_LUX
+    sensor_noise_fraction: float = number(0.0, 1.0, SENSOR_NOISE_FRACTION)
+    camera_sigma0: float = number(0.0, 255.0, NOISE_SIGMA0)
+    trajectory: Tuple[TrajectoryEvent, ...] = ()
+    seed: int = integer(default=0)
 
-    def validate(self) -> None:
-        if self.sensor_period_s <= 0:
-            raise ConfigError("sensor_period_s must be > 0")
+    def __post_init__(self):
+        check_fields(self)
         if self.duration_s < self.sensor_period_s:
-            raise ConfigError("duration_s must be >= sensor_period_s")
-        if not self.regions:
-            raise ConfigError("scenario needs at least one region")
+            raise InvalidArgumentError("duration_s must be >= sensor_period_s")
+        object.__setattr__(self, "regions", tuple(self.regions))
+        object.__setattr__(self, "trajectory", tuple(self.trajectory))
         ids = [r.id for r in self.regions]
+        if not ids:
+            raise InvalidArgumentError("scenario needs at least one region")
         if len(ids) != len(set(ids)):
-            raise ConfigError("region ids must be unique")
+            raise InvalidArgumentError("region ids must be unique")
         for event in self.trajectory:
-            if event.get("region") not in ids:
-                raise ConfigError(
-                    f"trajectory references unknown region {event.get('region')!r}")
-        if self.bulb_latency_s < 0 or self.eink_latency_s < 0:
-            raise ConfigError("bulb_latency_s and eink_latency_s must be >= 0")
-        try:
-            LuxCurve(self.lux_curve_points)
-        except InvalidArgumentError as e:
-            raise ConfigError(f"lux_curve: {e}")
+            if event.region not in ids:
+                raise InvalidArgumentError(
+                    f"trajectory references unknown region {event.region!r}")
+
+    @property
+    def marker_fast_threshold(self) -> int:
+        return self.policy.marker_fast_threshold
 
     def environment(self) -> EnvironmentState:
         """The simulated world at t=0: one region per scenario region.
 
-        Marker placements are copied, so a run that moves or updates a
+        Marker placements are frozen, so a run that moves or updates a
         marker leaves the scenario as it was.
         """
         return EnvironmentState(
-            regions={r.id: Region(r.id, r.texture, r.illuminance,
-                                  marker=replace(r.marker) if r.marker else None,
-                                  max_lux=r.max_lux)
-                     for r in self.regions},
-            lux_curve=LuxCurve(self.lux_curve_points))
+            regions={r.id: r.initial_region() for r in self.regions},
+            lux_curve=self.lux_curve)
 
     def region_configs(self) -> List[RegionConfig]:
         """Edge-service config per region, without actuator ids."""
-        curve = LuxCurve(self.lux_curve_points)
         return [RegionConfig(
                     region_id=r.id,
                     mode=r.mode,
-                    curve=curve,
+                    curve=self.lux_curve,
                     policy=self.policy,
-                    marker_fast_threshold=self.marker_fast_threshold,
                     initial_marker=(r.marker.spec if r.marker else None),
                     constraints=r.constraints)
                 for r in self.regions]
 
 
-def _texture_from_json(doc: dict, where: str) -> TextureSpec:
-    if not isinstance(doc, dict) or "kind" not in doc:
-        raise ConfigError(f"{where}.texture must be an object with 'kind'")
-    kwargs = {}
-    for key in ("value", "low", "high", "frequency"):
-        if key in doc:
-            kwargs[key] = float(doc[key])
-    for key in ("cell", "texture_seed"):
-        if key in doc:
-            kwargs[key] = int(doc[key])
+_JSON_ERRORS = (InvalidArgumentError, TypeError, ValueError, KeyError,
+                AttributeError, IndexError, OverflowError)
+
+
+@contextmanager
+def _entry(where: str):
+    """Turns what a bad JSON value makes the constructors of one scenario
+    entry raise into a ConfigError that names the entry."""
     try:
-        return TextureSpec(doc["kind"], **kwargs)
-    except InvalidArgumentError as e:
-        raise ConfigError(f"{where}.texture: {e}")
+        yield
+    except KeyError as e:
+        raise ConfigError(f"{where}.{e.args[0]} is required") from None
+    except _JSON_ERRORS as e:
+        raise ConfigError(f"{where}: {e}") from None
 
 
-def _present(doc: dict, converters: dict) -> dict:
-    """The keys of doc that converters names, converted; an absent key is
-    left out so the dataclass default applies."""
-    return {key: convert(doc[key]) for key, convert in converters.items()
-            if key in doc}
-
-
-def scenario_from_json(doc: dict) -> Scenario:
+def _build(cls, doc, **built):
+    """cls from a JSON object: the built field values, and each other field
+    as doc has it, but a JSON integer in a float field as a float. A field
+    doc leaves out keeps its default."""
     if not isinstance(doc, dict):
-        raise ConfigError("scenario must be a JSON object")
-    if "regions" not in doc or not isinstance(doc["regions"], list):
-        raise ConfigError("scenario.regions must be a list")
-    regions = []
-    for i, r in enumerate(doc["regions"]):
-        where = f"regions[{i}]"
-        if "id" not in r:
-            raise ConfigError(f"{where}.id is required")
-        marker = None
-        if r.get("marker") is not None:
-            m = r["marker"]
-            try:
-                marker = MarkerPlacement(
-                    MarkerSpec(m["pattern"], int(m.get("size_index", 0))),
-                    **_present(m, {"distance_cm": float,
-                                   "viewing_angle_deg": float}))
-            except (KeyError, TypeError, ValueError, InvalidArgumentError) as e:
-                raise ConfigError(f"{where}.marker: {e}")
+        raise TypeError("must be a JSON object")
+    for f in fields(cls):
+        if f.name in doc and f.name not in built:
+            value = doc[f.name]
+            built[f.name] = (float(value) if type(value) is int
+                             and "float" in str(f.type) else value)
+        elif f.name not in built and f.default is MISSING:
+            raise KeyError(f.name)
+    return cls(**built)
+
+
+def _list(value, name: str) -> list:
+    if not isinstance(value, list):
+        raise TypeError(f"{name} must be a list")
+    return value
+
+
+def _region_from_json(doc, where: str) -> RegionScenario:
+    with _entry(where):
+        with _entry(f"{where}.texture"):
+            texture = _build(TextureSpec, doc.get("texture", {"kind": "flat"}))
+        marker = doc.get("marker")
+        if marker is not None:
+            with _entry(f"{where}.marker"):
+                marker = _build(MarkerPlacement, marker,
+                                spec=_build(MarkerSpec, marker))
         constraints = []
-        for j, c in enumerate(r.get("constraints", [])):
-            try:
+        for j, c in enumerate(_list(doc.get("constraints", []), "constraints")):
+            with _entry(f"{where}.constraints[{j}]"):
+                lo, hi = c["range"]
                 constraints.append(policy.ControlConstraint(
-                    c.get("source", f"constraint-{j}"),
-                    float(c["range"][0]), float(c["range"][1]),
-                    float(c["preferred"]), int(c.get("priority", 0))))
-            except (KeyError, TypeError, ValueError, IndexError,
-                    InvalidArgumentError) as e:
-                raise ConfigError(f"{where}.constraints[{j}]: {e}")
-        try:
-            illuminance = float(r["illuminance"])
-        except (KeyError, TypeError, ValueError):
-            raise ConfigError(f"{where}.illuminance is required")
-        mode = r.get("mode", "markerless")
-        if mode not in ("markerless", "marker"):
-            raise ConfigError(f"{where}.mode must be markerless or marker")
-        if mode == "marker" and marker is None:
-            raise ConfigError(f"{where}: marker mode requires a marker placement")
-        regions.append(RegionScenario(
-            id=str(r["id"]),
-            texture=_texture_from_json(r.get("texture", {"kind": "flat"}), where),
-            illuminance=illuminance,
-            mode=mode,
-            marker=marker,
-            max_lux=(float(r["max_lux"]) if r.get("max_lux") is not None else None),
-            constraints=constraints))
-    pol = doc.get("policy", {})
-    if not isinstance(pol, dict):
-        raise ConfigError("policy must be an object")
-    try:
-        # each setting's type is the type of its default
-        config = PolicyConfig(**_present(pol, {
-            f.name: type(f.default) for f in fields(PolicyConfig)}))
-    except (TypeError, ValueError, InvalidArgumentError) as e:
-        raise ConfigError(f"policy: {e}")
-    try:
-        kwargs = _present(doc, {"duration_s": float, "sensor_period_s": float,
-                                "bulb_latency_s": float, "eink_latency_s": float,
-                                "sensor_noise_fraction": float,
-                                "camera_sigma0": float, "trajectory": list,
-                                "seed": int})
-        kwargs.update(_present(pol, {"marker_fast_threshold": int}))
-        if "lux_curve" in doc:
-            kwargs["lux_curve_points"] = [(float(c), float(l))
-                                          for c, l in doc["lux_curve"]]
-        scenario = Scenario(regions=regions, policy=config, **kwargs)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"bad scenario field: {e}")
-    scenario.validate()
-    return scenario
+                    c.get("source", f"constraint-{j}"), lo, hi, c["preferred"],
+                    c.get("priority", 0)))
+        return _build(RegionScenario, doc, texture=texture, marker=marker,
+                      constraints=constraints)
+
+
+def scenario_from_json(doc) -> Scenario:
+    """The Scenario of a parsed scenario file. Each value goes as it is to
+    the constructor that owns it; a value that breaks a rule raises a
+    ConfigError naming its entry."""
+    with _entry("scenario"):
+        regions = [_region_from_json(r, f"regions[{i}]")
+                   for i, r in enumerate(_list(doc["regions"], "regions"))]
+        trajectory = []
+        for k, e in enumerate(_list(doc.get("trajectory", []), "trajectory")):
+            with _entry(f"trajectory[{k}]"):
+                trajectory.append(_build(TrajectoryEvent, e))
+        with _entry("policy"):
+            config = _build(PolicyConfig, doc.get("policy", {}))
+        with _entry("lux_curve"):
+            curve = LuxCurve(doc.get("lux_curve", DEFAULT_LUX_CURVE.points))
+        return _build(Scenario, doc, regions=regions, trajectory=trajectory,
+                      policy=config, lux_curve=curve)
 
 
 def load_scenario(path) -> Scenario:
@@ -243,8 +256,6 @@ class _EventQueue:
         self.now_ms = 0
 
     def schedule(self, t_ms: int, fn: Callable[[], None]) -> None:
-        if t_ms < self.now_ms:
-            raise InvalidArgumentError("cannot schedule into the past")
         heapq.heappush(self._heap, (t_ms, self._seq, fn))
         self._seq += 1
 
@@ -304,7 +315,7 @@ class _EInkNode:
             self.displayed = spec
             region = sim.env.region(self.region_id)
             if region.marker is not None:
-                region.marker.spec = spec
+                region.marker = replace(region.marker, spec=spec)
             sim.log(f"eink/{self.region_id}", "visible-change",
                     {"pattern": spec.pattern, "size_index": spec.size_index})
         sim.queue.schedule(sim.queue.now_ms + self.latency_ms, apply)
@@ -318,12 +329,7 @@ class InProcessTransport:
         self.service = service
 
     def put_reading(self, sensor_id: str, body: dict) -> None:
-        self.service.ingest_reading(SensorReading(
-            sensor_id=sensor_id,
-            region_id=body["region_id"],
-            timestamp_ms=body["timestamp_ms"],
-            lux=body.get("lux"),
-            image_pgm_b64=body.get("image_pgm_b64")))
+        self.service.ingest_reading(SensorReading(sensor_id, **body))
 
     def close(self):
         pass
@@ -360,7 +366,6 @@ class HttpTransport:
 class Simulator:
     def __init__(self, scenario: Scenario, transport: str = "in-process",
                  data_dir=None):
-        scenario.validate()
         self.scenario = scenario
         self.queue = _EventQueue()
         self.event_log: List[dict] = []
@@ -427,22 +432,8 @@ class Simulator:
         period_ms = int(round(scenario.sensor_period_s * 1000))
         duration_ms = int(round(scenario.duration_s * 1000))
         for event in scenario.trajectory:
-            t_ms = int(round(float(event.get("t_s", 0.0)) * 1000))
-            region_id = event["region"]
-            def make_apply(region_id=region_id, event=event):
-                def apply():
-                    region = self.env.region(region_id)
-                    if region.marker is None:
-                        return
-                    if "distance_cm" in event:
-                        region.marker.distance_cm = float(event["distance_cm"])
-                    if "angle_deg" in event:
-                        region.marker.viewing_angle_deg = float(event["angle_deg"])
-                    self.log(f"trajectory/{region_id}", "pose",
-                             {"distance_cm": region.marker.distance_cm,
-                              "angle_deg": region.marker.viewing_angle_deg})
-                return apply
-            self.queue.schedule(t_ms, make_apply())
+            self.queue.schedule(int(round(event.t_s * 1000)),
+                                lambda event=event: self._move_marker(event))
         for r in scenario.regions:
             for t_ms in range(0, duration_ms + 1, period_ms):
                 self.queue.schedule(
@@ -451,7 +442,21 @@ class Simulator:
             self.queue.run_until(duration_ms)
         finally:
             self.transport.close()
+            if self._tmpdir is not None:
+                self._tmpdir.cleanup()
         return self.event_log, self._final_report()
+
+    def _move_marker(self, event: TrajectoryEvent) -> None:
+        region = self.env.region(event.region)
+        if region.marker is None:
+            return
+        pose = {"distance_cm": event.distance_cm,
+                "viewing_angle_deg": event.angle_deg}
+        region.marker = replace(region.marker, **{
+            name: value for name, value in pose.items() if value is not None})
+        self.log(f"trajectory/{event.region}", "pose",
+                 {"distance_cm": region.marker.distance_cm,
+                  "angle_deg": region.marker.viewing_angle_deg})
 
     def _final_report(self) -> dict:
         scenario = self.scenario

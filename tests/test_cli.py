@@ -22,16 +22,24 @@ def run_cli(*args, timeout=300):
                           timeout=timeout)
 
 
+REGION = {"id": "r", "illuminance": 80.0,
+          "texture": {"kind": "checkerboard", "cell": 32, "low": 0.1, "high": 0.9}}
+
+
 def write_scenario(path, **overrides):
-    doc = {
-        "duration_s": 30.0,
-        "regions": [{"id": "r", "illuminance": 80.0,
-                     "texture": {"kind": "checkerboard", "cell": 32,
-                                 "low": 0.1, "high": 0.9}}],
-    }
+    doc = {"duration_s": 30.0, "regions": [REGION]}
     doc.update(overrides)
     path.write_text(json.dumps(doc))
     return path
+
+
+def regions(**fields):
+    """The one region of write_scenario with fields replaced."""
+    return [dict(REGION, **fields)]
+
+
+def marker_regions(**marker):
+    return regions(mode="marker", marker=dict(pattern="binary-grid-A", **marker))
 
 
 def write_pgm(path, texture, lux=500.0, w=64, h=64):
@@ -65,22 +73,66 @@ class TestRun:
         result = run_cli("run", str(path))
         assert result.returncode == 2
 
-    @pytest.mark.parametrize("overrides", [
-        {"lux_curve": [[0, 100], [50, 40], [100, 1000]]},
-        {"lux_curve": [[0, 10]]},
-        {"bulb_latency_s": -1},
-        {"eink_latency_s": -1},
-        {"policy": {"deadband_fraction": 0.6}},
-        {"policy": {"max_size_index": 5}},
-        {"policy": [0.2]},
+    @pytest.mark.parametrize("overrides,names", [
+        ({"lux_curve": [[0, 100], [50, 40], [100, 1000]]}, "lux_curve"),
+        ({"lux_curve": [[0, 10]]}, "lux_curve"),
+        ({"bulb_latency_s": -1}, "bulb_latency_s"),
+        ({"eink_latency_s": -1}, "eink_latency_s"),
+        ({"policy": {"deadband_fraction": 0.6}}, "deadband_fraction"),
+        ({"policy": {"max_size_index": 5}}, "max_size_index"),
+        ({"policy": [0.2]}, "policy"),
+        # each of these exited 1 with a traceback
+        ({"policy": {"marker_fast_threshold": -5}}, "marker_fast_threshold"),
+        ({"policy": {"marker_fast_threshold": 0}}, "marker_fast_threshold"),
+        ({"regions": [5]}, "regions[0]"),
+        ({"trajectory": [5]}, "trajectory[0]"),
+        ({"regions": regions(constraints=5)}, "constraints"),
+        ({"duration_s": "nan"}, "duration_s"),
+        ({"bulb_latency_s": "nan"}, "bulb_latency_s"),
+        ({"duration_s": "inf"}, "duration_s"),
+        ({"duration_s": "inf", "sensor_period_s": "inf"}, "duration_s"),
+        ({"regions": regions(illuminance=-1)}, "illuminance"),
+        ({"regions": regions(illuminance="nan")}, "illuminance"),
+        ({"regions": regions(texture={"kind": "speckle", "frequency": "nan"})},
+         "regions[0].texture"),
+        ({"regions": marker_regions(distance_cm="nan")}, "regions[0].marker"),
+        ({"trajectory": [{"t_s": "nan", "region": "r"}]}, "trajectory[0]"),
+        ({"trajectory": [{"t_s": -1, "region": "r"}]}, "trajectory[0]"),
+        ({"regions": marker_regions(),
+          "trajectory": [{"t_s": 1, "region": "r", "distance_cm": 0}]},
+         "trajectory[0]"),
+        ({"regions": regions(id="a/b")}, "region_id"),
+        ({"regions": regions(id="../x")}, "region_id"),
+        ({"regions": regions(id="x" * 300)}, "region_id"),
+        # each of these ran and exited 0 with a wrong result
+        ({"regions": regions(max_lux="nan")}, "max_lux"),
+        ({"camera_sigma0": "nan"}, "camera_sigma0"),
+        ({"camera_sigma0": float("nan")}, "camera_sigma0"),
+        ({"sensor_noise_fraction": -1}, "sensor_noise_fraction"),
+        ({"policy": {"settle_s": "nan"}}, "settle_s"),
+        ({"seed": 1.5}, "seed"),
+        ({"regions": regions(texture={"kind": "checkerboard", "cell": 2.7})},
+         "cell"),
+        ({"regions": regions(id="")}, "region_id"),
     ], ids=["non-monotone-curve", "single-point-curve", "negative-bulb-latency",
             "negative-eink-latency", "deadband-out-of-range",
-            "max-size-index-out-of-range", "policy-not-an-object"])
-    def test_bad_actuation_config_exit_2(self, tmp_path, overrides):
+            "max-size-index-out-of-range", "policy-not-an-object",
+            "fast-threshold-negative", "fast-threshold-zero", "region-not-object",
+            "trajectory-event-not-object", "constraints-not-list",
+            "duration-nan", "bulb-latency-nan", "duration-inf",
+            "duration-and-period-inf",
+            "illuminance-negative", "illuminance-nan", "frequency-nan",
+            "marker-distance-nan", "trajectory-t-nan", "trajectory-t-negative",
+            "trajectory-distance-zero", "region-id-slash", "region-id-dotdot",
+            "region-id-300-chars", "max-lux-nan", "camera-sigma0-nan-string",
+            "camera-sigma0-nan", "sensor-noise-negative", "settle-nan",
+            "seed-fraction", "texture-cell-fraction", "region-id-empty"])
+    def test_bad_actuation_config_exit_2(self, tmp_path, overrides, names):
         scenario = write_scenario(tmp_path / "s.json", **overrides)
         result = run_cli("run", str(scenario))
         assert result.returncode == 2
         assert result.stderr.startswith("ambientd: config error")
+        assert names in result.stderr
         assert "Traceback" not in result.stderr
 
     def test_require_convergence_exit_3(self, tmp_path):
@@ -240,7 +292,7 @@ class TestServe:
             assert status == 200
         finally:
             proc.send_signal(signal.SIGINT)
-            proc.wait(timeout=10)
+            proc.communicate(timeout=10)   # also closes its pipes
 
         port2 = free_port()
         proc = self.serve(tmp_path, port2)  # no scenario: replay from disk
@@ -252,7 +304,7 @@ class TestServe:
             assert latest == stored
         finally:
             proc.send_signal(signal.SIGINT)
-            proc.wait(timeout=10)
+            proc.communicate(timeout=10)   # also closes its pipes
 
     def test_scenario_registers_its_region_configs(self, tmp_path,
                                                      monkeypatch):

@@ -1,6 +1,7 @@
 import base64
 import json
 import socket
+import time
 import urllib.error
 import urllib.request
 from http.client import HTTPConnection
@@ -12,8 +13,8 @@ from hypothesis import strategies as st
 
 from ambientd.edge import (ActuatorCommand, EdgeService, MetricsRecord,
                            RegionConfig, SensorReading)
-from ambientd.errors import (BadRequestError, ConfigError, NotFoundError,
-                             StaleReadingError)
+from ambientd.errors import (BadRequestError, ConfigError, InvalidArgumentError,
+                             NotFoundError, StaleReadingError)
 from ambientd.httpapi import MAX_BODY_BYTES, make_server
 from ambientd.scene import MarkerSpec, Region, TextureSpec, render_region
 
@@ -160,6 +161,17 @@ class TestPolicyStepping:
 
     def test_marker_phase_none_for_markerless(self, service):
         assert service.marker_phase("r1") is None
+
+    @pytest.mark.parametrize("fields", [
+        {"region_id": "a/b"}, {"region_id": "../x"}, {"region_id": "x" * 65},
+        {"region_id": ""}, {"region_id": ".hidden"}, {"region_id": 5},
+        {"region_id": "r1", "mode": "bogus"}],
+        ids=["slash", "dotdot", "65-chars", "empty", "leading-dot", "int",
+             "bogus-mode"])
+    def test_bad_region_config_refused_when_built(self, fields):
+        # the id names the region's log file
+        with pytest.raises(InvalidArgumentError):
+            RegionConfig(**fields)
 
 
 class TestTrend:
@@ -378,6 +390,35 @@ class TestHttpApi:
 
     def test_unknown_route_404(self, http_server):
         assert http("GET", f"{http_server}/v1/bogus")[0] == 404
+
+    def test_keep_alive_requests_are_not_delayed(self, http_server):
+        # a reply sent in two writes waits for the client's delayed ACK,
+        # about 40 ms per request
+        host, port = http_server.removeprefix("http://").split(":")
+        conn = HTTPConnection(host, int(port), timeout=10)
+        start = time.monotonic()
+        try:
+            for _ in range(20):
+                conn.request("GET", "/v1/health")
+                resp = conn.getresponse()
+                assert resp.status == 200
+                resp.read()
+        finally:
+            conn.close()
+        assert time.monotonic() - start < 0.4
+
+    def test_expect_100_continue_answered_before_the_body(self, http_server):
+        host, port = http_server.removeprefix("http://").split(":")
+        body = b'{"kind": "set-brightness", "payload": 40.0}'
+        with socket.create_connection((host, int(port)), timeout=5) as sock:
+            sock.sendall(b"POST /v1/actuators/bulb1/commands HTTP/1.1\r\n"
+                         b"Expect: 100-continue\r\n"
+                         b"Content-Length: %d\r\n\r\n" % len(body))
+            replies = sock.makefile("rb")
+            assert replies.readline().split()[1] == b"100"
+            assert replies.readline() == b"\r\n"
+            sock.sendall(body)
+            assert read_response(replies)[0] == 202
 
     @pytest.mark.parametrize("field,value", [
         ("lux", "bright"), ("region_id", ["r1"]), ("image_pgm_b64", 5)],

@@ -1,17 +1,20 @@
+import copy
 import hashlib
 import json
 import urllib.error
 import urllib.request
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ambientd.edge import ActuatorCommand
 from ambientd.errors import ConfigError
 from ambientd.policy import PolicyConfig
 from ambientd.scene import (MarkerPlacement, MarkerSpec, TextureSpec)
-from ambientd.sim import (RegionScenario, Scenario, Simulator,
+from ambientd.sim import (RegionScenario, Scenario, Simulator, TrajectoryEvent,
                           default_sweep_lux_levels, run_calibration,
                           run_scenario, scenario_from_json, stable_seed,
                           sweep_marker_grid)
@@ -43,21 +46,67 @@ class TestStableSeed:
         assert stable_seed(1, "a") != stable_seed(2, "a")
 
 
+def readme_scenario() -> dict:
+    """The JSON example under "## Scenario files" in README.md."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Scenario files\n", 1)[1]
+    return json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+
+
+def json_paths(node, path=()):
+    """The path of every value in a JSON document, the root's included."""
+    yield path
+    if isinstance(node, (dict, list)):
+        keys = node.keys() if isinstance(node, dict) else range(len(node))
+        for key in keys:
+            yield from json_paths(node[key], path + (key,))
+
+
+def replaced(doc, path, value):
+    """A copy of doc with the value at path replaced."""
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+# 1e400 in a JSON file parses to inf, as does Infinity
+ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.just(10 ** 400)
+    | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6)
+
+
+class TestScenarioProperty:
+    DOC = readme_scenario()
+
+    @settings(max_examples=250, deadline=None, derandomize=True,
+              database=None)
+    @given(path=st.sampled_from(list(json_paths(DOC))), value=ANY_JSON)
+    def test_parse_gives_a_runnable_scenario_or_config_error(self, path,
+                                                            value):
+        try:
+            scenario = scenario_from_json(replaced(self.DOC, path, value))
+        except ConfigError:
+            return
+        run_scenario(replace(scenario, duration_s=scenario.sensor_period_s))
+
+
 class TestScenarioParsing:
     def test_readme_example_parses_and_runs(self):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        section = readme.split("\n## Scenario files\n", 1)[1]
-        doc = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+        doc = readme_scenario()
         scenario = scenario_from_json(doc)
-        settings = dict(doc["policy"])
-        assert (scenario.marker_fast_threshold
-                == settings.pop("marker_fast_threshold"))
-        assert asdict(scenario.policy) == settings
+        assert asdict(scenario.policy) == doc["policy"]
         # the documented top-level and policy values are the defaults
         assert scenario == Scenario(regions=scenario.regions,
                                     trajectory=scenario.trajectory)
-        scenario.duration_s = 10.0
-        _, report = run_scenario(scenario)
+        _, report = run_scenario(replace(scenario, duration_s=10.0))
         assert sorted(report["regions"]) == sorted(r["id"] for r in doc["regions"])
 
     def base_doc(self):
@@ -147,10 +196,8 @@ class TestClosedLoop:
                     == (tmp_path / "b" / name).read_bytes()), name
 
     def test_rerun_of_one_scenario_is_identical(self):
-        scenario = marker_scenario(duration_s=20.0)
-        scenario.sensor_period_s = 1.0
-        scenario.trajectory = [{"t_s": 7.0, "region": "m",
-                                "distance_cm": 60.0}]
+        scenario = replace(marker_scenario(duration_s=20.0), sensor_period_s=1.0,
+                           trajectory=[TrajectoryEvent("m", 7.0, 60.0)])
         first = run_scenario(scenario)
         assert first[1]["regions"]["m"]["eink_commands"] >= 1
         assert run_scenario(scenario) == first
@@ -167,9 +214,8 @@ class TestClosedLoop:
         assert applied[0]["t_ms"] - accepted[0]["t_ms"] == 400
 
     def test_trajectory_event_applies(self):
-        scenario = marker_scenario(distance=20.0, duration_s=20.0)
-        scenario.trajectory = [{"t_s": 7.0, "region": "m",
-                                "distance_cm": 90.0}]
+        scenario = replace(marker_scenario(distance=20.0, duration_s=20.0),
+                           trajectory=[TrajectoryEvent("m", 7.0, 90.0)])
         sim = Simulator(scenario)
         events, _ = sim.run()
         poses = [e for e in events if e["kind"] == "pose"]
@@ -193,9 +239,9 @@ class TestMarkerLoop:
         assert region["marker_phase"] == "Exhausted"
         assert region["eink_commands"] <= 5
 
-    def test_eink_supersede_single_visible_change(self):
+    def test_eink_supersede_single_visible_change(self, tmp_path):
         scenario = marker_scenario(duration_s=20.0)
-        sim = Simulator(scenario)
+        sim = Simulator(scenario, data_dir=tmp_path)   # never run
         accept = sim.service._actuators["eink:m"]
         accept(ActuatorCommand("eink:m", "set-marker",
                                MarkerSpec("binary-grid-B", 0)))
@@ -206,9 +252,9 @@ class TestMarkerLoop:
         assert len(visible) == 1
         assert sim.env.region("m").marker.spec == MarkerSpec("image-uniform", 1)
 
-    def test_eink_noop_for_displayed_spec(self):
+    def test_eink_noop_for_displayed_spec(self, tmp_path):
         scenario = marker_scenario(duration_s=20.0)
-        sim = Simulator(scenario)
+        sim = Simulator(scenario, data_dir=tmp_path)   # never run
         accept = sim.service._actuators["eink:m"]
         accept(ActuatorCommand("eink:m", "set-marker",
                                MarkerSpec("binary-grid-A", 0)))
@@ -252,14 +298,21 @@ class TestTransports:
     def test_http_rejects_out_of_range_brightness(self):
         sim = Simulator(coarse_scenario(duration_s=10.0), transport="real-http")
         url = f"{sim.transport.base_url}/v1/actuators/bulb:r/commands"
-        for payload in (150, float("nan"), -1):
+        brightness = '{"kind": "set-brightness", "payload": %s}'
+        marker = ('{"kind": "set-marker", "payload": '
+                  '{"pattern": "binary-grid-A", "size_index": %s}}')
+        issued = '{"kind": "set-brightness", "payload": 50, "issued_at_ms": %s}'
+        # 1e400 parses to inf, 1e30 is beyond 64 bits, and nothing is coerced
+        bodies = ([brightness % v for v in ("150", "NaN", "-1")]
+                  + [issued % v for v in ("1e400", "1e30", '"12"')]
+                  + [marker % v for v in ("1e400", '"1"', "1.0")])
+        for body in bodies:
             req = urllib.request.Request(
                 url, method="POST", headers={"Content-Type": "application/json"},
-                data=json.dumps({"kind": "set-brightness",
-                                 "payload": payload}).encode())
+                data=body.encode())
             with pytest.raises(urllib.error.HTTPError) as err:
                 urllib.request.urlopen(req, timeout=10)
-            assert err.value.code == 400
+            assert err.value.code == 400, body
             err.value.close()
         # the bulb node logs every command it is handed
         assert sim.event_log == []
