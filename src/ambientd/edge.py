@@ -358,10 +358,24 @@ class EdgeService:
     # -- actuation --------------------------------------------------------
 
     def dispatch_command(self, cmd: ActuatorCommand) -> float:
-        """Forward a command to its actuator; returns dispatch latency in ms."""
+        """Forward a command to its actuator; returns dispatch latency in ms.
+
+        A region's bulb actuator takes only `set-brightness` and its E-Ink
+        actuator only `set-marker`; an actuator no region names takes both.
+        """
         accept = self._actuators.get(cmd.actuator_id)
         if accept is None:
             raise NotFoundError(f"unknown actuator {cmd.actuator_id!r}")
+        with self._global_lock:
+            configs = [runtime.config for runtime in self._regions.values()]
+        kinds = {kind for c in configs
+                 for actuator, kind in ((c.bulb_actuator, "set-brightness"),
+                                        (c.eink_actuator, "set-marker"))
+                 if actuator == cmd.actuator_id}
+        if kinds and cmd.kind not in kinds:
+            raise BadRequestError(
+                f"actuator {cmd.actuator_id!r} takes {' or '.join(sorted(kinds))},"
+                f" not {cmd.kind}")
         start = time.monotonic()
         accept(cmd)
         return (time.monotonic() - start) * 1000.0

@@ -8,18 +8,22 @@ feature content survives the viewing conditions rather than pipeline bias.
 """
 from __future__ import annotations
 
+import math
 from typing import Dict, Tuple
 
 import numpy as np
-from scipy import ndimage
 
 from .characterize import (MatchReport, ROI_MARGIN_PX,
                            crop_to_marker_roi, detect_fast_corners,
                            extract_descriptors, match_against_reference)
+from .errors import InvalidArgumentError
 from .scene import MarkerSpec, SyntheticImage, marker_reflectance
 
 REFERENCE_SIDE_PX = 200
 DEFAULT_MATCH_FAST_THRESHOLD = 15
+# the largest threshold at which the reference render of every pattern and
+# size still has descriptors; at 25 image-nonuniform has none
+MAX_MATCH_FAST_THRESHOLD = 24
 # Pre-description blur; stabilizes comparisons across rescale quantization.
 DESCRIBE_BLUR_PX = 13
 
@@ -27,35 +31,107 @@ DESCRIBE_BLUR_PX = 13
 _REFERENCE_CACHE: Dict[Tuple[MarkerSpec, int], np.ndarray] = {}
 
 
+def _axis_taps(n_in: int, n_out: int):
+    """Source taps and weights of one axis of `map_coordinates(order=1,
+    mode="nearest")`: the weights come from the unclipped coordinate, the
+    indices are clamped to the axis."""
+    c = (np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5
+    i0 = np.floor(c)
+    t = c - i0
+    i0 = i0.astype(np.intp)
+    return (np.clip(i0, 0, n_in - 1), np.clip(i0 + 1, 0, n_in - 1), 1.0 - t, t)
+
+
 def resize_bilinear(image: SyntheticImage, width: int, height: int) -> SyntheticImage:
-    sy = image.height / height
-    sx = image.width / width
-    yy = (np.arange(height) + 0.5) * sy - 0.5
-    xx = (np.arange(width) + 0.5) * sx - 0.5
-    grid = np.meshgrid(yy, xx, indexing="ij")
-    out = ndimage.map_coordinates(image.pixels.astype(np.float64), grid,
-                                  order=1, mode="nearest")
+    """Bilinear resample on pixel centres, edges clamped. Each output pixel
+    is `(a*wy0)*wx0 + (b*wy0)*wx1 + (c*wy1)*wx0 + (d*wy1)*wx1` summed left to
+    right, the float64 operations of ndimage's `map_coordinates(order=1,
+    mode="nearest")`, so the two agree to the byte."""
+    y0, y1, wy0, wy1 = _axis_taps(image.height, height)
+    x0, x1, wx0, wx1 = _axis_taps(image.width, width)
+    p = image.pixels.astype(np.float64)
+    top = np.take(p, y0, axis=0) * wy0[:, None]
+    bottom = np.take(p, y1, axis=0) * wy1[:, None]
+    out = np.take(top, x0, axis=1) * wx0
+    for rows, cols, wx in ((top, x1, wx1), (bottom, x0, wx0), (bottom, x1, wx1)):
+        out += np.take(rows, cols, axis=1) * wx
     return SyntheticImage(width, height,
                           np.clip(np.rint(out), 0, 255).astype(np.uint8),
                           image.seed)
 
 
+def _percentile_of_counts(below: np.ndarray, q: float) -> float:
+    """`np.percentile(values, q)` ("linear" method) of the 8-bit values
+    whose cumulative histogram is `below` (below[v] = count of values <= v),
+    with numpy's own index, gamma and lerp arithmetic."""
+    n = int(below[-1])
+    index = (n - 1) * (q / 100.0)
+    lo_rank = math.floor(index)
+    gamma = index - lo_rank
+    if index >= n - 1:
+        lo_rank = n - 1
+    hi_rank = min(lo_rank + 1, n - 1)
+    a, b = np.searchsorted(below, (lo_rank, hi_rank), side="right")
+    a, b = np.float64(a), np.float64(b)
+    diff = b - a
+    if gamma >= 0.5:
+        return float(b - diff * (1.0 - gamma))
+    return float(a + diff * gamma)
+
+
+_LEVELS = np.arange(256, dtype=np.float64)
+
+
 def normalize_contrast(image: SyntheticImage) -> SyntheticImage:
-    """Percentile stretch to the full 8-bit range."""
-    p = image.pixels.astype(np.float64)
-    lo, hi = np.percentile(p, (2.0, 98.0))
+    """Percentile stretch to the full 8-bit range.
+
+    The 2nd and 98th percentiles come from the cumulative 8-bit histogram and
+    the stretch is a 256-entry table of the same float formula, so the result
+    equals the per-pixel float stretch."""
+    below = np.cumsum(np.bincount(image.pixels.ravel(), minlength=256))
+    lo = _percentile_of_counts(below, 2.0)
+    hi = _percentile_of_counts(below, 98.0)
     if hi - lo < 1.0:
         return image
-    stretched = np.clip((p - lo) * (255.0 / (hi - lo)), 0, 255)
-    return SyntheticImage(image.width, image.height,
-                          np.rint(stretched).astype(np.uint8), image.seed)
+    stretched = np.clip((_LEVELS - lo) * (255.0 / (hi - lo)), 0, 255)
+    lut = np.rint(stretched).astype(np.uint8)
+    return SyntheticImage(image.width, image.height, lut[image.pixels],
+                          image.seed)
+
+
+def _window_sums(a: np.ndarray, size: int, axis: int) -> np.ndarray:
+    """Sums of `size` consecutive entries along axis, from blocks of 1, 2,
+    4, ... entries: one add per bit of size and one per doubling."""
+    a = np.moveaxis(a, axis, 0)
+    n_out = a.shape[0] - size + 1
+    total, offset, block, width = None, 0, a, 1
+    while size:
+        if size & 1:
+            part = block[offset:offset + n_out]
+            total = part.copy() if total is None else total + part
+            offset += width
+        size >>= 1
+        if size:
+            block = block[:-width] + block[width:]
+            width *= 2
+    return np.moveaxis(total, 0, axis)
 
 
 def _box_blur(image: SyntheticImage, size: int) -> SyntheticImage:
-    p = ndimage.uniform_filter(image.pixels.astype(np.float64), size)
-    return SyntheticImage(image.width, image.height,
-                          np.clip(np.rint(p), 0, 255).astype(np.uint8),
-                          image.seed)
+    """Rounded mean over a size x size window, edges mirrored (d c b a | a b
+    c d), as ndimage's `uniform_filter` in its default "reflect" mode.
+
+    The window sum S is an exact integer and the result is S / n rounded
+    half up, n = size**2. For odd n, S / n is never a tie and lies at least
+    1/(2n) from one, far beyond a float filter's error, so the two agree.
+    """
+    if size < 1 or size % 2 == 0:
+        raise InvalidArgumentError("blur size must be a positive odd integer")
+    p = np.pad(image.pixels, size // 2, mode="symmetric").astype(np.int32)
+    s = _window_sums(_window_sums(p, size, 0), size, 1)
+    n = size * size
+    out = ((2 * s + n) // (2 * n)).astype(np.uint8)
+    return SyntheticImage(image.width, image.height, out, image.seed)
 
 
 def _strip_roi_margin(roi: SyntheticImage, full: SyntheticImage) -> SyntheticImage:

@@ -19,7 +19,7 @@ import numpy as np
 from .checks import check_fields, checked, integer, number
 from .errors import CalibrationError, InvalidArgumentError
 from .characterize import MatchReport, TextureClass
-from .markerpipe import DEFAULT_MATCH_FAST_THRESHOLD
+from .markerpipe import DEFAULT_MATCH_FAST_THRESHOLD, MAX_MATCH_FAST_THRESHOLD
 from .scene import MARKER_PATTERNS, LuxCurve, MarkerSpec
 
 OPTIMAL_LUX_COARSE = 300.0
@@ -60,7 +60,8 @@ class PolicyConfig:
     # largest marker size the loop may use
     max_size_index: int = integer(0, 2, 2)
     # FAST threshold of marker matching
-    marker_fast_threshold: int = integer(1, default=DEFAULT_MATCH_FAST_THRESHOLD)
+    marker_fast_threshold: int = integer(1, MAX_MATCH_FAST_THRESHOLD,
+                                         DEFAULT_MATCH_FAST_THRESHOLD)
 
     def __post_init__(self):
         check_fields(self)

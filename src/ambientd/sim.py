@@ -240,9 +240,13 @@ def scenario_from_json(doc) -> Scenario:
 
 def load_scenario(path) -> Scenario:
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as e:
-        raise ConfigError(f"scenario file is not valid JSON: {e}")
+        raise ConfigError(f"scenario file {path} is not valid JSON: {e}")
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(f"cannot read scenario file {path}: {e}")
+    except RecursionError:
+        raise ConfigError(f"scenario file {path} is nested too deeply")
     return scenario_from_json(doc)
 
 

@@ -4,6 +4,7 @@ Deliberately written as straight-line loop code, sharing nothing with the
 library implementations they check.
 """
 import math
+from collections import deque
 
 import numpy as np
 
@@ -159,3 +160,85 @@ def match_oracle(scene_rows, ref_rows, threshold=64):
         if first_min(column) == i and dist[i][j] <= threshold:
             matched += 1
     return matched
+
+
+def bilinear_oracle(pixels, width, height):
+    """Per-pixel bilinear resample on pixel centres. The weights come from
+    the unclipped source coordinate, the four taps are clamped to the image,
+    and (a*wy0)*wx0 + (b*wy0)*wx1 + (c*wy1)*wx0 + (d*wy1)*wx1 is summed left
+    to right, then rounded half to even and clipped to 0..255."""
+    h, w = pixels.shape
+    out = np.zeros((height, width), dtype=np.uint8)
+    for i in range(height):
+        cy = (i + 0.5) * (h / height) - 0.5
+        fy = math.floor(cy)
+        ty = cy - fy
+        ya = min(max(fy, 0), h - 1)
+        yb = min(max(fy + 1, 0), h - 1)
+        for j in range(width):
+            cx = (j + 0.5) * (w / width) - 0.5
+            fx = math.floor(cx)
+            tx = cx - fx
+            xa = min(max(fx, 0), w - 1)
+            xb = min(max(fx + 1, 0), w - 1)
+            value = float(pixels[ya, xa]) * (1.0 - ty) * (1.0 - tx)
+            value += float(pixels[ya, xb]) * (1.0 - ty) * tx
+            value += float(pixels[yb, xa]) * ty * (1.0 - tx)
+            value += float(pixels[yb, xb]) * ty * tx
+            out[i, j] = min(max(round(value), 0), 255)
+    return out
+
+
+def _reflect(k, n):
+    """Index k folded into 0..n-1 by mirroring about the edges, the edge
+    pixel repeated (d c b a | a b c d | d c b a)."""
+    k %= 2 * n
+    return k if k < n else 2 * n - 1 - k
+
+
+def box_mean_oracle(pixels, size):
+    """Per-pixel mean over a size x size window of the mirrored image,
+    rounded to the nearest integer."""
+    h, w = pixels.shape
+    half = size // 2
+    padded = np.zeros((h + 2 * half, w + 2 * half), dtype=np.int64)
+    for y in range(-half, h + half):
+        for x in range(-half, w + half):
+            padded[y + half, x + half] = pixels[_reflect(y, h), _reflect(x, w)]
+    out = np.zeros((h, w), dtype=np.uint8)
+    for y in range(h):
+        for x in range(w):
+            total = int(padded[y:y + size, x:x + size].sum())
+            out[y, x] = round(total / (size * size))
+    return out
+
+
+def largest_component_oracle(mask):
+    """Area and bounding box (y0, y1, x0, x1, ends exclusive) of the largest
+    8-connected component by breadth-first search from each unvisited pixel
+    in raster order; on an area tie the component found first wins. None for
+    an empty mask."""
+    h, w = mask.shape
+    seen = np.zeros((h, w), dtype=bool)
+    best = None
+    for y in range(h):
+        for x in range(w):
+            if not mask[y, x] or seen[y, x]:
+                continue
+            seen[y, x] = True
+            queue = deque([(y, x)])
+            area, y0, y1, x0, x1 = 0, y, y, x, x
+            while queue:
+                cy, cx = queue.popleft()
+                area += 1
+                y0, y1 = min(y0, cy), max(y1, cy)
+                x0, x1 = min(x0, cx), max(x1, cx)
+                for ny in (cy - 1, cy, cy + 1):
+                    for nx in (cx - 1, cx, cx + 1):
+                        if (0 <= ny < h and 0 <= nx < w and mask[ny, nx]
+                                and not seen[ny, nx]):
+                            seen[ny, nx] = True
+                            queue.append((ny, nx))
+            if best is None or area > best[0]:
+                best = (area, y0, y1 + 1, x0, x1 + 1)
+    return best

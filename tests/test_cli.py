@@ -7,6 +7,7 @@ import sys
 import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,7 @@ from ambientd.scene import Region, TextureSpec, render_region
 from ambientd.sim import load_scenario
 
 CLI = [sys.executable, "-m", "ambientd.cli"]
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(*args, timeout=300):
@@ -46,6 +48,23 @@ def write_pgm(path, texture, lux=500.0, w=64, h=64):
     img = render_region(Region("r", texture, lux), 1, w, h, sigma0=0)
     path.write_bytes(img.to_pgm())
     return path
+
+
+class TestRuntimeDependencies:
+    def test_cli_import_loads_no_scipy(self):
+        probe = ("import sys, ambientd.cli; "
+                 "print(sorted(m for m in sys.modules "
+                 "if m.split('.')[0] == 'scipy'))")
+        result = subprocess.run([sys.executable, "-c", probe],
+                                capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
+
+    def test_no_source_file_names_scipy(self):
+        named = [path for path in sorted(SRC.rglob("*"))
+                 if path.is_file() and path.suffix != ".pyc"
+                 and b"scipy" in path.read_bytes().lower()]
+        assert named == []
 
 
 class TestRun:
@@ -114,6 +133,8 @@ class TestRun:
         ({"regions": regions(texture={"kind": "checkerboard", "cell": 2.7})},
          "cell"),
         ({"regions": regions(id="")}, "region_id"),
+        # a marker region died at the first empty reference descriptor set
+        ({"policy": {"marker_fast_threshold": 25}}, "marker_fast_threshold"),
     ], ids=["non-monotone-curve", "single-point-curve", "negative-bulb-latency",
             "negative-eink-latency", "deadband-out-of-range",
             "max-size-index-out-of-range", "policy-not-an-object",
@@ -126,7 +147,8 @@ class TestRun:
             "trajectory-distance-zero", "region-id-slash", "region-id-dotdot",
             "region-id-300-chars", "max-lux-nan", "camera-sigma0-nan-string",
             "camera-sigma0-nan", "sensor-noise-negative", "settle-nan",
-            "seed-fraction", "texture-cell-fraction", "region-id-empty"])
+            "seed-fraction", "texture-cell-fraction", "region-id-empty",
+            "fast-threshold-above-cap"])
     def test_bad_actuation_config_exit_2(self, tmp_path, overrides, names):
         scenario = write_scenario(tmp_path / "s.json", **overrides)
         result = run_cli("run", str(scenario))
@@ -143,6 +165,35 @@ class TestRun:
                       "texture": {"kind": "speckle", "frequency": 0.5}}])
         result = run_cli("run", str(scenario), "--require-convergence")
         assert result.returncode == 3
+
+
+def unreadable_scenario(tmp_path, kind):
+    path = tmp_path / "s.json"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not-utf-8":
+        path.write_bytes(b'{"duration_s": 30.0, "note": "\xff"}')
+    elif kind == "nested-too-deep":
+        path.write_text("[" * 100_000 + "]" * 100_000)
+    return path
+
+
+class TestScenarioFile:
+    # each of these exited 1 with a traceback
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf-8",
+                                      "nested-too-deep"])
+    @pytest.mark.parametrize("command", [
+        ["run", "{path}"],
+        ["calibrate", "{path}", "--region", "r"],
+        ["serve", "--scenario", "{path}", "--bind", "127.0.0.1:0",
+         "--data-dir", "{data}"]], ids=["run", "calibrate", "serve"])
+    def test_unreadable_scenario_exit_2(self, tmp_path, command, kind):
+        path = unreadable_scenario(tmp_path, kind)
+        args = [a.format(path=path, data=tmp_path / "data") for a in command]
+        result = run_cli(*args, timeout=60)
+        assert result.returncode == 2
+        assert str(path) in result.stderr
+        assert "Traceback" not in result.stderr
 
 
 class TestCharacterize:
@@ -310,7 +361,7 @@ class TestServe:
                                                      monkeypatch):
         scenario = write_scenario(
             tmp_path / "s.json",
-            policy={"marker_fast_threshold": 30, "max_size_index": 1,
+            policy={"marker_fast_threshold": 20, "max_size_index": 1,
                     "deadband_fraction": 0.2},
             regions=[
                 {"id": "desk", "illuminance": 80.0,

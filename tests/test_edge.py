@@ -4,6 +4,7 @@ import socket
 import time
 import urllib.error
 import urllib.request
+from dataclasses import replace
 from http.client import HTTPConnection
 from threading import Thread
 
@@ -273,6 +274,16 @@ class TestDispatch:
         latency = service.dispatch_command(
             ActuatorCommand("bulb1", "set-brightness", 50.0))
         assert 0.0 <= latency < 500.0
+
+    def test_kind_must_fit_the_actuator_a_region_names(self, service):
+        marker = ActuatorCommand("bulb1", "set-marker",
+                                 MarkerSpec("binary-grid-A", 0))
+        with pytest.raises(BadRequestError, match="set-brightness"):
+            service.dispatch_command(marker)
+        accepted = []
+        service.register_actuator("spare", accepted.append)
+        service.dispatch_command(replace(marker, actuator_id="spare"))
+        assert accepted == [replace(marker, actuator_id="spare")]
 
     @pytest.mark.parametrize("payload", [150, -1, -0.5, 100.5, float("nan"),
                                          float("inf"), True, "50", None])

@@ -1,0 +1,218 @@
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from ambientd.characterize import (_bimodal_threshold, _largest_component,
+                                   crop_to_marker_roi)
+from ambientd.errors import InvalidArgumentError
+from ambientd.markerpipe import (DESCRIBE_BLUR_PX, MAX_MATCH_FAST_THRESHOLD,
+                                 REFERENCE_SIDE_PX, _box_blur,
+                                 _percentile_of_counts, _strip_roi_margin,
+                                 normalize_contrast, reference_descriptors,
+                                 resize_bilinear)
+from ambientd.policy import PolicyConfig
+from ambientd.scene import (MARKER_PATTERNS, MarkerPlacement, MarkerSpec,
+                            Region, SyntheticImage, render_region)
+from ambientd.sim import (CANONICAL_H, CANONICAL_W, SWEEP_BACKGROUND,
+                          default_sweep_lux_levels, stable_seed)
+
+from oracles import (bilinear_oracle, box_mean_oracle,
+                     largest_component_oracle)
+
+SIDES = st.integers(1, 300)
+
+
+def random_image(h, w, seed, lo=0, hi=255):
+    rng = np.random.default_rng(seed)
+    lo, hi = min(lo, hi), max(lo, hi)
+    pixels = rng.integers(lo, hi + 1, (h, w), dtype=np.uint8)
+    return SyntheticImage(w, h, pixels, 0)
+
+
+class TestMatchThresholdCap:
+    def test_every_reference_has_descriptors_at_the_cap(self):
+        for pattern in MARKER_PATTERNS:
+            for size in range(3):
+                spec = MarkerSpec(pattern, size)
+                assert len(reference_descriptors(
+                    spec, MAX_MATCH_FAST_THRESHOLD)) > 0, spec
+
+    def test_some_reference_is_empty_above_the_cap(self):
+        # the cap is the largest safe threshold, not a guess below it
+        assert any(len(reference_descriptors(
+            MarkerSpec(pattern, size), MAX_MATCH_FAST_THRESHOLD + 1)) == 0
+            for pattern in MARKER_PATTERNS for size in range(3))
+
+    def test_policy_refuses_a_threshold_above_the_cap(self):
+        PolicyConfig(marker_fast_threshold=MAX_MATCH_FAST_THRESHOLD)
+        with pytest.raises(InvalidArgumentError, match="marker_fast_threshold"):
+            PolicyConfig(marker_fast_threshold=MAX_MATCH_FAST_THRESHOLD + 1)
+
+
+class TestResize:
+    @settings(max_examples=30, deadline=None)
+    @given(h=SIDES, w=SIDES, out_h=SIDES, out_w=SIDES,
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(h=1, w=300, out_h=200, out_w=200, seed=0)
+    @example(h=300, w=1, out_h=200, out_w=200, seed=0)
+    @example(h=7, w=300, out_h=1, out_w=3, seed=1)
+    def test_matches_per_pixel_oracle(self, h, w, out_h, out_w, seed):
+        img = random_image(h, w, seed)
+        got = resize_bilinear(img, out_w, out_h)
+        assert (got.width, got.height) == (out_w, out_h)
+        assert np.array_equal(got.pixels,
+                              bilinear_oracle(img.pixels, out_w, out_h))
+
+
+class TestNormalize:
+    @settings(max_examples=100, deadline=None)
+    @given(h=SIDES, w=SIDES, seed=st.integers(0, 2 ** 32 - 1),
+           lo=st.integers(0, 255), hi=st.integers(0, 255),
+           q=st.floats(0.0, 100.0))
+    @example(h=1, w=1, seed=0, lo=7, hi=7, q=98.0)
+    @example(h=1, w=300, seed=0, lo=0, hi=255, q=2.0)
+    def test_percentiles_match_numpy(self, h, w, seed, lo, hi, q):
+        pixels = random_image(h, w, seed, lo, hi).pixels
+        below = np.cumsum(np.bincount(pixels.ravel(), minlength=256))
+        for quantile in (2.0, 98.0, q):
+            want = np.percentile(pixels.astype(np.float64), quantile)
+            assert _percentile_of_counts(below, quantile) == want
+
+    @pytest.mark.parametrize("values,q", [((7, 20), 98.0), ((0, 155), 73.1),
+                                          ((0, 13, 200), 37.0)])
+    def test_upper_half_interpolates_down_from_the_upper_value(self, values, q):
+        # a + (b - a) * t and b - (b - a) * (1 - t) differ in the last bit
+        # here, and numpy takes the second for t >= 0.5
+        pixels = np.array([values], dtype=np.uint8)
+        below = np.cumsum(np.bincount(pixels.ravel(), minlength=256))
+        want = np.percentile(pixels.astype(np.float64), q)
+        assert _percentile_of_counts(below, q) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(h=SIDES, w=SIDES, seed=st.integers(0, 2 ** 32 - 1),
+           lo=st.integers(0, 255), hi=st.integers(0, 255))
+    @example(h=300, w=1, seed=0, lo=0, hi=1)
+    def test_matches_per_pixel_stretch(self, h, w, seed, lo, hi):
+        img = random_image(h, w, seed, lo, hi)
+        p = img.pixels.astype(np.float64)
+        p_lo, p_hi = np.percentile(p, (2.0, 98.0))
+        want = img.pixels
+        if p_hi - p_lo >= 1.0:
+            stretched = np.clip((p - p_lo) * (255.0 / (p_hi - p_lo)), 0, 255)
+            want = np.rint(stretched).astype(np.uint8)
+        assert np.array_equal(normalize_contrast(img).pixels, want)
+
+
+class TestBoxBlur:
+    @settings(max_examples=20, deadline=None)
+    @given(h=SIDES, w=SIDES, seed=st.integers(0, 2 ** 32 - 1),
+           size=st.sampled_from([1, 3, 5, 13]))
+    @example(h=1, w=300, seed=0, size=13)
+    @example(h=300, w=1, seed=0, size=13)
+    @example(h=2, w=3, seed=0, size=13)
+    def test_matches_per_pixel_oracle(self, h, w, seed, size):
+        img = random_image(h, w, seed)
+        assert np.array_equal(_box_blur(img, size).pixels,
+                              box_mean_oracle(img.pixels, size))
+
+    @pytest.mark.parametrize("size", [0, 2, 12, -1])
+    def test_refuses_sizes_without_a_centre(self, size):
+        with pytest.raises(InvalidArgumentError):
+            _box_blur(random_image(20, 20, 0), size)
+
+
+def random_mask(h, w, seed, kind, density):
+    rng = np.random.default_rng(seed)
+    if kind == "dark":
+        return np.ones((h, w), dtype=bool)
+    if kind == "light":
+        return np.zeros((h, w), dtype=bool)
+    if kind == "blocks":
+        # blocks of a coarse grid touch their neighbours at edges and corners
+        k = int(rng.integers(2, 9))
+        coarse = rng.random((h // k + 1, w // k + 1)) < density
+        return np.repeat(np.repeat(coarse, k, axis=0), k, axis=1)[:h, :w]
+    return rng.random((h, w)) < density
+
+
+class TestLargestComponent:
+    @settings(max_examples=40, deadline=None)
+    @given(h=SIDES, w=SIDES, seed=st.integers(0, 2 ** 32 - 1),
+           kind=st.sampled_from(["random", "dark", "light", "blocks"]),
+           density=st.floats(0.0, 1.0))
+    @example(h=1, w=300, seed=0, kind="random", density=0.5)
+    @example(h=300, w=1, seed=0, kind="random", density=0.5)
+    @example(h=300, w=300, seed=0, kind="dark", density=0.0)
+    @example(h=300, w=300, seed=0, kind="light", density=0.0)
+    @example(h=40, w=40, seed=3, kind="blocks", density=0.5)
+    def test_matches_flood_fill_oracle(self, h, w, seed, kind, density):
+        mask = random_mask(h, w, seed, kind, density)
+        assert _largest_component(mask) == largest_component_oracle(mask)
+
+    def test_area_tie_goes_to_the_component_that_starts_first(self):
+        mask = np.zeros((6, 9), dtype=bool)
+        mask[3:5, 0:2] = True        # starts later in raster order
+        mask[0:2, 6:8] = True
+        assert _largest_component(mask) == (4, 0, 2, 6, 8)
+
+    def test_comb_joined_below_is_one_component(self):
+        mask = np.zeros((50, 61), dtype=bool)
+        mask[:40, ::3] = True
+        mask[40:42, :] = True
+        assert _largest_component(mask) == (21 * 40 + 2 * 61, 0, 42, 0, 61)
+
+
+def sweep_corpus():
+    """Marker scenes of the sweep grid: every pattern at a near, a middle
+    and a far pose at the nine default lux levels, first trial, seeds 0 and
+    1."""
+    for seed in (0, 1):
+        for pattern in MARKER_PATTERNS:
+            for distance, angle in ((20, 0), (55, 30), (90, 60)):
+                for lux in default_sweep_lux_levels():
+                    region = Region("sweep", SWEEP_BACKGROUND, float(lux),
+                                    marker=MarkerPlacement(
+                                        MarkerSpec(pattern, 0),
+                                        float(distance), float(angle)))
+                    yield render_region(
+                        region, stable_seed(seed, "sweep", pattern, distance,
+                                            angle, lux, 0),
+                        CANONICAL_W, CANONICAL_H)
+
+
+def test_kernels_match_ndimage_on_the_sweep_corpus():
+    ndimage = pytest.importorskip("scipy.ndimage")
+    side = REFERENCE_SIDE_PX
+    count = 0
+    for image in sweep_corpus():
+        count += 1
+        dark = image.pixels < math.ceil(_bimodal_threshold(image.pixels))
+        labels, n = ndimage.label(dark, structure=np.ones((3, 3), dtype=int))
+        areas = np.bincount(labels.ravel())
+        areas[0] = 0
+        best = int(areas.argmax())
+        ys, xs = np.nonzero(labels == best)
+        assert _largest_component(dark) == (
+            int(areas[best]), int(ys.min()), int(ys.max()) + 1,
+            int(xs.min()), int(xs.max()) + 1)
+
+        roi = _strip_roi_margin(crop_to_marker_roi(image), image)
+        yy = (np.arange(side) + 0.5) * (roi.height / side) - 0.5
+        xx = (np.arange(side) + 0.5) * (roi.width / side) - 0.5
+        grid = np.meshgrid(yy, xx, indexing="ij")
+        want = ndimage.map_coordinates(roi.pixels.astype(np.float64), grid,
+                                       order=1, mode="nearest")
+        resized = resize_bilinear(roi, side, side)
+        assert np.array_equal(resized.pixels,
+                              np.clip(np.rint(want), 0, 255).astype(np.uint8))
+
+        normalized = normalize_contrast(resized)
+        want = ndimage.uniform_filter(normalized.pixels.astype(np.float64),
+                                      DESCRIBE_BLUR_PX)
+        assert np.array_equal(_box_blur(normalized, DESCRIBE_BLUR_PX).pixels,
+                              np.clip(np.rint(want), 0, 255).astype(np.uint8))
+    assert count == 216
+

@@ -320,6 +320,26 @@ class TestTransports:
         want_events, want_report = run_scenario(coarse_scenario(duration_s=10.0))
         assert (events, report) == (want_events, want_report)
 
+    def test_http_refuses_a_command_kind_the_actuator_does_not_take(self):
+        # both were valid commands that the node failed on, a 500
+        sim = Simulator(marker_scenario(duration_s=10.0), transport="real-http")
+        base = f"{sim.transport.base_url}/v1/actuators"
+        sends = {"bulb:m": '{"kind": "set-marker", "payload": '
+                           '{"pattern": "binary-grid-A", "size_index": 1}}',
+                 "eink:m": '{"kind": "set-brightness", "payload": 40}'}
+        for actuator, body in sends.items():
+            req = urllib.request.Request(
+                f"{base}/{actuator}/commands", method="POST",
+                headers={"Content-Type": "application/json"},
+                data=body.encode())
+            with pytest.raises(urllib.error.HTTPError) as err:
+                urllib.request.urlopen(req, timeout=10)
+            assert err.value.code == 400, actuator
+            assert actuator in json.loads(err.value.read())["error"]
+            err.value.close()
+        assert sim.event_log == []
+        assert sim.run() == run_scenario(marker_scenario(duration_s=10.0))
+
 
 class TestCalibrationHarness:
     def test_recovers_environment_curve(self):
