@@ -6,6 +6,12 @@ EdgeService. Each region has its own lock, staleness map, policy state and
 NDJSON log; a policy step computes the region's optimum lux once and hands
 it, with the region's `PolicyConfig`, to the step function of its mode.
 
+A log line is a `MetricsRecord` plus the reading's `sensor_id` and whether
+it carried an `image`. `_RegionRuntime.apply` is the only writer of a
+region's reading state: live ingest appends the line and then applies it,
+and replay applies each line, so a restart restores what the live service
+knew (policy state excepted).
+
 `SensorReading`, `ActuatorCommand` and `RegionConfig` check their fields in
 their constructors (checks.py), so one that exists is valid and nothing bad
 is persisted.
@@ -17,7 +23,7 @@ import json
 import re
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
@@ -39,7 +45,7 @@ REGION_ID = re.compile(r"(?!\.)[A-Za-z0-9_.-]{1,64}")
 
 @dataclass
 class SensorReading:
-    sensor_id: str
+    sensor_id: str = checked("a string", lambda v: isinstance(v, str))
     region_id: str = checked("a string", lambda v: isinstance(v, str))
     timestamp_ms: int = integer()
     lux: Optional[float] = number(0.0, MAX_LUX, None, optional=True)
@@ -152,10 +158,11 @@ class _RegionRuntime:
         self.config = config
         self.log_path = log_path
         self.lock = threading.RLock()
+        # reading state: written only by apply
         self.records: List[MetricsRecord] = []
         self.last_image_metrics: Optional[ImageMetrics] = None
-        self.last_texture = TextureClass.COARSE
         self.last_lux: Optional[float] = None
+        self.sensor_last_ts: Dict[str, int] = {}
         # the optimum of the latest policy step
         self.optimal_lux = policy.OPTIMAL_LUX_COARSE
         self.illum_state = policy.IlluminancePolicyState()
@@ -165,7 +172,19 @@ class _RegionRuntime:
                 config.initial_marker or MarkerSpec("binary-grid-A", 0))
         self.last_match: Optional[characterize.MatchReport] = None
         self.commands: List[ActuatorCommand] = []
-        self.sensor_last_ts: Dict[str, int] = {}
+
+    def apply(self, record: MetricsRecord, sensor_id: Optional[str],
+              image: bool) -> None:
+        """Apply one log entry, live after its append or on replay; an old
+        line without a sensor id or image flag leaves those states as they
+        are."""
+        self.records.append(record)
+        if record.metrics.illuminance is not None:
+            self.last_lux = record.metrics.illuminance
+        if image:
+            self.last_image_metrics = record.metrics
+        if sensor_id is not None:
+            self.sensor_last_ts[sensor_id] = record.timestamp_ms
 
 
 class EdgeService:
@@ -197,13 +216,15 @@ class EdgeService:
             if not line.strip():
                 continue
             try:
-                record = MetricsRecord.from_json(json.loads(line))
+                doc = json.loads(line)
+                record = MetricsRecord.from_json(doc)
+                sensor_id, image = doc.get("sensor_id"), doc.get("image", False)
+                if (not isinstance(sensor_id, (str, type(None)))
+                        or not isinstance(image, bool)):
+                    raise TypeError("sensor_id must be a string, image a boolean")
             except (ValueError, KeyError, TypeError) as e:
                 raise ConfigError(f"{path}:{lineno}: bad record: {e}")
-            runtime.records.append(record)
-            if record.metrics.illuminance is not None:
-                runtime.last_lux = record.metrics.illuminance
-            runtime.last_texture = record.texture_class
+            runtime.apply(record, sensor_id, image)
         with self._global_lock:
             self._regions[config.region_id] = runtime
         return len(data) - keep
@@ -235,34 +256,27 @@ class EdgeService:
             if last is not None and reading.timestamp_ms <= last:
                 raise StaleReadingError(
                     f"timestamp {reading.timestamp_ms} not newer than {last}")
-            runtime.sensor_last_ts[reading.sensor_id] = reading.timestamp_ms
 
+            prev = runtime.last_image_metrics
             scene_change = False
             if image is not None:
                 metrics = characterize.compute_metrics(image, reading.lux)
                 texture = characterize.classify_texture(metrics)
-                if runtime.last_image_metrics is not None:
-                    scene_change = characterize.detect_scene_change(
-                        runtime.last_image_metrics, metrics)
-                runtime.last_image_metrics = metrics
-                runtime.last_texture = texture
-            else:
-                prev = runtime.last_image_metrics
                 if prev is not None:
-                    metrics = ImageMetrics(prev.brightness, prev.contrast,
-                                           prev.edge_strength, prev.corner_count,
-                                           reading.lux)
-                else:
-                    metrics = ImageMetrics(0.0, 0.0, 0.0, 0, reading.lux)
-                texture = runtime.last_texture
-            if reading.lux is not None:
-                runtime.last_lux = reading.lux
+                    scene_change = characterize.detect_scene_change(prev, metrics)
+            else:
+                metrics = (replace(prev, illuminance=reading.lux) if prev is not None
+                           else ImageMetrics(0.0, 0.0, 0.0, 0, reading.lux))
+                texture = (runtime.records[-1].texture_class if runtime.records
+                           else TextureClass.COARSE)
 
             record = MetricsRecord(reading.region_id, reading.timestamp_ms,
                                    metrics, texture, scene_change)
-            runtime.records.append(record)
+            entry = {**record.to_json(), "sensor_id": reading.sensor_id,
+                     "image": image is not None}
             with runtime.log_path.open("a") as fh:
-                fh.write(json.dumps(record.to_json(), allow_nan=False) + "\n")
+                fh.write(json.dumps(entry, allow_nan=False) + "\n")
+            runtime.apply(record, reading.sensor_id, image is not None)
 
             self._policy_step(runtime, record, image)
         return record

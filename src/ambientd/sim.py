@@ -20,7 +20,6 @@ import heapq
 import json
 import tempfile
 import threading
-import urllib.request
 from base64 import b64encode
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields, replace
@@ -340,25 +339,35 @@ class InProcessTransport:
 
 
 class HttpTransport:
-    """Drives a local HTTP server wrapping the same edge service."""
+    """Drives a local HTTP server wrapping the same edge service, over one
+    keep-alive connection for the whole run."""
 
     def __init__(self, service: EdgeService, host: str = "127.0.0.1"):
+        from http.client import HTTPConnection
         from .httpapi import make_server
         self.server = make_server(service, host, 0)
-        self.base_url = f"http://{host}:{self.server.server_address[1]}"
+        port = self.server.server_address[1]
+        self.base_url = f"http://{host}:{port}"
         self._thread = threading.Thread(target=self.server.serve_forever,
                                         daemon=True)
         self._thread.start()
+        self._conn = HTTPConnection(host, port, timeout=30)
 
     def put_reading(self, sensor_id: str, body: dict) -> None:
-        req = urllib.request.Request(
-            f"{self.base_url}/v1/sensors/{sensor_id}/readings",
-            data=json.dumps(body).encode("utf-8"),
-            headers={"Content-Type": "application/json"}, method="PUT")
-        with urllib.request.urlopen(req, timeout=30) as resp:
-            resp.read()
+        """PUT one reading; a reply that is not 2xx raises HTTPException
+        with its status and body, which ends the run."""
+        from http.client import HTTPException
+        path = f"/v1/sensors/{sensor_id}/readings"
+        self._conn.request("PUT", path, json.dumps(body).encode("utf-8"),
+                           {"Content-Type": "application/json"})
+        resp = self._conn.getresponse()
+        reply = resp.read()
+        if not 200 <= resp.status < 300:
+            raise HTTPException(f"PUT {path}: {resp.status} {resp.reason}: "
+                                f"{reply.decode('utf-8', 'replace')}")
 
     def close(self):
+        self._conn.close()
         self.server.shutdown()
         self.server.server_close()
         self._thread.join(timeout=5)

@@ -52,9 +52,12 @@ def write_pgm(path, texture, lux=500.0, w=64, h=64):
 
 class TestRuntimeDependencies:
     def test_cli_import_loads_no_scipy(self):
+        """Nor the HTTP client modules, which only the real-http transport
+        needs."""
         probe = ("import sys, ambientd.cli; "
                  "print(sorted(m for m in sys.modules "
-                 "if m.split('.')[0] == 'scipy'))")
+                 "if m.split('.')[0] == 'scipy' "
+                 "or m in ('urllib.request', 'http.client')))")
         result = subprocess.run([sys.executable, "-c", probe],
                                 capture_output=True, text=True, timeout=60)
         assert result.returncode == 0, result.stderr

@@ -1,13 +1,17 @@
 import base64
 import json
+import shutil
 import socket
+import tempfile
 import time
 import urllib.error
 import urllib.request
 from dataclasses import replace
 from http.client import HTTPConnection
+from pathlib import Path
 from threading import Thread
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +21,10 @@ from ambientd.edge import (ActuatorCommand, EdgeService, MetricsRecord,
 from ambientd.errors import (BadRequestError, ConfigError, InvalidArgumentError,
                              NotFoundError, StaleReadingError)
 from ambientd.httpapi import MAX_BODY_BYTES, make_server
-from ambientd.scene import MarkerSpec, Region, TextureSpec, render_region
+from ambientd.scene import (MarkerSpec, Region, SyntheticImage, TextureSpec,
+                            render_region)
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def image_b64(lux=80.0, seed=1, texture=None):
@@ -27,10 +34,25 @@ def image_b64(lux=80.0, seed=1, texture=None):
     return base64.b64encode(img.to_pgm()).decode("ascii")
 
 
-def reading(ts, lux=80.0, with_image=True, sensor="s1", region="r1", seed=1):
+def reading(ts, lux=80.0, with_image=True, sensor="s1", region="r1", seed=1,
+            texture=None):
     return SensorReading(
         sensor_id=sensor, region_id=region, timestamp_ms=ts, lux=lux,
-        image_pgm_b64=image_b64(lux=lux, seed=seed) if with_image else None)
+        image_pgm_b64=(image_b64(lux=lux, seed=seed, texture=texture)
+                       if with_image else None))
+
+
+def tiny_image_b64():
+    """A well-formed PGM too small to characterize."""
+    pixels = np.zeros((8, 8), np.uint8)
+    return base64.b64encode(SyntheticImage(8, 8, pixels).to_pgm()).decode("ascii")
+
+
+def restarted(data_dir):
+    """A service that replays region r1's log in data_dir."""
+    svc = EdgeService(data_dir)
+    svc.register_region(RegionConfig("r1"))
+    return svc
 
 
 @pytest.fixture
@@ -93,11 +115,11 @@ class TestIngestion:
         ("lux", "bright"), ("lux", float("nan")), ("lux", float("inf")),
         ("lux", -5.0), ("lux", True), ("lux", 10 ** 400), ("lux", 1e308),
         ("region_id", 7), ("timestamp_ms", True), ("timestamp_ms", 1000.0),
-        ("timestamp_ms", 2 ** 63), ("image_pgm_b64", 5),
+        ("timestamp_ms", 2 ** 63), ("image_pgm_b64", 5), ("sensor_id", 7),
     ], ids=["lux-str", "lux-nan", "lux-inf", "lux-negative", "lux-bool",
             "lux-int-beyond-float", "lux-beyond-sunlight", "region-int",
             "timestamp-bool", "timestamp-float", "timestamp-beyond-int64",
-            "image-int"])
+            "image-int", "sensor-int"])
     def test_bad_field_rejected_before_persisting(self, service, tmp_path,
                                                   field, value):
         fields = {"sensor_id": "s1", "region_id": "r1", "timestamp_ms": 1000,
@@ -240,6 +262,61 @@ class TestDurability:
         svc3 = EdgeService(tmp_path)
         assert svc3.register_region(RegionConfig("r1")) == 0
         assert svc3.get_trend("r1", 60.0).count == 3
+
+    def test_log_line_is_the_record_plus_sensor_and_image(self, service,
+                                                          tmp_path):
+        image = service.ingest_reading(reading(1000))
+        lux_only = service.ingest_reading(reading(2000, sensor="s2",
+                                                  with_image=False))
+        lines = (tmp_path / "region_r1.jsonl").read_text().splitlines()
+        assert [json.loads(line) for line in lines] == [
+            {**image.to_json(), "sensor_id": "s1", "image": True},
+            {**lux_only.to_json(), "sensor_id": "s2", "image": False}]
+
+    def test_restart_keeps_staleness(self, tmp_path):
+        restarted(tmp_path).ingest_reading(reading(4000))
+        svc = restarted(tmp_path)
+        with pytest.raises(StaleReadingError):
+            svc.ingest_reading(reading(2000))
+        svc.ingest_reading(reading(2000, sensor="s2"))
+
+    def test_restart_keeps_scene_change_state(self, tmp_path):
+        restarted(tmp_path).ingest_reading(reading(1000))
+        flat = TextureSpec("flat", value=0.6)
+        record = restarted(tmp_path).ingest_reading(
+            reading(2000, texture=flat))
+        assert record.scene_change
+
+    def test_restart_carries_image_metrics_to_lux_only(self, tmp_path):
+        first = restarted(tmp_path).ingest_reading(reading(1000))
+        second = restarted(tmp_path).ingest_reading(
+            reading(2000, lux=120.0, with_image=False))
+        assert second.metrics == replace(first.metrics, illuminance=120.0)
+        assert second.texture_class == first.texture_class
+
+    def test_old_format_log_replays_as_before(self, tmp_path):
+        """A log written before lines carried `sensor_id` and `image`
+        replays as it did then: no staleness and no last image metrics."""
+        shutil.copy(FIXTURES / "old_log" / "region_r1.jsonl", tmp_path)
+        want = json.loads((FIXTURES / "old_log" / "expected.json").read_text())
+        svc = restarted(tmp_path)
+        assert svc.get_latest_metrics("r1").to_json() == want["latest"]
+        assert svc.get_trend("r1", 60.0).to_json() == want["trend_60"]
+        assert svc.get_trend("r1", 2.0).to_json() == want["trend_2"]
+        after = [svc.ingest_reading(reading(1, lux=50.0, with_image=False)),
+                 svc.ingest_reading(reading(2, sensor="s2"))]
+        assert [r.to_json() for r in after] == want["after"]
+
+    @pytest.mark.parametrize("extra", [{"sensor_id": 5}, {"image": "yes"},
+                                       {"image": None}])
+    def test_bad_entry_key_names_file_and_line(self, tmp_path, extra):
+        svc = restarted(tmp_path)
+        svc.ingest_reading(reading(1000))
+        log = tmp_path / "region_r1.jsonl"
+        doc = {**json.loads(log.read_text()), **extra}
+        log.write_text(log.read_text() + json.dumps(doc) + "\n")
+        with pytest.raises(ConfigError, match=r"region_r1\.jsonl:2:"):
+            restarted(tmp_path)
 
     def test_unparseable_line_names_file_and_line(self, tmp_path):
         svc = EdgeService(tmp_path)
@@ -446,6 +523,16 @@ class TestHttpApi:
         trend = f"{http_server}/v1/regions/r1/metrics/trend?window_s=60"
         assert http("GET", trend)[0] == 200
 
+    def test_refused_image_does_not_move_the_staleness_clock(
+            self, http_server, tmp_path):
+        url = f"{http_server}/v1/sensors/s1/readings"
+        tiny = {"region_id": "r1", "timestamp_ms": 5000, "lux": 80.0,
+                "image_pgm_b64": tiny_image_b64()}
+        assert http("PUT", url, tiny)[0] == 400
+        assert http("PUT", url, {**tiny, "timestamp_ms": 4000,
+                                 "image_pgm_b64": None})[0] == 200
+        assert len((tmp_path / "region_r1.jsonl").read_text().splitlines()) == 1
+
     @pytest.mark.parametrize("raw", [b'"timestamp_ms": 1e400', b'"lux": NaN',
                                      b'"lux": -Infinity'],
                              ids=["timestamp-1e400", "lux-NaN", "lux-minus-Infinity"])
@@ -625,3 +712,58 @@ class TestPipelineProperty:
         finally:
             server.shutdown()
             server.server_close()
+
+
+def _answer(call, *args):
+    """What a caller sees: the reply's JSON or the type of the error."""
+    try:
+        return call(*args).to_json()
+    except (BadRequestError, InvalidArgumentError, NotFoundError,
+            StaleReadingError) as e:
+        return type(e).__name__
+
+
+class TestRestartProperty:
+    def test_restarted_service_answers_as_its_twin(self):
+        """A service restarted at any point answers every reading and query
+        as a twin that never restarted."""
+        images = [tiny_image_b64()] + [
+            base64.b64encode(render_region(Region("r", texture, lux), seed,
+                                           64, 64).to_pgm()).decode("ascii")
+            for texture, lux, seed in [
+                (TextureSpec("checkerboard", cell=8), 80.0, 1),
+                (TextureSpec("checkerboard", cell=8), 300.0, 2),
+                (TextureSpec("flat", value=0.6), 120.0, 3),
+                (TextureSpec("speckle", frequency=0.5), 600.0, 4)]]
+        # image 0 is too small; timestamps repeat, so some readings are stale
+        luxes = st.sampled_from([40.0, 250.0, 900.0])
+        picks = st.integers(0, len(images) - 1)
+        readings = st.tuples(
+            st.sampled_from(["s1", "s2"]), st.integers(1, 8),
+            st.tuples(luxes, st.none()) | st.tuples(st.none(), picks)
+            | st.tuples(luxes, picks))
+
+        @settings(max_examples=100, deadline=None, derandomize=True,
+                  database=None)
+        @given(st.lists(st.just("restart") | readings, max_size=12))
+        def run(steps):
+            with tempfile.TemporaryDirectory() as live_dir, \
+                    tempfile.TemporaryDirectory() as twin_dir:
+                live, twin = restarted(live_dir), restarted(twin_dir)
+                for step in steps:
+                    if step == "restart":
+                        live = restarted(live_dir)
+                    else:
+                        sensor, second, (lux, pick) = step
+                        sent = SensorReading(
+                            sensor, "r1", 1000 * second, lux,
+                            None if pick is None else images[pick])
+                        assert (_answer(live.ingest_reading, sent)
+                                == _answer(twin.ingest_reading, sent)), step
+                    for query, *args in [(EdgeService.get_latest_metrics,),
+                                         (EdgeService.get_trend, 60.0),
+                                         (EdgeService.get_trend, 2.5)]:
+                        assert (_answer(query, live, "r1", *args)
+                                == _answer(query, twin, "r1", *args))
+
+        run()

@@ -4,13 +4,14 @@ import json
 import urllib.error
 import urllib.request
 from dataclasses import asdict, replace
+from http.client import HTTPException
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ambientd.edge import ActuatorCommand
+from ambientd.edge import ActuatorCommand, SensorReading
 from ambientd.errors import ConfigError
 from ambientd.policy import PolicyConfig
 from ambientd.scene import (MarkerPlacement, MarkerSpec, TextureSpec)
@@ -294,6 +295,21 @@ class TestTransports:
         assert report_a == report_b
         assert events_a == events_b
 
+    def test_real_http_run_opens_one_connection(self):
+        sim = Simulator(coarse_scenario(duration_s=10.0), transport="real-http")
+        server, accepted = sim.transport.server, []
+        process = server.process_request
+        server.process_request = lambda request, address: (
+            accepted.append(address), process(request, address))
+        sim.run()
+        assert sim.event_log and len(accepted) == 1
+
+    def test_refused_reading_ends_the_http_run(self):
+        sim = Simulator(coarse_scenario(duration_s=10.0), transport="real-http")
+        sim.service.ingest_reading(SensorReading("sensor:r", "r", 10 ** 9,
+                                                 lux=80.0))
+        with pytest.raises(HTTPException, match=r": 409 Conflict: .*not newer"):
+            sim.run()
 
     def test_http_rejects_out_of_range_brightness(self):
         sim = Simulator(coarse_scenario(duration_s=10.0), transport="real-http")
