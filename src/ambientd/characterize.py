@@ -14,9 +14,12 @@ from typing import Optional
 
 import numpy as np
 
+from .checks import check_fields, integer, number
 from .errors import InvalidArgumentError
-from .scene import SyntheticImage
+from .scene import MAX_ILLUMINANCE, SyntheticImage
 
+# a read of the brightest region with 100 % sensor noise; keeps trend sums finite
+MAX_LUX = 2 * MAX_ILLUMINANCE
 FAST_DEFAULT_THRESHOLD = 20
 FINE_TEXTURE_CORNER_THRESHOLD = 250
 
@@ -57,11 +60,14 @@ class MatchReport:
 
 @dataclass
 class ImageMetrics:
-    brightness: float
-    contrast: float
-    edge_strength: float
-    corner_count: int
-    illuminance: Optional[float] = None
+    brightness: float = number()
+    contrast: float = number()
+    edge_strength: float = number()
+    corner_count: int = integer(0)
+    illuminance: Optional[float] = number(0.0, MAX_LUX, None, optional=True)
+
+    def __post_init__(self):
+        check_fields(self)
 
     def to_json(self) -> dict:
         return asdict(self)

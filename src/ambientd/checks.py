@@ -12,6 +12,8 @@ from .errors import InvalidArgumentError
 def is_number(value, lo=-math.inf, hi=math.inf) -> bool:
     """A finite int or float, not a bool, in [lo, hi]; NaN fails. An int
     beyond the float range compares exactly."""
+    if type(value) is float:    # the common case, without the ABC checks
+        return math.isfinite(value) and lo <= value <= hi
     return (isinstance(value, numbers.Real) and not isinstance(value, bool)
             and (isinstance(value, numbers.Integral) or math.isfinite(value))
             and lo <= value <= hi)
@@ -19,6 +21,8 @@ def is_number(value, lo=-math.inf, hi=math.inf) -> bool:
 
 def is_integer(value, lo=-2 ** 63, hi=2 ** 63 - 1) -> bool:
     """An int, not a bool or a float, so nothing is truncated, in [lo, hi]."""
+    if type(value) is int:
+        return lo <= value <= hi
     return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
             and lo <= value <= hi)
 

@@ -3,8 +3,9 @@ actuator dispatch, append-only metrics persistence and trend queries.
 
 Transport-agnostic; the HTTP layer in httpapi.py is a thin wrapper around
 EdgeService. Each region has its own lock, staleness map, policy state and
-NDJSON log; a policy step computes the region's optimum lux once and hands
-it, with the region's `PolicyConfig`, to the step function of its mode.
+NDJSON log; a policy step computes the region's optimum lux once, hands it
+with the region's `PolicyConfig` to the step function of its mode, and turns
+the step's intents into actuator commands in one loop.
 
 A log line is a `MetricsRecord` plus the reading's `sensor_id` and whether
 it carried an `image`. `_RegionRuntime.apply` is the only writer of a
@@ -12,9 +13,10 @@ region's reading state: live ingest appends the line and then applies it,
 and replay applies each line, so a restart restores what the live service
 knew (policy state excepted).
 
-`SensorReading`, `ActuatorCommand` and `RegionConfig` check their fields in
-their constructors (checks.py), so one that exists is valid and nothing bad
-is persisted.
+`SensorReading`, `ActuatorCommand`, `MetricsRecord` and `RegionConfig`
+check their fields in their constructors (checks.py), so one that exists is
+valid: nothing bad is persisted, and replay refuses a line that live ingest
+could not have written.
 """
 from __future__ import annotations
 
@@ -28,16 +30,13 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
 from . import characterize, markerpipe, policy
-from .characterize import ImageMetrics, TextureClass
+from .characterize import MAX_LUX, ImageMetrics, TextureClass
 from .checks import check_fields, checked, integer, is_number, number, one_of
 from .errors import (BadRequestError, ConfigError, InvalidArgumentError,
                      NotFoundError, StaleReadingError)
 from .policy import PolicyConfig
-from .scene import (DEFAULT_LUX_CURVE, MAX_ILLUMINANCE, LuxCurve, MarkerSpec,
-                    SyntheticImage)
+from .scene import DEFAULT_LUX_CURVE, LuxCurve, MarkerSpec, SyntheticImage
 
-# a read of the brightest region with 100 % sensor noise; keeps trend sums finite
-MAX_LUX = 2 * MAX_ILLUMINANCE
 MAX_TREND_WINDOW_S = 365 * 24 * 3600.0   # one year
 # A region id names the region's log file.
 REGION_ID = re.compile(r"(?!\.)[A-Za-z0-9_.-]{1,64}")
@@ -58,6 +57,14 @@ class SensorReading:
         check_fields(self, BadRequestError)
         if self.lux is None and self.image_pgm_b64 is None:
             raise BadRequestError("reading must carry lux and/or an image")
+
+    @staticmethod
+    def from_json(sensor_id: str, doc: dict) -> "SensorReading":
+        try:
+            return SensorReading(sensor_id, doc["region_id"], doc["timestamp_ms"],
+                                 doc.get("lux"), doc.get("image_pgm_b64"))
+        except KeyError as e:
+            raise BadRequestError(f"malformed reading: missing {e}")
 
 
 @dataclass
@@ -100,11 +107,14 @@ class ActuatorCommand:
 
 @dataclass
 class MetricsRecord:
-    region_id: str
-    timestamp_ms: int
+    region_id: str = checked("a string", lambda v: isinstance(v, str))
+    timestamp_ms: int = integer()
     metrics: ImageMetrics
     texture_class: TextureClass
-    scene_change: bool
+    scene_change: bool = checked("a boolean", lambda v: isinstance(v, bool))
+
+    def __post_init__(self):
+        check_fields(self)
 
     def to_json(self) -> dict:
         return {
@@ -119,10 +129,10 @@ class MetricsRecord:
     def from_json(doc: dict) -> "MetricsRecord":
         m = doc["metrics"]
         return MetricsRecord(
-            doc["region_id"], int(doc["timestamp_ms"]),
+            doc["region_id"], doc["timestamp_ms"],
             ImageMetrics(m["brightness"], m["contrast"], m["edge_strength"],
-                         int(m["corner_count"]), m["illuminance"]),
-            TextureClass(doc["texture_class"]), bool(doc["scene_change"]))
+                         m["corner_count"], m["illuminance"]),
+            TextureClass(doc["texture_class"]), doc["scene_change"])
 
 
 @dataclass
@@ -219,10 +229,12 @@ class EdgeService:
                 doc = json.loads(line)
                 record = MetricsRecord.from_json(doc)
                 sensor_id, image = doc.get("sensor_id"), doc.get("image", False)
-                if (not isinstance(sensor_id, (str, type(None)))
+                if (record.region_id != config.region_id
+                        or not isinstance(sensor_id, (str, type(None)))
                         or not isinstance(image, bool)):
-                    raise TypeError("sensor_id must be a string, image a boolean")
-            except (ValueError, KeyError, TypeError) as e:
+                    raise ValueError(f"region_id must be {config.region_id!r}, "
+                                     "sensor_id a string, image a boolean")
+            except (ValueError, KeyError, TypeError, InvalidArgumentError) as e:
                 raise ConfigError(f"{path}:{lineno}: bad record: {e}")
             runtime.apply(record, sensor_id, image)
         with self._global_lock:
@@ -286,43 +298,38 @@ class EdgeService:
         config = runtime.config
         now_s = record.timestamp_ms / 1000.0
         optimal = policy.select_optimal_lux(record.texture_class)
-        if config.mode == "markerless" and config.constraints:
+        if config.constraints:
             system = policy.ControlConstraint(
                 "ar-tracking", 50.0, 1000.0, optimal, priority=0)
             optimal = policy.resolve_constraints([system, *config.constraints])
         runtime.optimal_lux = optimal
+        if runtime.last_lux is None or (config.mode == "marker" and image is None):
+            return
         if config.mode == "markerless":
-            if runtime.last_lux is None:
-                return
             command = policy.illuminance_control_step(
                 runtime.illum_state, config.policy, optimal, runtime.last_lux,
                 config.curve, now_s)
-            if command is not None and config.bulb_actuator:
-                self._issue(runtime, ActuatorCommand(
-                    config.bulb_actuator, "set-brightness", command,
-                    record.timestamp_ms))
-        elif image is not None and runtime.last_lux is not None:
+            intents = [] if command is None else [policy.SetBrightness(command)]
+        else:
             report = markerpipe.match_marker(
                 image, runtime.marker_state.current_spec,
                 config.policy.marker_fast_threshold)
             runtime.last_match = report
-            state, intents = policy.marker_control_step(
+            runtime.marker_state, intents = policy.marker_control_step(
                 runtime.marker_state, config.policy, report, optimal,
                 runtime.last_lux, config.curve, now_s)
-            runtime.marker_state = state
-            for intent in intents:
-                if isinstance(intent, policy.SetBrightness) and config.bulb_actuator:
-                    self._issue(runtime, ActuatorCommand(
-                        config.bulb_actuator, "set-brightness", intent.command,
-                        record.timestamp_ms))
-                elif isinstance(intent, policy.SetMarker) and config.eink_actuator:
-                    self._issue(runtime, ActuatorCommand(
-                        config.eink_actuator, "set-marker", intent.spec,
-                        record.timestamp_ms))
-
-    def _issue(self, runtime: _RegionRuntime, cmd: ActuatorCommand) -> None:
-        runtime.commands.append(cmd)
-        self.dispatch_command(cmd)
+        for intent in intents:
+            if isinstance(intent, policy.SetBrightness):
+                actuator, kind, payload = (config.bulb_actuator,
+                                           "set-brightness", intent.command)
+            else:
+                actuator, kind, payload = (config.eink_actuator, "set-marker",
+                                           intent.spec)
+            if actuator:
+                cmd = ActuatorCommand(actuator, kind, payload,
+                                      record.timestamp_ms)
+                runtime.commands.append(cmd)
+                self.dispatch_command(cmd)
 
     # -- queries ----------------------------------------------------------
 

@@ -122,16 +122,7 @@ class _Handler(BaseHTTPRequestHandler):
                     raise BadRequestError("missing or bad texture/lux")
                 status, doc = 200, policy.predict_tracking(texture, lux).to_json()
             elif route == "PUT v1/sensors/{id}/readings":
-                body = self._parse_body(raw)
-                try:
-                    reading = SensorReading(
-                        sensor_id=rid,
-                        region_id=body["region_id"],
-                        timestamp_ms=body["timestamp_ms"],
-                        lux=body.get("lux"),
-                        image_pgm_b64=body.get("image_pgm_b64"))
-                except KeyError as e:
-                    raise BadRequestError(f"malformed reading: missing {e}")
+                reading = SensorReading.from_json(rid, self._parse_body(raw))
                 status, doc = 200, self.service.ingest_reading(reading).to_json()
             elif route == "POST v1/actuators/{id}/commands":
                 cmd = ActuatorCommand.from_json(rid, self._parse_body(raw))

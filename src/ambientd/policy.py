@@ -5,7 +5,8 @@ tracking-quality prediction.
 `PolicyConfig` holds the controller settings and is their only home, and
 its constructor checks them, so a config that exists is valid. The two step
 functions take it, the optimum lux (computed by the caller) and a mutable
-state that holds only what changes between steps.
+state that holds only what changes between steps. Both use `in_deadband`,
+the deadband test, and `_light_command`, the settle-then-actuate bulb step.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .checks import check_fields, checked, integer, number
+from .checks import check_fields, checked, integer, is_number, number
 from .errors import CalibrationError, InvalidArgumentError
 from .characterize import MatchReport, TextureClass
 from .markerpipe import DEFAULT_MATCH_FAST_THRESHOLD, MAX_MATCH_FAST_THRESHOLD
@@ -72,20 +73,27 @@ class IlluminancePolicyState:
     settle_until: float = -math.inf
 
 
+def in_deadband(config: PolicyConfig, optimal_lux: float, lux: float) -> bool:
+    """True when lux is near enough the optimum that no command is needed."""
+    return abs(lux - optimal_lux) <= config.deadband_fraction * optimal_lux
+
+
+def _light_command(state: IlluminancePolicyState | MarkerControllerState,
+                   config: PolicyConfig, optimal_lux: float, measured_lux: float,
+                   curve: LuxCurve, now: float) -> Optional[float]:
+    """The bulb command for the optimum, or None inside the deadband or while
+    the last actuation settles; a command starts a new settle period."""
+    if in_deadband(config, optimal_lux, measured_lux) or now < state.settle_until:
+        return None
+    state.settle_until = now + config.settle_s
+    return curve.invert(optimal_lux)[0]
+
+
 def illuminance_control_step(state: IlluminancePolicyState, config: PolicyConfig,
                              optimal_lux: float, measured_lux: float,
                              curve: LuxCurve, now: float) -> Optional[float]:
-    """One control cycle; returns a bulb command percent or None.
-
-    No command inside the deadband or while a previous command settles.
-    """
-    if abs(measured_lux - optimal_lux) <= config.deadband_fraction * optimal_lux:
-        return None
-    if now < state.settle_until:
-        return None
-    command, _ = curve.invert(optimal_lux)
-    state.settle_until = now + config.settle_s
-    return command
+    """One control cycle; returns a bulb command percent or None."""
+    return _light_command(state, config, optimal_lux, measured_lux, curve, now)
 
 
 def calibrate(set_brightness: Callable[[float], None],
@@ -160,46 +168,39 @@ def marker_control_step(state: MarkerControllerState, config: PolicyConfig,
     percentage reaches the target, then reports Satisfied (or Exhausted once
     every escalation is spent). At most one actuation per observation.
     """
-    if state.phase in (MarkerPhase.SATISFIED, MarkerPhase.EXHAUSTED):
-        if report.percentage >= config.target_percentage:
-            state.phase = MarkerPhase.SATISFIED
-        return state, []
-    if now < state.settle_until:
-        return state, []
-    if report.percentage >= config.target_percentage:
+    finished = state.phase in (MarkerPhase.SATISFIED, MarkerPhase.EXHAUSTED)
+    settling = now < state.settle_until
+    if report.percentage >= config.target_percentage and (finished or not settling):
         state.phase = MarkerPhase.SATISFIED
+    if finished or settling or state.phase is MarkerPhase.SATISFIED:
         return state, []
 
     if state.phase is MarkerPhase.ADJUST_LIGHT:
-        off_target = (abs(measured_lux - optimal_lux)
-                      > config.deadband_fraction * optimal_lux)
-        if state.light_attempts < 2 and off_target:
-            state.light_attempts += 1
-            state.settle_until = now + config.settle_s
-            command, _ = curve.invert(optimal_lux)
-            return state, [SetBrightness(command)]
+        if state.light_attempts < 2:
+            command = _light_command(state, config, optimal_lux, measured_lux,
+                                     curve, now)
+            if command is not None:
+                state.light_attempts += 1
+                return state, [SetBrightness(command)]
         state.phase = MarkerPhase.ENLARGE_MARKER
 
+    spec = state.current_spec
     if state.phase is MarkerPhase.ENLARGE_MARKER:
-        if state.current_spec.size_index < config.max_size_index:
-            spec = replace(state.current_spec,
-                           size_index=state.current_spec.size_index + 1)
-            state.current_spec = spec
-            state.settle_until = now + config.settle_s
-            return state, [SetMarker(spec)]
-        state.phase = MarkerPhase.SWITCH_PATTERN
-        state.patterns_tried = (state.current_spec.pattern,)
-
-    # SwitchPattern
-    for pattern in PATTERN_SWITCH_ORDER:
-        if pattern not in state.patterns_tried:
-            state.patterns_tried = state.patterns_tried + (pattern,)
-            spec = replace(state.current_spec, pattern=pattern)
-            state.current_spec = spec
-            state.settle_until = now + config.settle_s
-            return state, [SetMarker(spec)]
-    state.phase = MarkerPhase.EXHAUSTED
-    return state, []
+        if spec.size_index < config.max_size_index:
+            spec = replace(spec, size_index=spec.size_index + 1)
+        else:
+            state.phase = MarkerPhase.SWITCH_PATTERN
+            state.patterns_tried = (spec.pattern,)
+    if state.phase is MarkerPhase.SWITCH_PATTERN:
+        untried = [p for p in PATTERN_SWITCH_ORDER if p not in state.patterns_tried]
+        if not untried:
+            state.phase = MarkerPhase.EXHAUSTED
+            return state, []
+        state.patterns_tried += (untried[0],)
+        spec = replace(spec, pattern=untried[0])
+    state.current_spec = spec
+    state.settle_until = now + config.settle_s
+    return state, [SetMarker(spec)]
 
 
 @dataclass(frozen=True)
@@ -251,17 +252,12 @@ class TrackingPrediction:
 
 def lux_band(lux: float) -> str:
     """Band label; values in the gaps between bands go to the nearer edge."""
-    if lux < 0:
-        raise InvalidArgumentError("lux must be >= 0")
-    if lux <= 100.0:
-        return "low"
-    if lux < 150.0:
-        return "low" if (lux - 100.0) <= (150.0 - lux) else "medium"
-    if lux <= 450.0:
-        return "medium"
-    if lux < 500.0:
-        return "medium" if (lux - 450.0) <= (500.0 - lux) else "high"
-    return "high"
+    if not is_number(lux, 0.0):
+        raise InvalidArgumentError("lux must be a finite number >= 0")
+    for (name, _, hi), (_, next_lo, _) in zip(LUX_BANDS, LUX_BANDS[1:]):
+        if lux <= hi or (lux < next_lo and lux - hi <= next_lo - lux):
+            return name
+    return LUX_BANDS[-1][0]
 
 
 def predict_tracking(texture_label: str, lux: float) -> TrackingPrediction:

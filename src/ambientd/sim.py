@@ -7,10 +7,10 @@ real-http transport drives the same edge service through a local HTTP server.
 A scenario file parses into a frozen `Scenario`. Each JSON value goes as it
 is to the constructor of the type that owns it (`RegionScenario`,
 `TrajectoryEvent`, `policy.PolicyConfig`, the scene types), which checks it
-(checks.py): a scenario that exists is valid, and a bad value is a
-`ConfigError` naming its entry before anything runs. A key left out of the
-file keeps the dataclass default, and the `policy` object becomes one
-`PolicyConfig` shared by every region's `RegionConfig`.
+(checks.py): a scenario that exists is valid, and a bad value or a key no
+type has is a `ConfigError` naming its entry before anything runs. A key
+left out of the file keeps the dataclass default, and the `policy` object
+becomes one `PolicyConfig` shared by every region's `RegionConfig`.
 """
 from __future__ import annotations
 
@@ -112,7 +112,7 @@ class Scenario:
     eink_latency_s: float = number(0.0, MAX_SCENARIO_S, DEFAULT_EINK_LATENCY_S)
     lux_curve: LuxCurve = DEFAULT_LUX_CURVE
     policy: PolicyConfig = PolicyConfig()
-    # at most 1, so a read of the brightest region stays within edge.MAX_LUX
+    # at most 1, so a read of the brightest region stays within characterize.MAX_LUX
     sensor_noise_fraction: float = number(0.0, 1.0, SENSOR_NOISE_FRACTION)
     camera_sigma0: float = number(0.0, 255.0, NOISE_SIGMA0)
     trajectory: Tuple[TrajectoryEvent, ...] = ()
@@ -176,12 +176,21 @@ def _entry(where: str):
         raise ConfigError(f"{where}: {e}") from None
 
 
-def _build(cls, doc, **built):
-    """cls from a JSON object: the built field values, and each other field
-    as doc has it, but a JSON integer in a float field as a float. A field
-    doc leaves out keeps its default."""
+def _known_keys(doc, names) -> None:
+    """Raise unless doc is a JSON object whose keys are all in names."""
     if not isinstance(doc, dict):
         raise TypeError("must be a JSON object")
+    for key in doc:
+        if key not in names:
+            raise ValueError(f"{key!r} is not a known key")
+
+
+def _build(cls, doc, *shared, **built):
+    """cls from a JSON object: the built field values, and each other field
+    as doc has it, but a JSON integer in a float field as a float. A field
+    doc leaves out keeps its default; a key that names no field of cls or
+    of a class in shared raises."""
+    _known_keys(doc, {f.name for c in (cls, *shared) for f in fields(c)})
     for f in fields(cls):
         if f.name in doc and f.name not in built:
             value = doc[f.name]
@@ -205,11 +214,12 @@ def _region_from_json(doc, where: str) -> RegionScenario:
         marker = doc.get("marker")
         if marker is not None:
             with _entry(f"{where}.marker"):
-                marker = _build(MarkerPlacement, marker,
-                                spec=_build(MarkerSpec, marker))
+                marker = _build(MarkerPlacement, marker, MarkerSpec,
+                                spec=_build(MarkerSpec, marker, MarkerPlacement))
         constraints = []
         for j, c in enumerate(_list(doc.get("constraints", []), "constraints")):
             with _entry(f"{where}.constraints[{j}]"):
+                _known_keys(c, ("source", "range", "preferred", "priority"))
                 lo, hi = c["range"]
                 constraints.append(policy.ControlConstraint(
                     c.get("source", f"constraint-{j}"), lo, hi, c["preferred"],
@@ -273,12 +283,14 @@ class _EventQueue:
 # -- actuator nodes ------------------------------------------------------
 
 
-class _BulbNode:
+class _ActuatorNode:
     def __init__(self, sim: "Simulator", region_id: str, latency_s: float):
         self.sim = sim
         self.region_id = region_id
         self.latency_ms = int(round(latency_s * 1000))
 
+
+class _BulbNode(_ActuatorNode):
     def accept(self, cmd: ActuatorCommand) -> None:
         sim = self.sim
         command = float(cmd.payload)
@@ -292,35 +304,25 @@ class _BulbNode:
         sim.queue.schedule(sim.queue.now_ms + self.latency_ms, apply)
 
 
-class _EInkNode:
-    def __init__(self, sim: "Simulator", region_id: str, latency_s: float,
-                 displayed: MarkerSpec):
-        self.sim = sim
-        self.region_id = region_id
-        self.latency_ms = int(round(latency_s * 1000))
-        self.displayed = displayed
-        self._version = 0
+class _EInkNode(_ActuatorNode):
+    _version = 0    # of the latest accepted command
 
     def accept(self, cmd: ActuatorCommand) -> None:
         sim = self.sim
         spec: MarkerSpec = cmd.payload
-        if spec == self.displayed:
-            sim.log(f"eink/{self.region_id}", "command-noop",
-                    {"pattern": spec.pattern, "size_index": spec.size_index})
+        shown = {"pattern": spec.pattern, "size_index": spec.size_index}
+        region = sim.env.region(self.region_id)
+        if spec == region.marker.spec:
+            sim.log(f"eink/{self.region_id}", "command-noop", shown)
             return
         self._version += 1
         version = self._version
-        sim.log(f"eink/{self.region_id}", "command-accepted",
-                {"pattern": spec.pattern, "size_index": spec.size_index})
+        sim.log(f"eink/{self.region_id}", "command-accepted", shown)
         def apply():
             if version != self._version:  # superseded by a later command
                 return
-            self.displayed = spec
-            region = sim.env.region(self.region_id)
-            if region.marker is not None:
-                region.marker = replace(region.marker, spec=spec)
-            sim.log(f"eink/{self.region_id}", "visible-change",
-                    {"pattern": spec.pattern, "size_index": spec.size_index})
+            region.marker = replace(region.marker, spec=spec)
+            sim.log(f"eink/{self.region_id}", "visible-change", shown)
         sim.queue.schedule(sim.queue.now_ms + self.latency_ms, apply)
 
 
@@ -332,7 +334,7 @@ class InProcessTransport:
         self.service = service
 
     def put_reading(self, sensor_id: str, body: dict) -> None:
-        self.service.ingest_reading(SensorReading(sensor_id, **body))
+        self.service.ingest_reading(SensorReading.from_json(sensor_id, body))
 
     def close(self):
         pass
@@ -389,7 +391,6 @@ class Simulator:
             data_dir = self._tmpdir.name
         self.service = EdgeService(data_dir)
         self._lux_readings: Dict[str, List[Tuple[int, float]]] = {}
-        self._cycles: Dict[str, int] = {}
         for r, config in zip(scenario.regions, scenario.region_configs()):
             bulb_id = f"bulb:{r.id}"
             eink_id = f"eink:{r.id}"
@@ -398,11 +399,9 @@ class Simulator:
             bulb = _BulbNode(self, r.id, scenario.bulb_latency_s)
             self.service.register_actuator(bulb_id, bulb.accept)
             if r.marker is not None:
-                eink = _EInkNode(self, r.id, scenario.eink_latency_s,
-                                 r.marker.spec)
+                eink = _EInkNode(self, r.id, scenario.eink_latency_s)
                 self.service.register_actuator(eink_id, eink.accept)
             self._lux_readings[r.id] = []
-            self._cycles[r.id] = 0
         self._satisfied_cycle: Dict[str, Optional[int]] = {
             r.id: None for r in scenario.regions}
         if transport == "in-process":
@@ -434,11 +433,10 @@ class Simulator:
                  {"lux": lux, "image_sha": hashlib.sha256(
                      image.pixels.tobytes()).hexdigest()})
         self._lux_readings[region_id].append((t_ms, lux))
-        self._cycles[region_id] += 1
         self.transport.put_reading(f"sensor:{region_id}", body)
         if (self._satisfied_cycle[region_id] is None
                 and self.service.marker_phase(region_id) == "Satisfied"):
-            self._satisfied_cycle[region_id] = self._cycles[region_id]
+            self._satisfied_cycle[region_id] = len(self._lux_readings[region_id])
 
     def run(self) -> Tuple[List[dict], dict]:
         scenario = self.scenario
@@ -479,27 +477,25 @@ class Simulator:
             reads = self._lux_readings[r.id]
             tail = [lux for _, lux in reads[-3:]]
             optimal = runtime.optimal_lux
-            deadband = scenario.policy.deadband_fraction * optimal
-            converged = (len(tail) == 3
-                         and all(abs(v - optimal) <= deadband for v in tail))
+            converged = len(tail) == 3 and all(
+                policy.in_deadband(scenario.policy, optimal, v) for v in tail)
             commands = self.service.region_commands(r.id)
+            bulb_series = [float(c.payload) for c in commands
+                           if c.kind == "set-brightness"]
             regions[r.id] = {
                 "final_lux": self.env.region(r.id).illuminance,
                 "converged_lux": (sum(tail) / len(tail)) if tail else None,
                 "optimal_lux": optimal,
                 "converged": converged,
-                "observation_cycles": self._cycles[r.id],
-                "bulb_commands": sum(1 for c in commands
-                                     if c.kind == "set-brightness"),
-                "eink_commands": sum(1 for c in commands
-                                     if c.kind == "set-marker"),
+                "observation_cycles": len(reads),
+                "bulb_commands": len(bulb_series),
+                "eink_commands": len(commands) - len(bulb_series),
                 "marker_phase": self.service.marker_phase(r.id),
                 "satisfied_after_cycles": self._satisfied_cycle[r.id],
                 "last_match_percentage": (
                     runtime.last_match.percentage
                     if runtime.last_match is not None else None),
-                "bulb_command_series": [float(c.payload) for c in commands
-                                        if c.kind == "set-brightness"],
+                "bulb_command_series": bulb_series,
             }
         return {"seed": scenario.seed, "duration_s": scenario.duration_s,
                 "transport_note": "virtual-time", "regions": regions}
@@ -532,12 +528,9 @@ def _write_metrics_csv(sim: Simulator, path: Path) -> None:
                          "texture_class", "scene_change"])
         for r in sim.scenario.regions:
             for rec in sim.service._runtime(r.id).records:
-                writer.writerow([
-                    rec.region_id, rec.timestamp_ms,
-                    rec.metrics.brightness, rec.metrics.contrast,
-                    rec.metrics.edge_strength, rec.metrics.corner_count,
-                    rec.metrics.illuminance, rec.texture_class.value,
-                    int(rec.scene_change)])
+                writer.writerow([rec.region_id, rec.timestamp_ms,
+                                 *rec.metrics.to_json().values(),
+                                 rec.texture_class.value, int(rec.scene_change)])
 
 
 # -- calibration harness -------------------------------------------------

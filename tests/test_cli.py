@@ -138,6 +138,16 @@ class TestRun:
         ({"regions": regions(id="")}, "region_id"),
         # a marker region died at the first empty reference descriptor set
         ({"policy": {"marker_fast_threshold": 25}}, "marker_fast_threshold"),
+        # each of these typos ran with the default in place of the value
+        ({"duraton_s": 10.0}, "scenario: 'duraton_s' is not a known key"),
+        ({"regions": regions(texture={"kind": "flat", "valu": 0.2})},
+         "regions[0].texture: 'valu' is not a known key"),
+        ({"policy": {"deadband": 0.2}}, "policy: 'deadband' is not a known key"),
+        ({"regions": marker_regions(size_idx=2)},
+         "regions[0].marker: 'size_idx' is not a known key"),
+        ({"regions": regions(constraints=[
+            {"range": [50, 200], "preferred": 100, "priorty": 1}])},
+         "regions[0].constraints[0]: 'priorty' is not a known key"),
     ], ids=["non-monotone-curve", "single-point-curve", "negative-bulb-latency",
             "negative-eink-latency", "deadband-out-of-range",
             "max-size-index-out-of-range", "policy-not-an-object",
@@ -151,7 +161,8 @@ class TestRun:
             "region-id-300-chars", "max-lux-nan", "camera-sigma0-nan-string",
             "camera-sigma0-nan", "sensor-noise-negative", "settle-nan",
             "seed-fraction", "texture-cell-fraction", "region-id-empty",
-            "fast-threshold-above-cap"])
+            "fast-threshold-above-cap", "duration-typo", "texture-typo",
+            "policy-typo", "marker-typo", "constraint-typo"])
     def test_bad_actuation_config_exit_2(self, tmp_path, overrides, names):
         scenario = write_scenario(tmp_path / "s.json", **overrides)
         result = run_cli("run", str(scenario))
@@ -218,6 +229,14 @@ class TestCharacterize:
         assert doc["edge_strength"] > 0
         assert doc["illuminance"] == 500.0
 
+    @pytest.mark.parametrize("lux", ["nan", "inf", "-5", "1e9"])
+    def test_bad_lux_exit_2(self, tmp_path, lux):
+        path = write_pgm(tmp_path / "flat.pgm", TextureSpec("flat", value=0.5))
+        result = run_cli("characterize", str(path), "--lux", lux)
+        assert result.returncode == 2
+        assert "illuminance" in result.stderr
+        assert result.stdout == ""
+
     def test_truncated_file_exit_2(self, tmp_path):
         path = write_pgm(tmp_path / "t.pgm", TextureSpec("flat", value=0.5))
         path.write_bytes(path.read_bytes()[:-10])
@@ -240,6 +259,12 @@ class TestPredict:
         doc = json.loads(result.stdout)
         assert doc["class"] == "Poor"
         assert doc["guidance"]
+
+    @pytest.mark.parametrize("lux", ["nan", "inf", "-5"])
+    def test_bad_lux_exit_2(self, lux):
+        result = run_cli("predict", "--texture", "checkerboard", "--lux", lux)
+        assert result.returncode == 2
+        assert "lux" in result.stderr
 
     def test_bogus_texture_exit_2(self):
         result = run_cli("predict", "--texture", "velvet", "--lux", "300")

@@ -169,6 +169,23 @@ class TestPolicyStepping:
         want, _ = DEFAULT_LUX_CURVE.invert(200.0)
         assert accepted[0].payload == pytest.approx(want)
 
+    def test_constraints_cap_the_target_of_a_marker_region(self, tmp_path):
+        accepted = []
+        svc = EdgeService(tmp_path)
+        from ambientd.policy import ControlConstraint
+        from ambientd.scene import DEFAULT_LUX_CURVE
+        cap = ControlConstraint("energy", 50.0, 200.0, 150.0, priority=1)
+        svc.register_region(RegionConfig(
+            "r1", mode="marker", bulb_actuator="bulb1", eink_actuator="eink1",
+            constraints=[cap]))
+        svc.register_actuator("bulb1", accepted.append)
+        svc.register_actuator("eink1", accepted.append)
+        # no marker in view -> 0% match -> the light is adjusted first
+        svc.ingest_reading(reading(1000, lux=80.0))
+        assert [c.kind for c in accepted] == ["set-brightness"]
+        want, _ = DEFAULT_LUX_CURVE.invert(200.0)
+        assert accepted[0].payload == pytest.approx(want)
+
     def test_marker_mode_drives_eink(self, tmp_path):
         accepted = []
         svc = EdgeService(tmp_path)
@@ -307,13 +324,21 @@ class TestDurability:
                  svc.ingest_reading(reading(2, sensor="s2"))]
         assert [r.to_json() for r in after] == want["after"]
 
-    @pytest.mark.parametrize("extra", [{"sensor_id": 5}, {"image": "yes"},
-                                       {"image": None}])
+    @pytest.mark.parametrize("extra", [
+        {"sensor_id": 5}, {"image": "yes"}, {"image": None},
+        # each of these replayed, coerced or served as if live ingest wrote it
+        {"region_id": "zz"}, {"scene_change": "no"}, {"timestamp_ms": 1999.9},
+        {"metrics": {"brightness": "x"}},
+        {"metrics": {"brightness": float("nan")}},
+        {"metrics": {"corner_count": 7.5}},
+        {"metrics": {"illuminance": 1e300}}])
     def test_bad_entry_key_names_file_and_line(self, tmp_path, extra):
         svc = restarted(tmp_path)
         svc.ingest_reading(reading(1000))
         log = tmp_path / "region_r1.jsonl"
-        doc = {**json.loads(log.read_text()), **extra}
+        doc = json.loads(log.read_text())
+        doc = {**doc, **extra,
+               "metrics": {**doc["metrics"], **extra.get("metrics", {})}}
         log.write_text(log.read_text() + json.dumps(doc) + "\n")
         with pytest.raises(ConfigError, match=r"region_r1\.jsonl:2:"):
             restarted(tmp_path)
@@ -426,9 +451,10 @@ class TestHttpApi:
         assert status == 404
 
     def test_malformed_body_400(self, http_server):
-        status, _ = http("PUT", f"{http_server}/v1/sensors/s1/readings",
-                         {"nope": 1})
+        status, doc = http("PUT", f"{http_server}/v1/sensors/s1/readings",
+                           {"nope": 1})
         assert status == 400
+        assert doc == {"error": "malformed reading: missing 'region_id'"}
 
     def test_trend_endpoint(self, http_server):
         for ts, lux in ((1000, 80.0), (2000, 90.0)):
@@ -475,6 +501,13 @@ class TestHttpApi:
         status, _ = http(
             "GET", f"{http_server}/v1/regions/r1/prediction?texture=velvet&lux=300")
         assert status == 400
+
+    @pytest.mark.parametrize("lux", ["nan", "inf", "-inf", "-5"])
+    def test_prediction_bad_lux_400(self, http_server, lux):
+        status, doc = http("GET", f"{http_server}/v1/regions/r1/prediction"
+                                  f"?texture=checkerboard&lux={lux}")
+        assert status == 400
+        assert "lux" in doc["error"]
 
     def test_unknown_route_404(self, http_server):
         assert http("GET", f"{http_server}/v1/bogus")[0] == 404

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -251,6 +252,11 @@ class TestLuxBands:
     def test_negative_rejected(self):
         with pytest.raises(InvalidArgumentError):
             lux_band(-1.0)
+
+    @pytest.mark.parametrize("lux", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, lux):
+        with pytest.raises(InvalidArgumentError):
+            lux_band(lux)
 
 
 class TestTrackingPrediction:
