@@ -114,11 +114,23 @@ def detect_fast_corners(image: SyntheticImage, threshold: int) -> np.ndarray:
     """FAST-9 segment-test corners with 3x3 non-max suppression.
 
     Returns an (N, 3) int array of (x, y, score) rows in row-major order.
-    One int16 pass over the 16 circle offsets packs the brighter and darker
-    tests into 16-bit masks, which a 65 536-entry table checks for a 9-pixel
-    arc. Score is the sum of |circle - center| over circle pixels beyond the
+    Score is the sum of |circle - center| over circle pixels beyond the
     threshold in the qualifying polarity. Ties in suppression resolve in
     row-major scan order (earlier pixel wins).
+
+    Any 9-pixel arc of the 16-pixel circle holds two adjacent cardinal
+    points (FAST_CIRCLE[0], [4], [8], [12]) beyond the threshold in the
+    arc's polarity: the high-speed test of Rosten & Drummond, "Machine
+    learning for high-speed corner detection" (ECCV 2006). That pair test
+    runs on every pixel; only its candidates can be corners. The full test
+    packs the brighter and darker results for the 16 circle offsets into
+    16-bit masks, which a 65 536-entry table checks for a 9-pixel arc. It
+    runs on the gathered candidates only, or on every pixel as slices when
+    more than half of the pixels are candidates. Measured on a 2-core Xeon
+    VM with numpy 2.4: the two plans break even at 47-52 % candidates on
+    320x240 speckle frames; the sparse plan takes a quarter of the dense
+    plan's time on marker ROIs (2-13 % candidates) and 1.6-2 times it on
+    speckle at 72-82 %.
     """
     if threshold < 1:
         raise InvalidArgumentError("threshold must be >= 1")
@@ -127,19 +139,15 @@ def detect_fast_corners(image: SyntheticImage, threshold: int) -> np.ndarray:
     if H < 7 or W < 7 or threshold >= 255:
         return np.empty((0, 3), np.intp)
     a = image.pixels.astype(np.int16)
-    center = a[3:H - 3, 3:W - 3]
-    bright, dark = np.zeros((2,) + center.shape, dtype=np.uint16)
-    bright_sum, dark_sum = np.zeros((2,) + center.shape, dtype=np.int16)
-    for dx, dy in FAST_CIRCLE:
-        d = a[3 + dy:H - 3 + dy, 3 + dx:W - 3 + dx] - center
-        for mask, total, hit in ((bright, bright_sum, d > threshold),
-                                 (dark, dark_sum, d < -threshold)):
-            mask <<= 1
-            mask |= hit
-            total += d * hit     # |total| <= 16 * 255 fits in int16
-    # no pixel has 9 of its 16 circle pixels in both polarities
-    score = np.zeros((H, W), dtype=np.int16)
-    score[3:H - 3, 3:W - 3] = bright_sum * _ARC[bright] - dark_sum * _ARC[dark]
+    candidates = _cardinal_candidates(a, threshold)
+    if np.count_nonzero(candidates) * 2 > candidates.size:
+        return _suppress(_dense_scores(a, threshold))
+    return _suppress(_sparse_scores(a, threshold, candidates))
+
+
+def _suppress(score: np.ndarray) -> np.ndarray:
+    """(x, y, score) rows of the 3x3 maxima of an (H, W) score plane."""
+    W = score.shape[1]
     # scored pixels sit >= 3 px inside the frame, so all 8 neighbours exist
     flat = score.ravel()
     idx = np.flatnonzero(flat)
@@ -150,6 +158,73 @@ def detect_fast_corners(image: SyntheticImage, threshold: int) -> np.ndarray:
         keep &= s >= flat[idx - off]
     ys, xs = np.divmod(idx[keep], W)
     return np.stack([xs, ys, s[keep]], axis=1)
+
+
+def _ring(a: np.ndarray, k: int) -> np.ndarray:
+    """Circle pixel k of every pixel >= 3 px inside the int16 frame a."""
+    H, W = a.shape
+    dx, dy = FAST_CIRCLE[k]
+    return a[3 + dy:H - 3 + dy, 3 + dx:W - 3 + dx]
+
+
+def _cardinal_candidates(a: np.ndarray, threshold: int) -> np.ndarray:
+    """Pixels >= 3 px inside the frame with two adjacent cardinal points
+    beyond the threshold in one polarity: ([0] or [8]) and ([4] or [12])."""
+    H, W = a.shape
+    center = a[3:H - 3, 3:W - 3]
+    top, right, bottom, left = (_ring(a, k) for k in (0, 4, 8, 12))
+    # two int16 and two bool planes, reused across both polarities
+    bound = center + threshold
+    either = np.maximum(top, bottom)
+    out = either > bound
+    np.maximum(right, left, out=either)
+    out &= either > bound
+    np.subtract(center, threshold, out=bound)
+    np.minimum(top, bottom, out=either)
+    dark = either < bound
+    np.minimum(right, left, out=either)
+    dark &= either < bound
+    out |= dark
+    return out
+
+
+def _segment_scores(circle, center: np.ndarray, threshold: int) -> np.ndarray:
+    """Segment-test score at each center; circle yields the 16 circle
+    pixels of every center in FAST_CIRCLE order."""
+    bright, dark = np.zeros((2,) + center.shape, dtype=np.uint16)
+    bright_sum, dark_sum = np.zeros((2,) + center.shape, dtype=np.int16)
+    for pixel in circle:
+        d = pixel - center
+        for mask, total, hit in ((bright, bright_sum, d > threshold),
+                                 (dark, dark_sum, d < -threshold)):
+            mask <<= 1
+            mask |= hit
+            total += d * hit     # |total| <= 16 * 255 fits in int16
+    # no pixel has 9 of its 16 circle pixels in both polarities
+    return bright_sum * _ARC[bright] - dark_sum * _ARC[dark]
+
+
+def _dense_scores(a: np.ndarray, threshold: int) -> np.ndarray:
+    """(H, W) score plane from the segment test on every pixel."""
+    H, W = a.shape
+    score = np.zeros((H, W), dtype=np.int16)
+    score[3:H - 3, 3:W - 3] = _segment_scores(
+        (_ring(a, k) for k in range(16)), a[3:H - 3, 3:W - 3], threshold)
+    return score
+
+
+def _sparse_scores(a: np.ndarray, threshold: int,
+                   candidates: np.ndarray) -> np.ndarray:
+    """(H, W) score plane from the segment test on the candidates only."""
+    H, W = a.shape
+    idx = np.flatnonzero(candidates)
+    idx += 6 * (idx // (W - 6)) + 3 * W + 3      # index into the full frame
+    flat = a.ravel()
+    score = np.zeros((H, W), dtype=np.int16)
+    score.ravel()[idx] = _segment_scores(
+        (flat[idx + (dy * W + dx)] for dx, dy in FAST_CIRCLE), flat[idx],
+        threshold)
+    return score
 
 
 _DESCRIPTOR_PAIRS: Optional[np.ndarray] = None

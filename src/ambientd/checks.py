@@ -2,6 +2,7 @@
 `number`, `integer` or `one_of` carries its rule; the `__post_init__` of its
 dataclass calls `check_fields`, so an object that exists has passed them.
 No check converts a value."""
+import functools
 import math
 import numbers
 from dataclasses import MISSING, field, fields
@@ -55,8 +56,15 @@ def one_of(choices, default=MISSING):
     return checked(f"one of {', '.join(choices)}", lambda v: v in choices, default)
 
 
+@functools.cache
+def _rules(cls) -> tuple:
+    """(name, test, rule) of each checked field of dataclass cls, in order."""
+    return tuple((f.name, f.metadata["test"], f.metadata["rule"])
+                 for f in fields(cls) if "test" in f.metadata)
+
+
 def check_fields(obj, error=InvalidArgumentError) -> None:
     """Raise error for the first field of obj whose value breaks its rule."""
-    for f in fields(obj):
-        if "test" in f.metadata and not f.metadata["test"](getattr(obj, f.name)):
-            raise error(f"{f.name} must be {f.metadata['rule']}")
+    for name, test, rule in _rules(type(obj)):
+        if not test(getattr(obj, name)):
+            raise error(f"{name} must be {rule}")

@@ -176,6 +176,10 @@ def _entry(where: str):
         raise ConfigError(f"{where}: {e}") from None
 
 
+# a marker object holds the keys of its spec and of its placement, flat
+_MARKER_KEYS = ("pattern", "size_index", "distance_cm", "viewing_angle_deg")
+
+
 def _known_keys(doc, names) -> None:
     """Raise unless doc is a JSON object whose keys are all in names."""
     if not isinstance(doc, dict):
@@ -185,12 +189,12 @@ def _known_keys(doc, names) -> None:
             raise ValueError(f"{key!r} is not a known key")
 
 
-def _build(cls, doc, *shared, **built):
+def _build(cls, doc, keys=None, **built):
     """cls from a JSON object: the built field values, and each other field
     as doc has it, but a JSON integer in a float field as a float. A field
-    doc leaves out keeps its default; a key that names no field of cls or
-    of a class in shared raises."""
-    _known_keys(doc, {f.name for c in (cls, *shared) for f in fields(c)})
+    doc leaves out keeps its default; a key not in keys (by default the
+    field names of cls) raises."""
+    _known_keys(doc, keys or {f.name for f in fields(cls)})
     for f in fields(cls):
         if f.name in doc and f.name not in built:
             value = doc[f.name]
@@ -214,8 +218,8 @@ def _region_from_json(doc, where: str) -> RegionScenario:
         marker = doc.get("marker")
         if marker is not None:
             with _entry(f"{where}.marker"):
-                marker = _build(MarkerPlacement, marker, MarkerSpec,
-                                spec=_build(MarkerSpec, marker, MarkerPlacement))
+                marker = _build(MarkerPlacement, marker, _MARKER_KEYS,
+                                spec=_build(MarkerSpec, marker, _MARKER_KEYS))
         constraints = []
         for j, c in enumerate(_list(doc.get("constraints", []), "constraints")):
             with _entry(f"{where}.constraints[{j}]"):

@@ -81,6 +81,8 @@ def fast_oracle(pixels, threshold):
             ring = [int(pixels[y + dy, x + dx]) for dx, dy in ORACLE_CIRCLE]
             brighter = [v > center + threshold for v in ring]
             darker = [v < center - threshold for v in ring]
+            if max(sum(brighter), sum(darker)) < 9:
+                continue                      # no room for a 9-pixel arc
             qualifies_b = False
             qualifies_d = False
             for start in range(16):

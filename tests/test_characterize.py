@@ -2,16 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ambientd import characterize, markerpipe
 from ambientd.characterize import (FINE_TEXTURE_CORNER_THRESHOLD, ImageMetrics,
                                    TextureClass, _bimodal_threshold,
-                                   classify_texture,
+                                   _cardinal_candidates, _dense_scores,
+                                   _sparse_scores, _suppress, classify_texture,
                                    compute_metrics, crop_to_marker_roi,
                                    detect_fast_corners, detect_scene_change,
                                    extract_descriptors, match_against_reference)
 from ambientd.errors import InvalidArgumentError
 from ambientd.scene import (MarkerPlacement, MarkerSpec, Region, SyntheticImage,
                             TextureSpec, render_region)
+from ambientd.sim import SWEEP_BACKGROUND
 
 from oracles import (bimodal_threshold_reference, brute_metrics, fast_oracle,
                      match_oracle)
@@ -27,6 +32,37 @@ def render(texture, lux, seed=1, w=64, h=64, sigma0=None, marker=None):
     region = Region("r", texture, lux, marker=marker)
     kwargs = {} if sigma0 is None else {"sigma0": sigma0}
     return render_region(region, seed, w, h, **kwargs)
+
+
+def plan_corners(pixels, threshold):
+    """Corner rows of the dense and of the sparse plan, as sets."""
+    a = pixels.astype(np.int16)
+    dense = _suppress(_dense_scores(a, threshold))
+    sparse = _suppress(_sparse_scores(a, threshold,
+                                      _cardinal_candidates(a, threshold)))
+    return set(map(tuple, dense.tolist())), set(map(tuple, sparse.tolist()))
+
+
+def sweep_rois(cells):
+    """The 200x200 blurred ROIs that ROI FAST sees in the marker sweep."""
+    rois = []
+
+    def capture(roi, threshold):
+        rois.append(roi.pixels)
+        return detect_fast_corners(roi, threshold)
+
+    real = markerpipe.detect_fast_corners
+    markerpipe.detect_fast_corners = capture
+    try:
+        for distance, angle, lux in cells:
+            spec = MarkerSpec("binary-grid-A", 0)
+            frame = render(SWEEP_BACKGROUND, lux, seed=1, w=320, h=240,
+                           marker=MarkerPlacement(spec, distance, angle))
+            markerpipe._scene_descriptors(
+                frame, markerpipe.DEFAULT_MATCH_FAST_THRESHOLD)
+    finally:
+        markerpipe.detect_fast_corners = real
+    return rois
 
 
 def metrics_stub(brightness=100.0, edge_strength=50.0, corner_count=100):
@@ -120,11 +156,61 @@ class TestFastCorners:
         }[name]
         frame = render(texture, lux, seed=0, w=320, h=240, marker=marker)
         window = frame.pixels[88:152, 128:192]
-        for threshold in (1, 15, 20, 254, 255, 256):
+        for threshold in (1, 15, 20, 24, 254, 255, 256):
+            # each plan on its own: the public call takes one plan per image
+            want = fast_oracle(window, threshold)
+            assert plan_corners(window, threshold) == (want, want)
             self._check_against_oracle(window, threshold)
         # no circle pixel can differ from its center by more than 255
         for threshold in (255, 256, 10 ** 6):
             assert len(detect_fast_corners(as_image(window), threshold)) == 0
+
+    def test_plans_match_oracle_on_sweep_rois(self):
+        # a bright middle cell at the ROI threshold and a near cell at the
+        # highest threshold a policy may set (12 % and 6 % candidates);
+        # kills a pair test that drops one polarity or the [12]/[0] pair
+        cells = [(55.0, 30.0, 1000.0), (20.0, 0.0, 223.6)]
+        for pixels, threshold in zip(sweep_rois(cells), (15, 24)):
+            want = fast_oracle(pixels, threshold)
+            assert len(want) > 30
+            assert plan_corners(pixels, threshold) == (want, want)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(h=st.integers(7, 28), w=st.integers(7, 28),
+           density=st.sampled_from([0.0, 0.02, 0.1, 0.3, 0.6, 1.0]),
+           spread=st.integers(0, 255),
+           threshold=st.sampled_from([1, 15, 20, 24, 254]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_plans_match_oracle_across_the_cutover(self, h, w, density, spread,
+                                                   threshold, seed):
+        # a flat field with dots of random level, from none to every pixel,
+        # so the candidate fraction spans both plans; kills a pair test
+        # that drops a polarity or a cardinal pair
+        rng = np.random.default_rng(seed)
+        pixels = np.full((h, w), rng.integers(0, 256), dtype=np.int64)
+        dots = rng.random((h, w)) < density
+        pixels[dots] += rng.integers(-spread, spread + 1, size=int(dots.sum()))
+        pixels = np.clip(pixels, 0, 255).astype(np.uint8)
+        want = fast_oracle(pixels, threshold)
+        assert plan_corners(pixels, threshold) == (want, want)
+        self._check_against_oracle(pixels, threshold)
+
+    @pytest.mark.parametrize("lux, plan", [(60.0, "_sparse_scores"),
+                                           (750.0, "_dense_scores")])
+    def test_plan_follows_the_candidate_fraction(self, monkeypatch, lux, plan):
+        # the wall of the closed loop: about 20 % candidates at 60 lux and
+        # 82 % at 750; kills a mutant that takes the wrong plan past the
+        # cutover (its corners are right, its cost is not)
+        img = render(TextureSpec("speckle", frequency=0.5), lux, seed=0,
+                     w=320, h=240)
+        ran = []
+        for name in ("_sparse_scores", "_dense_scores"):
+            real = getattr(characterize, name)
+            monkeypatch.setattr(characterize, name,
+                                lambda *args, real=real, name=name:
+                                ran.append(name) or real(*args))
+        detect_fast_corners(img, 20)
+        assert ran == [plan]
 
     def test_corner_count_rises_with_threshold_drop(self):
         img = render(TextureSpec("speckle", frequency=0.5), 300.0, w=96, h=96)

@@ -145,6 +145,9 @@ class TestRun:
         ({"policy": {"deadband": 0.2}}, "policy: 'deadband' is not a known key"),
         ({"regions": marker_regions(size_idx=2)},
          "regions[0].marker: 'size_idx' is not a known key"),
+        # the placement's nested `spec` parsed and was dropped
+        ({"regions": marker_regions(spec=5)},
+         "regions[0].marker: 'spec' is not a known key"),
         ({"regions": regions(constraints=[
             {"range": [50, 200], "preferred": 100, "priorty": 1}])},
          "regions[0].constraints[0]: 'priorty' is not a known key"),
@@ -162,7 +165,8 @@ class TestRun:
             "camera-sigma0-nan", "sensor-noise-negative", "settle-nan",
             "seed-fraction", "texture-cell-fraction", "region-id-empty",
             "fast-threshold-above-cap", "duration-typo", "texture-typo",
-            "policy-typo", "marker-typo", "constraint-typo"])
+            "policy-typo", "marker-typo", "marker-spec-key",
+            "constraint-typo"])
     def test_bad_actuation_config_exit_2(self, tmp_path, overrides, names):
         scenario = write_scenario(tmp_path / "s.json", **overrides)
         result = run_cli("run", str(scenario))
