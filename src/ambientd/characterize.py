@@ -2,21 +2,22 @@
 descriptors, marker matching, ROI cropping, texture classification and
 scene-change detection.
 
-Corners travel as an (N, 3) int array of (x, y, score) rows, descriptors as
-an (M, 32) uint8 array of packed 256-bit rows.
+Images travel as (H, W) uint8 arrays, corners as an (N, 3) int array of
+(x, y, score) rows, descriptors as an (M, 32) uint8 array of packed 256-bit
+rows.
 """
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
 
 from .checks import check_fields, integer, number
 from .errors import InvalidArgumentError
-from .scene import MAX_ILLUMINANCE, SyntheticImage
+from .scene import MAX_ILLUMINANCE
 
 # a read of the brightest region with 100 % sensor noise; keeps trend sums finite
 MAX_LUX = 2 * MAX_ILLUMINANCE
@@ -73,11 +74,14 @@ class ImageMetrics:
         return asdict(self)
 
 
-def compute_metrics(image: SyntheticImage, lux: Optional[float] = None) -> ImageMetrics:
-    if image.width < 32 or image.height < 32:
+METRIC_NAMES = tuple(f.name for f in fields(ImageMetrics))
+
+
+def compute_metrics(image: np.ndarray, lux: Optional[float] = None) -> ImageMetrics:
+    if min(image.shape) < 32:
         raise InvalidArgumentError("image must be at least 32x32")
     # exact integer sums keep the results reproducible to the bit
-    p = image.pixels.astype(np.int64)
+    p = image.astype(np.int64)
     n = p.size
     s1 = int(p.sum())
     s2 = int((p * p).sum())
@@ -110,7 +114,7 @@ def _arc_table() -> np.ndarray:
 _ARC = _arc_table()
 
 
-def detect_fast_corners(image: SyntheticImage, threshold: int) -> np.ndarray:
+def detect_fast_corners(image: np.ndarray, threshold: int) -> np.ndarray:
     """FAST-9 segment-test corners with 3x3 non-max suppression.
 
     Returns an (N, 3) int array of (x, y, score) rows in row-major order.
@@ -134,11 +138,11 @@ def detect_fast_corners(image: SyntheticImage, threshold: int) -> np.ndarray:
     """
     if threshold < 1:
         raise InvalidArgumentError("threshold must be >= 1")
-    H, W = image.height, image.width
+    H, W = image.shape
     # |circle - center| <= 255, so no pixel passes a threshold of 255
     if H < 7 or W < 7 or threshold >= 255:
         return np.empty((0, 3), np.intp)
-    a = image.pixels.astype(np.int16)
+    a = image.astype(np.int16)
     candidates = _cardinal_candidates(a, threshold)
     if np.count_nonzero(candidates) * 2 > candidates.size:
         return _suppress(_dense_scores(a, threshold))
@@ -227,29 +231,37 @@ def _sparse_scores(a: np.ndarray, threshold: int,
     return score
 
 
-_DESCRIPTOR_PAIRS: Optional[np.ndarray] = None
+# 256 fixed (ax, ay, bx, by) offsets drawn from a seeded uniform
+_DESCRIPTOR_PAIRS = np.random.default_rng(DESCRIPTOR_PATTERN_SEED).integers(
+    -DESCRIPTOR_PATCH_HALF, DESCRIPTOR_PATCH_HALF + 1, size=(DESCRIPTOR_BITS, 4))
 
 
-def _descriptor_pairs() -> np.ndarray:
-    """256 fixed (ax, ay, bx, by) offsets drawn once from a seeded uniform."""
-    global _DESCRIPTOR_PAIRS
-    if _DESCRIPTOR_PAIRS is None:
-        rng = np.random.default_rng(DESCRIPTOR_PATTERN_SEED)
-        _DESCRIPTOR_PAIRS = rng.integers(
-            -DESCRIPTOR_PATCH_HALF, DESCRIPTOR_PATCH_HALF + 1,
-            size=(DESCRIPTOR_BITS, 4))
-    return _DESCRIPTOR_PAIRS
+def _window_sums(a: np.ndarray, size: int, axis: int) -> np.ndarray:
+    """Sums of `size` consecutive entries along axis, from blocks of 1, 2,
+    4, ... entries: one add per bit of size and one per doubling."""
+    a = np.moveaxis(a, axis, 0)
+    n_out = a.shape[0] - size + 1
+    total, offset, block, width = None, 0, a, 1
+    while size:
+        if size & 1:
+            part = block[offset:offset + n_out]
+            total = part.copy() if total is None else total + part
+            offset += width
+        size >>= 1
+        if size:
+            block = block[:-width] + block[width:]
+            width *= 2
+    return np.moveaxis(total, 0, axis)
 
 
-def extract_descriptors(image: SyntheticImage,
-                        corners: np.ndarray) -> np.ndarray:
+def extract_descriptors(image: np.ndarray, corners: np.ndarray) -> np.ndarray:
     """256-bit intensity-comparison descriptors over a box-smoothed patch.
 
     bit_i = 1 iff smoothed(a_i) < smoothed(b_i), strictly. Returns an (M, 32)
     uint8 array, one packed row per usable corner in input order; corners too
     close to the border for the full smoothed patch are skipped.
     """
-    H, W = image.height, image.width
+    H, W = image.shape
     margin = DESCRIPTOR_PATCH_HALF + _SMOOTH_HALF
     cx, cy = corners[:, 0], corners[:, 1]
     usable = ((margin <= cx) & (cx < W - margin)
@@ -257,12 +269,11 @@ def extract_descriptors(image: SyntheticImage,
     cx, cy = cx[usable], cy[usable]
     if cx.size == 0:
         return np.empty((0, DESCRIPTOR_BITS // 8), np.uint8)
-    # exact integer 5x5 box sums; S[y, x] covers pixels [y, y+4] x [x, x+4]
-    ii = np.zeros((H + 1, W + 1), dtype=np.int64)
-    ii[1:, 1:] = np.cumsum(np.cumsum(image.pixels, axis=0), axis=1)
-    box = (ii[5:, 5:] - ii[:-5, 5:] - ii[5:, :-5] + ii[:-5, :-5])
-    # box[y, x] = sum of the 5x5 window centered at (x+2, y+2)
-    pairs = _descriptor_pairs()
+    # exact integer 5x5 box sums: box[y, x] covers pixels [y, y+4] x
+    # [x, x+4], the window centered at (x+2, y+2)
+    side = 2 * _SMOOTH_HALF + 1
+    box = _window_sums(_window_sums(image.astype(np.int32), side, 0), side, 1)
+    pairs = _DESCRIPTOR_PAIRS
     ax = cx[:, None] + pairs[None, :, 0] - _SMOOTH_HALF
     ay = cy[:, None] + pairs[None, :, 1] - _SMOOTH_HALF
     bx = cx[:, None] + pairs[None, :, 2] - _SMOOTH_HALF
@@ -388,23 +399,20 @@ def _largest_component(mask: np.ndarray):
             int((start[member] - top).min()), int((end[member] - top).max()))
 
 
-def crop_to_marker_roi(image: SyntheticImage) -> SyntheticImage:
-    """Bounding box of the largest dark blob (the marker frame), padded.
+def crop_to_marker_roi(image: np.ndarray) -> np.ndarray:
+    """Bounding box of the largest dark blob (the marker frame), padded, as
+    a view of the image.
 
     Returns the full image when no dark component exceeds the minimum area.
     """
     # an integer bound keeps the comparison in uint8 under any numpy casting
-    dark = image.pixels < math.ceil(_bimodal_threshold(image.pixels))
+    dark = image < math.ceil(_bimodal_threshold(image))
     blob = _largest_component(dark)
     if blob is None or blob[0] <= ROI_MIN_COMPONENT_AREA:
         return image
     _, y0, y1, x0, x1 = blob
-    y0 = max(0, y0 - ROI_MARGIN_PX)
-    y1 = min(image.height, y1 + ROI_MARGIN_PX)
-    x0 = max(0, x0 - ROI_MARGIN_PX)
-    x1 = min(image.width, x1 + ROI_MARGIN_PX)
-    crop = image.pixels[y0:y1, x0:x1]
-    return SyntheticImage(x1 - x0, y1 - y0, crop.copy(), image.seed)
+    m = ROI_MARGIN_PX
+    return image[max(0, y0 - m):y1 + m, max(0, x0 - m):x1 + m]
 
 
 def classify_texture(metrics: ImageMetrics) -> TextureClass:

@@ -36,8 +36,12 @@ def cmd_run(args) -> int:
     except (ConfigError, InvalidArgumentError) as e:
         _err(f"config error: {e}")
         return EXIT_CONFIG
-    _, report = sim.run_scenario(scenario, transport=args.transport,
-                                 out_dir=args.out)
+    try:
+        _, report = sim.run_scenario(scenario, transport=args.transport,
+                                     out_dir=args.out)
+    except ConfigError as e:
+        _err(f"config error: {e}")
+        return EXIT_CONFIG
     print(json.dumps(report, sort_keys=True))
     if args.require_convergence:
         markerless = [r for r in report["regions"].values()
@@ -94,7 +98,7 @@ def cmd_serve(args) -> int:
 def cmd_characterize(args) -> int:
     try:
         data = Path(args.image).read_bytes()
-        image = SyntheticImage.from_pgm(data)
+        image = SyntheticImage.from_pgm(data).pixels
         metrics = compute_metrics(image, args.lux)
     except (OSError, InvalidArgumentError) as e:
         _err(str(e))

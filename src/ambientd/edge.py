@@ -25,12 +25,14 @@ import json
 import re
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
+import numpy as np
+
 from . import characterize, markerpipe, policy
-from .characterize import MAX_LUX, ImageMetrics, TextureClass
+from .characterize import MAX_LUX, METRIC_NAMES, ImageMetrics, TextureClass
 from .checks import check_fields, checked, integer, is_number, number, one_of
 from .errors import (BadRequestError, ConfigError, InvalidArgumentError,
                      NotFoundError, StaleReadingError)
@@ -89,7 +91,7 @@ class ActuatorCommand:
     def to_json(self) -> dict:
         payload = self.payload
         if isinstance(payload, MarkerSpec):
-            payload = {"pattern": payload.pattern, "size_index": payload.size_index}
+            payload = asdict(payload)
         return {"kind": self.kind, "payload": payload,
                 "issued_at_ms": self.issued_at_ms}
 
@@ -130,8 +132,7 @@ class MetricsRecord:
         m = doc["metrics"]
         return MetricsRecord(
             doc["region_id"], doc["timestamp_ms"],
-            ImageMetrics(m["brightness"], m["contrast"], m["edge_strength"],
-                         m["corner_count"], m["illuminance"]),
+            ImageMetrics(*(m[name] for name in METRIC_NAMES)),
             TextureClass(doc["texture_class"]), doc["scene_change"])
 
 
@@ -215,7 +216,7 @@ class EdgeService:
 
         A complete line that does not parse raises ConfigError.
         """
-        path = self.data_dir / f"region_{config.region_id}.jsonl"
+        path = self.log_path(config.region_id)
         runtime = _RegionRuntime(config, path)
         data = path.read_bytes() if path.exists() else b""
         keep = data.rfind(b"\n") + 1
@@ -241,6 +242,9 @@ class EdgeService:
             self._regions[config.region_id] = runtime
         return len(data) - keep
 
+    def log_path(self, region_id: str) -> Path:
+        return self.data_dir / f"region_{region_id}.jsonl"
+
     def register_actuator(self, actuator_id: str,
                           accept: Callable[[ActuatorCommand], None]) -> None:
         with self._global_lock:
@@ -260,7 +264,7 @@ class EdgeService:
         if reading.image_pgm_b64 is not None:
             try:
                 raw = base64.b64decode(reading.image_pgm_b64, validate=True)
-                image = SyntheticImage.from_pgm(raw)
+                image = SyntheticImage.from_pgm(raw).pixels
             except (ValueError, InvalidArgumentError) as e:
                 raise BadRequestError(f"bad image payload: {e}")
         with runtime.lock:
@@ -294,7 +298,7 @@ class EdgeService:
         return record
 
     def _policy_step(self, runtime: _RegionRuntime, record: MetricsRecord,
-                     image: Optional[SyntheticImage]) -> None:
+                     image: Optional[np.ndarray]) -> None:
         config = runtime.config
         now_s = record.timestamp_ms / 1000.0
         optimal = policy.select_optimal_lux(record.texture_class)
@@ -355,8 +359,7 @@ class EdgeService:
         if not window:
             raise NotFoundError("no records inside the window")
         stats = {}
-        for name in ("brightness", "contrast", "edge_strength", "corner_count",
-                     "illuminance"):
+        for name in METRIC_NAMES:
             values = [getattr(r.metrics, name) for r in window]
             values = [v for v in values if v is not None]
             if not values:

@@ -13,11 +13,11 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .characterize import (MatchReport, ROI_MARGIN_PX,
+from .characterize import (MatchReport, ROI_MARGIN_PX, _window_sums,
                            crop_to_marker_roi, detect_fast_corners,
                            extract_descriptors, match_against_reference)
 from .errors import InvalidArgumentError
-from .scene import MarkerSpec, SyntheticImage, marker_reflectance
+from .scene import MarkerSpec, marker_reflectance
 
 REFERENCE_SIDE_PX = 200
 DEFAULT_MATCH_FAST_THRESHOLD = 15
@@ -42,22 +42,20 @@ def _axis_taps(n_in: int, n_out: int):
     return (np.clip(i0, 0, n_in - 1), np.clip(i0 + 1, 0, n_in - 1), 1.0 - t, t)
 
 
-def resize_bilinear(image: SyntheticImage, width: int, height: int) -> SyntheticImage:
+def resize_bilinear(image: np.ndarray, width: int, height: int) -> np.ndarray:
     """Bilinear resample on pixel centres, edges clamped. Each output pixel
     is `(a*wy0)*wx0 + (b*wy0)*wx1 + (c*wy1)*wx0 + (d*wy1)*wx1` summed left to
     right, the float64 operations of ndimage's `map_coordinates(order=1,
     mode="nearest")`, so the two agree to the byte."""
-    y0, y1, wy0, wy1 = _axis_taps(image.height, height)
-    x0, x1, wx0, wx1 = _axis_taps(image.width, width)
-    p = image.pixels.astype(np.float64)
+    y0, y1, wy0, wy1 = _axis_taps(image.shape[0], height)
+    x0, x1, wx0, wx1 = _axis_taps(image.shape[1], width)
+    p = image.astype(np.float64)
     top = np.take(p, y0, axis=0) * wy0[:, None]
     bottom = np.take(p, y1, axis=0) * wy1[:, None]
     out = np.take(top, x0, axis=1) * wx0
     for rows, cols, wx in ((top, x1, wx1), (bottom, x0, wx0), (bottom, x1, wx1)):
         out += np.take(rows, cols, axis=1) * wx
-    return SyntheticImage(width, height,
-                          np.clip(np.rint(out), 0, 255).astype(np.uint8),
-                          image.seed)
+    return np.clip(np.rint(out), 0, 255).astype(np.uint8)
 
 
 def _percentile_of_counts(below: np.ndarray, q: float) -> float:
@@ -82,42 +80,23 @@ def _percentile_of_counts(below: np.ndarray, q: float) -> float:
 _LEVELS = np.arange(256, dtype=np.float64)
 
 
-def normalize_contrast(image: SyntheticImage) -> SyntheticImage:
+def normalize_contrast(image: np.ndarray) -> np.ndarray:
     """Percentile stretch to the full 8-bit range.
 
     The 2nd and 98th percentiles come from the cumulative 8-bit histogram and
     the stretch is a 256-entry table of the same float formula, so the result
     equals the per-pixel float stretch."""
-    below = np.cumsum(np.bincount(image.pixels.ravel(), minlength=256))
+    below = np.cumsum(np.bincount(image.ravel(), minlength=256))
     lo = _percentile_of_counts(below, 2.0)
     hi = _percentile_of_counts(below, 98.0)
     if hi - lo < 1.0:
         return image
     stretched = np.clip((_LEVELS - lo) * (255.0 / (hi - lo)), 0, 255)
     lut = np.rint(stretched).astype(np.uint8)
-    return SyntheticImage(image.width, image.height, lut[image.pixels],
-                          image.seed)
+    return lut[image]
 
 
-def _window_sums(a: np.ndarray, size: int, axis: int) -> np.ndarray:
-    """Sums of `size` consecutive entries along axis, from blocks of 1, 2,
-    4, ... entries: one add per bit of size and one per doubling."""
-    a = np.moveaxis(a, axis, 0)
-    n_out = a.shape[0] - size + 1
-    total, offset, block, width = None, 0, a, 1
-    while size:
-        if size & 1:
-            part = block[offset:offset + n_out]
-            total = part.copy() if total is None else total + part
-            offset += width
-        size >>= 1
-        if size:
-            block = block[:-width] + block[width:]
-            width *= 2
-    return np.moveaxis(total, 0, axis)
-
-
-def _box_blur(image: SyntheticImage, size: int) -> SyntheticImage:
+def _box_blur(image: np.ndarray, size: int) -> np.ndarray:
     """Rounded mean over a size x size window, edges mirrored (d c b a | a b
     c d), as ndimage's `uniform_filter` in its default "reflect" mode.
 
@@ -127,25 +106,23 @@ def _box_blur(image: SyntheticImage, size: int) -> SyntheticImage:
     """
     if size < 1 or size % 2 == 0:
         raise InvalidArgumentError("blur size must be a positive odd integer")
-    p = np.pad(image.pixels, size // 2, mode="symmetric").astype(np.int32)
+    p = np.pad(image, size // 2, mode="symmetric").astype(np.int32)
     s = _window_sums(_window_sums(p, size, 0), size, 1)
     n = size * size
-    out = ((2 * s + n) // (2 * n)).astype(np.uint8)
-    return SyntheticImage(image.width, image.height, out, image.seed)
+    return ((2 * s + n) // (2 * n)).astype(np.uint8)
 
 
-def _strip_roi_margin(roi: SyntheticImage, full: SyntheticImage) -> SyntheticImage:
-    """Undo the fixed crop margin so crops of different sizes share scale."""
+def _strip_roi_margin(roi: np.ndarray, full: np.ndarray) -> np.ndarray:
+    """Undo the fixed crop margin so crops of different sizes share scale;
+    returns a view of the ROI."""
     m = ROI_MARGIN_PX
-    if roi.width >= full.width and roi.height >= full.height:
+    (h, w), (full_h, full_w) = roi.shape, full.shape
+    if (h >= full_h and w >= full_w) or min(h, w) <= 2 * m + 8:
         return roi
-    if roi.width <= 2 * m + 8 or roi.height <= 2 * m + 8:
-        return roi
-    return SyntheticImage(roi.width - 2 * m, roi.height - 2 * m,
-                          roi.pixels[m:-m, m:-m].copy(), roi.seed)
+    return roi[m:-m, m:-m]
 
 
-def _scene_descriptors(image: SyntheticImage, threshold: int) -> np.ndarray:
+def _scene_descriptors(image: np.ndarray, threshold: int) -> np.ndarray:
     roi = crop_to_marker_roi(image)
     roi = _strip_roi_margin(roi, image)
     roi = resize_bilinear(roi, REFERENCE_SIDE_PX, REFERENCE_SIDE_PX)
@@ -155,11 +132,10 @@ def _scene_descriptors(image: SyntheticImage, threshold: int) -> np.ndarray:
     return extract_descriptors(roi, corners)
 
 
-def render_marker_reference(spec: MarkerSpec) -> SyntheticImage:
+def render_marker_reference(spec: MarkerSpec) -> np.ndarray:
     side = REFERENCE_SIDE_PX
     refl = marker_reflectance(spec, side, side)
-    pixels = np.clip(np.rint(refl * 255.0), 0, 255).astype(np.uint8)
-    return SyntheticImage(side, side, pixels, 0)
+    return np.clip(np.rint(refl * 255.0), 0, 255).astype(np.uint8)
 
 
 def reference_descriptors(spec: MarkerSpec,
@@ -174,7 +150,7 @@ def reference_descriptors(spec: MarkerSpec,
     return cached
 
 
-def match_marker(scene_image: SyntheticImage, spec: MarkerSpec,
+def match_marker(scene_image: np.ndarray, spec: MarkerSpec,
                  threshold: int = DEFAULT_MATCH_FAST_THRESHOLD) -> MatchReport:
     """ROI crop, rescale to the reference frame, contrast normalization,
     feature extraction, mutual-NN matching against the reference marker."""

@@ -92,17 +92,16 @@ class Region:
 
 @dataclass(frozen=True)
 class SyntheticImage:
-    width: int
-    height: int
+    """A camera frame and its binary PGM codec."""
     pixels: np.ndarray  # uint8, shape (height, width), row-major
-    seed: int = 0
 
     def to_pgm(self) -> bytes:
-        header = f"P5\n{self.width} {self.height}\n255\n".encode("ascii")
+        height, width = self.pixels.shape
+        header = f"P5\n{width} {height}\n255\n".encode("ascii")
         return header + self.pixels.tobytes()
 
     @staticmethod
-    def from_pgm(data: bytes, seed: int = 0) -> "SyntheticImage":
+    def from_pgm(data: bytes) -> "SyntheticImage":
         if not data.startswith(b"P5"):
             raise InvalidArgumentError("not a binary PGM (P5) file")
         # header: magic, width, height, maxval, then raw pixels
@@ -132,7 +131,7 @@ class SyntheticImage:
         if len(raw) != width * height:
             raise InvalidArgumentError("truncated PGM pixel data")
         pixels = np.frombuffer(raw, dtype=np.uint8).reshape(height, width)
-        return SyntheticImage(width, height, pixels.copy(), seed)
+        return SyntheticImage(pixels.copy())
 
 
 class LuxCurve:
@@ -308,7 +307,7 @@ def render_region(region: Region, camera_seed: int, width: int, height: int,
                            size=(height, width))
         base = np.rint(base + noise)
     pixels = np.clip(base, 0, 255).astype(np.uint8)
-    return SyntheticImage(width, height, pixels, camera_seed)
+    return SyntheticImage(pixels)
 
 
 def read_light_sensor(region: Region, seed: int,

@@ -22,13 +22,14 @@ import tempfile
 import threading
 from base64 import b64encode
 from contextlib import contextmanager
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from . import policy
+from .characterize import METRIC_NAMES
 from .checks import check_fields, integer, number
 from .edge import ActuatorCommand, EdgeService, RegionConfig, SensorReading
 from .errors import ConfigError, InvalidArgumentError
@@ -314,7 +315,7 @@ class _EInkNode(_ActuatorNode):
     def accept(self, cmd: ActuatorCommand) -> None:
         sim = self.sim
         spec: MarkerSpec = cmd.payload
-        shown = {"pattern": spec.pattern, "size_index": spec.size_index}
+        shown = asdict(spec)
         region = sim.env.region(self.region_id)
         if spec == region.marker.spec:
             sim.log(f"eink/{self.region_id}", "command-noop", shown)
@@ -394,6 +395,12 @@ class Simulator:
             self._tmpdir = tempfile.TemporaryDirectory(prefix="ambientd-sim-")
             data_dir = self._tmpdir.name
         self.service = EdgeService(data_dir)
+        # a replayed log would make the run's first readings stale
+        for r in scenario.regions:
+            path = self.service.log_path(r.id)
+            if path.exists():
+                raise ConfigError(f"{path} holds the log of an earlier run; "
+                                  "a run needs a data directory without one")
         self._lux_readings: Dict[str, List[Tuple[int, float]]] = {}
         for r, config in zip(scenario.regions, scenario.region_configs()):
             bulb_id = f"bulb:{r.id}"
@@ -527,8 +534,7 @@ def run_scenario(scenario: Scenario, transport: str = "in-process",
 def _write_metrics_csv(sim: Simulator, path: Path) -> None:
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["region_id", "timestamp_ms", "brightness", "contrast",
-                         "edge_strength", "corner_count", "illuminance",
+        writer.writerow(["region_id", "timestamp_ms", *METRIC_NAMES,
                          "texture_class", "scene_change"])
         for r in sim.scenario.regions:
             for rec in sim.service._runtime(r.id).records:
@@ -590,7 +596,7 @@ def sweep_marker_grid(patterns=None, distances=None, angles=None,
                             stable_seed(seed, "sweep", pattern, distance,
                                         angle, lux, trial),
                             CANONICAL_W, CANONICAL_H)
-                        total += match_marker(image, spec).percentage
+                        total += match_marker(image.pixels, spec).percentage
                     rows.append({"pattern": pattern, "distance_cm": distance,
                                  "angle_deg": angle, "lux": lux,
                                  "trials": trials,

@@ -14,24 +14,22 @@ from ambientd.characterize import (FINE_TEXTURE_CORNER_THRESHOLD, ImageMetrics,
                                    detect_fast_corners, detect_scene_change,
                                    extract_descriptors, match_against_reference)
 from ambientd.errors import InvalidArgumentError
-from ambientd.scene import (MarkerPlacement, MarkerSpec, Region, SyntheticImage,
-                            TextureSpec, render_region)
+from ambientd.scene import (MarkerPlacement, MarkerSpec, Region, TextureSpec,
+                            render_region)
 from ambientd.sim import SWEEP_BACKGROUND
 
 from oracles import (bimodal_threshold_reference, brute_metrics, fast_oracle,
                      match_oracle)
 
 
-def as_image(pixels, seed=0):
-    h, w = pixels.shape
-    return SyntheticImage(w, h, np.ascontiguousarray(pixels, dtype=np.uint8),
-                          seed)
+def as_image(pixels):
+    return np.ascontiguousarray(pixels, dtype=np.uint8)
 
 
 def render(texture, lux, seed=1, w=64, h=64, sigma0=None, marker=None):
     region = Region("r", texture, lux, marker=marker)
     kwargs = {} if sigma0 is None else {"sigma0": sigma0}
-    return render_region(region, seed, w, h, **kwargs)
+    return render_region(region, seed, w, h, **kwargs).pixels
 
 
 def plan_corners(pixels, threshold):
@@ -48,7 +46,7 @@ def sweep_rois(cells):
     rois = []
 
     def capture(roi, threshold):
-        rois.append(roi.pixels)
+        rois.append(roi)
         return detect_fast_corners(roi, threshold)
 
     real = markerpipe.detect_fast_corners
@@ -142,7 +140,7 @@ class TestFastCorners:
                     TextureSpec("stripes", cell=5, low=0.2, high=0.8)]
         for i, tex in enumerate(textures):
             img = render(tex, 300.0, seed=i, w=48, h=48)
-            self._check_against_oracle(img.pixels)
+            self._check_against_oracle(img)
 
     @pytest.mark.parametrize("name", ["speckle-750", "checker-300", "shelf-60"])
     def test_oracle_equivalence_canonical_windows(self, name):
@@ -155,7 +153,7 @@ class TestFastCorners:
             "shelf-60": (TextureSpec("flat", value=0.6), 60.0, shelf),
         }[name]
         frame = render(texture, lux, seed=0, w=320, h=240, marker=marker)
-        window = frame.pixels[88:152, 128:192]
+        window = frame[88:152, 128:192]
         for threshold in (1, 15, 20, 24, 254, 255, 256):
             # each plan on its own: the public call takes one plan per image
             want = fast_oracle(window, threshold)
@@ -336,24 +334,25 @@ class TestRoiCrop:
     def test_crop_bounds_marker(self):
         img = self._marker_image()
         crop = crop_to_marker_roi(img)
-        dark_cols = np.nonzero((img.pixels < 200).any(axis=0))[0]
-        dark_rows = np.nonzero((img.pixels < 200).any(axis=1))[0]
+        dark_cols = np.nonzero((img < 200).any(axis=0))[0]
+        dark_rows = np.nonzero((img < 200).any(axis=1))[0]
         want_w = dark_cols.max() - dark_cols.min() + 1 + 8
         want_h = dark_rows.max() - dark_rows.min() + 1 + 8
-        assert abs(crop.width - want_w) <= 2
-        assert abs(crop.height - want_h) <= 2
+        crop_h, crop_w = crop.shape
+        assert abs(crop_w - want_w) <= 2
+        assert abs(crop_h - want_h) <= 2
 
     def test_foreshortened_crop_narrower(self):
         straight = crop_to_marker_roi(self._marker_image(angle=0.0))
         slanted = crop_to_marker_roi(self._marker_image(angle=60.0))
-        assert slanted.width < 0.6 * straight.width
-        assert abs(slanted.height - straight.height) <= 2
+        assert slanted.shape[1] < 0.6 * straight.shape[1]
+        assert abs(slanted.shape[0] - straight.shape[0]) <= 2
 
     def test_threshold_matches_per_pixel_reference(self):
-        images = [self._marker_image(distance=d, lux=lux, seed=d).pixels
+        images = [self._marker_image(distance=d, lux=lux, seed=d)
                   for d in (20, 55, 90) for lux in (50.0, 300.0, 1000.0)]
         images += [render(TextureSpec("speckle", frequency=0.5), lux,
-                          w=320, h=240).pixels for lux in (50.0, 750.0)]
+                          w=320, h=240) for lux in (50.0, 750.0)]
         rng = np.random.default_rng(11)
         for _ in range(40):
             h, w = (int(v) for v in rng.integers(1, 80, size=2))
@@ -370,7 +369,7 @@ class TestRoiCrop:
         img = render(TextureSpec("flat", value=0.9), 500.0, w=64, h=64,
                      sigma0=0)
         crop = crop_to_marker_roi(img)
-        assert crop.width == 64 and crop.height == 64
+        assert crop.shape == (64, 64)
 
 
 class TestTextureClassification:

@@ -175,6 +175,24 @@ class TestRun:
         assert names in result.stderr
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize("transport", ["in-process", "real-http"])
+    def test_used_out_dir_exit_2(self, tmp_path, capsys, transport):
+        """A second run into one --out replayed the first run's region log,
+        found its own t=0 reading stale and exited 1 with a traceback."""
+        scenario = write_scenario(tmp_path / "s.json", duration_s=2.0,
+                                  sensor_period_s=1.0)
+        out = tmp_path / "out"
+        argv = ["run", str(scenario), "--out", str(out),
+                "--transport", transport]
+        assert cli.main(argv) == 0
+        log = out / "data" / "region_r.jsonl"
+        first = log.read_bytes()
+        capsys.readouterr()
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ambientd: config error") and str(log) in err
+        assert log.read_bytes() == first
+
     def test_require_convergence_exit_3(self, tmp_path):
         # a 400-lux cap makes the 750-lux fine-texture target unreachable
         scenario = write_scenario(

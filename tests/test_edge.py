@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ambientd.characterize import METRIC_NAMES
 from ambientd.edge import (ActuatorCommand, EdgeService, MetricsRecord,
                            RegionConfig, SensorReading)
 from ambientd.errors import (BadRequestError, ConfigError, InvalidArgumentError,
@@ -45,7 +46,7 @@ def reading(ts, lux=80.0, with_image=True, sensor="s1", region="r1", seed=1,
 def tiny_image_b64():
     """A well-formed PGM too small to characterize."""
     pixels = np.zeros((8, 8), np.uint8)
-    return base64.b64encode(SyntheticImage(8, 8, pixels).to_pgm()).decode("ascii")
+    return base64.b64encode(SyntheticImage(pixels).to_pgm()).decode("ascii")
 
 
 def restarted(data_dir):
@@ -357,6 +358,15 @@ class TestDurability:
         doc = json.loads(json.dumps(record.to_json()))
         back = MetricsRecord.from_json(doc)
         assert back == record
+
+    @pytest.mark.parametrize("name", METRIC_NAMES)
+    def test_record_without_a_metric_is_refused(self, service, name):
+        """Kills a decoder that reads metrics with `.get`: a line without
+        `illuminance` would then replay as a lux-less record."""
+        doc = service.ingest_reading(reading(1000)).to_json()
+        del doc["metrics"][name]
+        with pytest.raises(KeyError, match=name):
+            MetricsRecord.from_json(doc)
 
     def test_command_json_round_trip(self):
         cmd = ActuatorCommand("eink1", "set-marker",

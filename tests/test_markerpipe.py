@@ -11,11 +11,11 @@ from ambientd.errors import InvalidArgumentError
 from ambientd.markerpipe import (DESCRIBE_BLUR_PX, MAX_MATCH_FAST_THRESHOLD,
                                  REFERENCE_SIDE_PX, _box_blur,
                                  _percentile_of_counts, _strip_roi_margin,
-                                 normalize_contrast, reference_descriptors,
-                                 resize_bilinear)
+                                 match_marker, normalize_contrast,
+                                 reference_descriptors, resize_bilinear)
 from ambientd.policy import PolicyConfig
 from ambientd.scene import (MARKER_PATTERNS, MarkerPlacement, MarkerSpec,
-                            Region, SyntheticImage, render_region)
+                            Region, render_region)
 from ambientd.sim import (CANONICAL_H, CANONICAL_W, SWEEP_BACKGROUND,
                           default_sweep_lux_levels, stable_seed)
 
@@ -28,8 +28,7 @@ SIDES = st.integers(1, 300)
 def random_image(h, w, seed, lo=0, hi=255):
     rng = np.random.default_rng(seed)
     lo, hi = min(lo, hi), max(lo, hi)
-    pixels = rng.integers(lo, hi + 1, (h, w), dtype=np.uint8)
-    return SyntheticImage(w, h, pixels, 0)
+    return rng.integers(lo, hi + 1, (h, w), dtype=np.uint8)
 
 
 class TestMatchThresholdCap:
@@ -62,9 +61,8 @@ class TestResize:
     def test_matches_per_pixel_oracle(self, h, w, out_h, out_w, seed):
         img = random_image(h, w, seed)
         got = resize_bilinear(img, out_w, out_h)
-        assert (got.width, got.height) == (out_w, out_h)
-        assert np.array_equal(got.pixels,
-                              bilinear_oracle(img.pixels, out_w, out_h))
+        assert got.shape == (out_h, out_w)
+        assert np.array_equal(got, bilinear_oracle(img, out_w, out_h))
 
 
 class TestNormalize:
@@ -75,7 +73,7 @@ class TestNormalize:
     @example(h=1, w=1, seed=0, lo=7, hi=7, q=98.0)
     @example(h=1, w=300, seed=0, lo=0, hi=255, q=2.0)
     def test_percentiles_match_numpy(self, h, w, seed, lo, hi, q):
-        pixels = random_image(h, w, seed, lo, hi).pixels
+        pixels = random_image(h, w, seed, lo, hi)
         below = np.cumsum(np.bincount(pixels.ravel(), minlength=256))
         for quantile in (2.0, 98.0, q):
             want = np.percentile(pixels.astype(np.float64), quantile)
@@ -97,13 +95,13 @@ class TestNormalize:
     @example(h=300, w=1, seed=0, lo=0, hi=1)
     def test_matches_per_pixel_stretch(self, h, w, seed, lo, hi):
         img = random_image(h, w, seed, lo, hi)
-        p = img.pixels.astype(np.float64)
+        p = img.astype(np.float64)
         p_lo, p_hi = np.percentile(p, (2.0, 98.0))
-        want = img.pixels
+        want = img
         if p_hi - p_lo >= 1.0:
             stretched = np.clip((p - p_lo) * (255.0 / (p_hi - p_lo)), 0, 255)
             want = np.rint(stretched).astype(np.uint8)
-        assert np.array_equal(normalize_contrast(img).pixels, want)
+        assert np.array_equal(normalize_contrast(img), want)
 
 
 class TestBoxBlur:
@@ -115,13 +113,39 @@ class TestBoxBlur:
     @example(h=2, w=3, seed=0, size=13)
     def test_matches_per_pixel_oracle(self, h, w, seed, size):
         img = random_image(h, w, seed)
-        assert np.array_equal(_box_blur(img, size).pixels,
-                              box_mean_oracle(img.pixels, size))
+        assert np.array_equal(_box_blur(img, size),
+                              box_mean_oracle(img, size))
 
     @pytest.mark.parametrize("size", [0, 2, 12, -1])
     def test_refuses_sizes_without_a_centre(self, size):
         with pytest.raises(InvalidArgumentError):
             _box_blur(random_image(20, 20, 0), size)
+
+
+KERNELS = {
+    "match_marker": lambda a: match_marker(a, MarkerSpec("binary-grid-A", 0)),
+    "crop_to_marker_roi": crop_to_marker_roi,
+    "normalize_contrast": normalize_contrast,
+    "resize_bilinear": lambda a: resize_bilinear(a, 50, 70),
+    "_box_blur": lambda a: _box_blur(a, DESCRIBE_BLUR_PX),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNELS))
+def test_kernel_leaves_its_input_unchanged(name):
+    """The ROI crop and the margin strip are views of the caller's frame, so
+    no kernel may write into its input, whole frame or crop. Kills
+    normalize_contrast applying its table in place (np.take(lut, p,
+    out=p))."""
+    marker = MarkerPlacement(MarkerSpec("binary-grid-A", 0), 30.0, 0.0)
+    frame = render_region(Region("sweep", SWEEP_BACKGROUND, 500.0,
+                                 marker=marker), 1, CANONICAL_W, CANONICAL_H).pixels
+    crop = crop_to_marker_roi(frame)
+    assert np.shares_memory(crop, frame) and crop.shape != frame.shape
+    want = frame.copy()
+    for image in (frame, crop):
+        KERNELS[name](image)
+        assert np.array_equal(frame, want)
 
 
 def random_mask(h, w, seed, kind, density):
@@ -180,7 +204,7 @@ def sweep_corpus():
                     yield render_region(
                         region, stable_seed(seed, "sweep", pattern, distance,
                                             angle, lux, 0),
-                        CANONICAL_W, CANONICAL_H)
+                        CANONICAL_W, CANONICAL_H).pixels
 
 
 def test_kernels_match_ndimage_on_the_sweep_corpus():
@@ -189,7 +213,7 @@ def test_kernels_match_ndimage_on_the_sweep_corpus():
     count = 0
     for image in sweep_corpus():
         count += 1
-        dark = image.pixels < math.ceil(_bimodal_threshold(image.pixels))
+        dark = image < math.ceil(_bimodal_threshold(image))
         labels, n = ndimage.label(dark, structure=np.ones((3, 3), dtype=int))
         areas = np.bincount(labels.ravel())
         areas[0] = 0
@@ -200,19 +224,19 @@ def test_kernels_match_ndimage_on_the_sweep_corpus():
             int(xs.min()), int(xs.max()) + 1)
 
         roi = _strip_roi_margin(crop_to_marker_roi(image), image)
-        yy = (np.arange(side) + 0.5) * (roi.height / side) - 0.5
-        xx = (np.arange(side) + 0.5) * (roi.width / side) - 0.5
+        yy = (np.arange(side) + 0.5) * (roi.shape[0] / side) - 0.5
+        xx = (np.arange(side) + 0.5) * (roi.shape[1] / side) - 0.5
         grid = np.meshgrid(yy, xx, indexing="ij")
-        want = ndimage.map_coordinates(roi.pixels.astype(np.float64), grid,
+        want = ndimage.map_coordinates(roi.astype(np.float64), grid,
                                        order=1, mode="nearest")
         resized = resize_bilinear(roi, side, side)
-        assert np.array_equal(resized.pixels,
+        assert np.array_equal(resized,
                               np.clip(np.rint(want), 0, 255).astype(np.uint8))
 
         normalized = normalize_contrast(resized)
-        want = ndimage.uniform_filter(normalized.pixels.astype(np.float64),
+        want = ndimage.uniform_filter(normalized.astype(np.float64),
                                       DESCRIBE_BLUR_PX)
-        assert np.array_equal(_box_blur(normalized, DESCRIBE_BLUR_PX).pixels,
+        assert np.array_equal(_box_blur(normalized, DESCRIBE_BLUR_PX),
                               np.clip(np.rint(want), 0, 255).astype(np.uint8))
     assert count == 216
 

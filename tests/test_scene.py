@@ -148,7 +148,7 @@ class TestPgm:
         region = Region("r", TextureSpec("speckle", frequency=0.5), 400.0)
         img = render_region(region, 3, 48, 36)
         back = SyntheticImage.from_pgm(img.to_pgm())
-        assert back.width == 48 and back.height == 36
+        assert back.pixels.shape == (36, 48)
         assert np.array_equal(back.pixels, img.pixels)
 
     def test_truncated_rejected(self):
