@@ -5,7 +5,8 @@ Transport-agnostic; the HTTP layer in httpapi.py is a thin wrapper around
 EdgeService. Each region has its own lock, staleness map, policy state and
 NDJSON log; a policy step computes the region's optimum lux once, hands it
 with the region's `PolicyConfig` to the step function of its mode, and turns
-the step's intents into actuator commands in one loop.
+the step's `(kind, payload)` intents into commands in one loop. A command is
+recorded, and sent only to a registered actuator, so a stored reading succeeds.
 
 A log line is a `MetricsRecord` plus the reading's `sensor_id` and whether
 it carried an `image`. `_RegionRuntime.apply` is the only writer of a
@@ -42,6 +43,7 @@ from .scene import DEFAULT_LUX_CURVE, LuxCurve, MarkerSpec, SyntheticImage
 MAX_TREND_WINDOW_S = 365 * 24 * 3600.0   # one year
 # A region id names the region's log file.
 REGION_ID = re.compile(r"(?!\.)[A-Za-z0-9_.-]{1,64}")
+COMMAND_KINDS = ("set-brightness", "set-marker")
 
 
 @dataclass
@@ -163,6 +165,10 @@ class RegionConfig:
     def __post_init__(self):
         check_fields(self)
 
+    def actuator(self, kind: str) -> Optional[str]:
+        """The actuator this region names for a command kind, if any."""
+        return self.bulb_actuator if kind == "set-brightness" else self.eink_actuator
+
 
 class _RegionRuntime:
     def __init__(self, config: RegionConfig, log_path: Path):
@@ -206,13 +212,14 @@ class EdgeService:
         self.data_dir.mkdir(parents=True, exist_ok=True)
         self._regions: Dict[str, _RegionRuntime] = {}
         self._actuators: Dict[str, Callable[[ActuatorCommand], None]] = {}
+        self._kinds: Dict[str, set] = {}    # actuator -> kinds regions send
         self._global_lock = threading.Lock()
 
     # -- registration -----------------------------------------------------
 
     def register_region(self, config: RegionConfig) -> int:
-        """Register a region and replay its log; returns the number of bytes
-        of a torn last line cut from the log.
+        """Register a region, which no caller does twice, and replay its log;
+        returns the number of bytes of a torn last line cut from the log.
 
         A complete line that does not parse raises ConfigError.
         """
@@ -240,6 +247,9 @@ class EdgeService:
             runtime.apply(record, sensor_id, image)
         with self._global_lock:
             self._regions[config.region_id] = runtime
+            for kind in COMMAND_KINDS:
+                if actuator := config.actuator(kind):
+                    self._kinds.setdefault(actuator, set()).add(kind)
         return len(data) - keep
 
     def log_path(self, region_id: str) -> Path:
@@ -301,11 +311,10 @@ class EdgeService:
                      image: Optional[np.ndarray]) -> None:
         config = runtime.config
         now_s = record.timestamp_ms / 1000.0
-        optimal = policy.select_optimal_lux(record.texture_class)
-        if config.constraints:
-            system = policy.ControlConstraint(
-                "ar-tracking", 50.0, 1000.0, optimal, priority=0)
-            optimal = policy.resolve_constraints([system, *config.constraints])
+        system = policy.ControlConstraint(
+            "ar-tracking", 50.0, 1000.0,
+            policy.select_optimal_lux(record.texture_class))
+        optimal = policy.resolve_constraints([system, *config.constraints])
         runtime.optimal_lux = optimal
         if runtime.last_lux is None or (config.mode == "marker" and image is None):
             return
@@ -313,7 +322,8 @@ class EdgeService:
             command = policy.illuminance_control_step(
                 runtime.illum_state, config.policy, optimal, runtime.last_lux,
                 config.curve, now_s)
-            intents = [] if command is None else [policy.SetBrightness(command)]
+            intents = ([] if command is None
+                       else [policy.Intent("set-brightness", command)])
         else:
             report = markerpipe.match_marker(
                 image, runtime.marker_state.current_spec,
@@ -322,18 +332,13 @@ class EdgeService:
             runtime.marker_state, intents = policy.marker_control_step(
                 runtime.marker_state, config.policy, report, optimal,
                 runtime.last_lux, config.curve, now_s)
-        for intent in intents:
-            if isinstance(intent, policy.SetBrightness):
-                actuator, kind, payload = (config.bulb_actuator,
-                                           "set-brightness", intent.command)
-            else:
-                actuator, kind, payload = (config.eink_actuator, "set-marker",
-                                           intent.spec)
-            if actuator:
+        for kind, payload in intents:
+            if actuator := config.actuator(kind):
                 cmd = ActuatorCommand(actuator, kind, payload,
                                       record.timestamp_ms)
                 runtime.commands.append(cmd)
-                self.dispatch_command(cmd)
+                if actuator in self._actuators:
+                    self.dispatch_command(cmd)
 
     # -- queries ----------------------------------------------------------
 
@@ -384,18 +389,13 @@ class EdgeService:
     def dispatch_command(self, cmd: ActuatorCommand) -> float:
         """Forward a command to its actuator; returns dispatch latency in ms.
 
-        A region's bulb actuator takes only `set-brightness` and its E-Ink
-        actuator only `set-marker`; an actuator no region names takes both.
+        An actuator takes the kinds the regions naming it send it, as
+        recorded at registration; an actuator no region names takes both.
         """
         accept = self._actuators.get(cmd.actuator_id)
         if accept is None:
             raise NotFoundError(f"unknown actuator {cmd.actuator_id!r}")
-        with self._global_lock:
-            configs = [runtime.config for runtime in self._regions.values()]
-        kinds = {kind for c in configs
-                 for actuator, kind in ((c.bulb_actuator, "set-brightness"),
-                                        (c.eink_actuator, "set-marker"))
-                 if actuator == cmd.actuator_id}
+        kinds = self._kinds.get(cmd.actuator_id)
         if kinds and cmd.kind not in kinds:
             raise BadRequestError(
                 f"actuator {cmd.actuator_id!r} takes {' or '.join(sorted(kinds))},"

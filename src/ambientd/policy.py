@@ -7,13 +7,15 @@ its constructor checks them, so a config that exists is valid. The two step
 functions take it, the optimum lux (computed by the caller) and a mutable
 state that holds only what changes between steps. Both use `in_deadband`,
 the deadband test, and `_light_command`, the settle-then-actuate bulb step.
+An intent is `(kind, payload)`, and its kind is the wire's command kind,
+`"set-brightness"` (a percent) or `"set-marker"` (a `MarkerSpec`).
 """
 from __future__ import annotations
 
 import enum
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -139,14 +141,10 @@ class MarkerPhase(enum.Enum):
     EXHAUSTED = "Exhausted"
 
 
-@dataclass(frozen=True)
-class SetBrightness:
-    command: float
-
-
-@dataclass(frozen=True)
-class SetMarker:
-    spec: MarkerSpec
+class Intent(NamedTuple):
+    """An actuation the policy asks for: an `ActuatorCommand` kind, payload."""
+    kind: str
+    payload: object
 
 
 @dataclass
@@ -161,7 +159,7 @@ class MarkerControllerState:
 def marker_control_step(state: MarkerControllerState, config: PolicyConfig,
                         report: MatchReport, optimal_lux: float,
                         measured_lux: float, curve: LuxCurve, now: float
-                        ) -> Tuple[MarkerControllerState, list]:
+                        ) -> Tuple[MarkerControllerState, List[Intent]]:
     """One observation of the marker adaptation loop.
 
     Escalates light -> marker size -> marker pattern until the matched-feature
@@ -181,7 +179,7 @@ def marker_control_step(state: MarkerControllerState, config: PolicyConfig,
                                      curve, now)
             if command is not None:
                 state.light_attempts += 1
-                return state, [SetBrightness(command)]
+                return state, [Intent("set-brightness", command)]
         state.phase = MarkerPhase.ENLARGE_MARKER
 
     spec = state.current_spec
@@ -200,7 +198,7 @@ def marker_control_step(state: MarkerControllerState, config: PolicyConfig,
         spec = replace(spec, pattern=untried[0])
     state.current_spec = spec
     state.settle_until = now + config.settle_s
-    return state, [SetMarker(spec)]
+    return state, [Intent("set-marker", spec)]
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ is to the constructor of the type that owns it (`RegionScenario`,
 type has is a `ConfigError` naming its entry before anything runs. A key
 left out of the file keeps the dataclass default, and the `policy` object
 becomes one `PolicyConfig` shared by every region's `RegionConfig`.
+`Scenario.region_configs()` builds those, actuator ids included.
 """
 from __future__ import annotations
 
@@ -150,10 +151,12 @@ class Scenario:
             lux_curve=self.lux_curve)
 
     def region_configs(self) -> List[RegionConfig]:
-        """Edge-service config per region, without actuator ids."""
+        """Edge-service config per region, naming bulb:<id> and eink:<id>."""
         return [RegionConfig(
                     region_id=r.id,
                     mode=r.mode,
+                    bulb_actuator=f"bulb:{r.id}",
+                    eink_actuator=f"eink:{r.id}",
                     curve=self.lux_curve,
                     policy=self.policy,
                     initial_marker=(r.marker.spec if r.marker else None),
@@ -333,6 +336,8 @@ class _EInkNode(_ActuatorNode):
 
 # -- transports ----------------------------------------------------------
 
+SERVE_POLL_S = 0.05     # how often a server thread looks for a shutdown
+
 
 class InProcessTransport:
     def __init__(self, service: EdgeService):
@@ -355,8 +360,9 @@ class HttpTransport:
         self.server = make_server(service, host, 0)
         port = self.server.server_address[1]
         self.base_url = f"http://{host}:{port}"
-        self._thread = threading.Thread(target=self.server.serve_forever,
-                                        daemon=True)
+        self._thread = threading.Thread(
+            target=self.server.serve_forever,
+            kwargs={"poll_interval": SERVE_POLL_S}, daemon=True)
         self._thread.start()
         self._conn = HTTPConnection(host, port, timeout=30)
 
@@ -386,6 +392,9 @@ class HttpTransport:
 class Simulator:
     def __init__(self, scenario: Scenario, transport: str = "in-process",
                  data_dir=None):
+        transports = {"in-process": InProcessTransport, "real-http": HttpTransport}
+        if transport not in transports:
+            raise ConfigError(f"unknown transport {transport!r}")
         self.scenario = scenario
         self.queue = _EventQueue()
         self.event_log: List[dict] = []
@@ -403,24 +412,16 @@ class Simulator:
                                   "a run needs a data directory without one")
         self._lux_readings: Dict[str, List[Tuple[int, float]]] = {}
         for r, config in zip(scenario.regions, scenario.region_configs()):
-            bulb_id = f"bulb:{r.id}"
-            eink_id = f"eink:{r.id}"
-            self.service.register_region(replace(
-                config, bulb_actuator=bulb_id, eink_actuator=eink_id))
+            self.service.register_region(config)
             bulb = _BulbNode(self, r.id, scenario.bulb_latency_s)
-            self.service.register_actuator(bulb_id, bulb.accept)
+            self.service.register_actuator(config.bulb_actuator, bulb.accept)
             if r.marker is not None:
                 eink = _EInkNode(self, r.id, scenario.eink_latency_s)
-                self.service.register_actuator(eink_id, eink.accept)
+                self.service.register_actuator(config.eink_actuator, eink.accept)
             self._lux_readings[r.id] = []
         self._satisfied_cycle: Dict[str, Optional[int]] = {
             r.id: None for r in scenario.regions}
-        if transport == "in-process":
-            self.transport = InProcessTransport(self.service)
-        elif transport == "real-http":
-            self.transport = HttpTransport(self.service)
-        else:
-            raise ConfigError(f"unknown transport {transport!r}")
+        self.transport = transports[transport](self.service)
 
     def log(self, node: str, kind: str, payload: dict) -> None:
         digest = hashlib.sha256(

@@ -23,8 +23,8 @@ from ambientd.policy import (ControlConstraint, IlluminancePolicyState,
                              predict_tracking, resolve_constraints)
 from ambientd.scene import (DEFAULT_LUX_CURVE, MARKER_PATTERNS, MarkerPlacement,
                             MarkerSpec, Region, TextureSpec, render_region)
-from ambientd.sim import (RegionScenario, Scenario, Simulator, run_scenario,
-                          sweep_marker_grid)
+from ambientd.sim import (SERVE_POLL_S, RegionScenario, Scenario, Simulator,
+                          run_scenario, sweep_marker_grid)
 
 from oracles import fast_oracle
 
@@ -169,7 +169,8 @@ def test_criterion_7_protocol_conformance(tmp_path):
     service.register_region(RegionConfig("r1"))
     service.register_actuator("bulb1", lambda cmd: None)
     server = make_server(service)
-    Thread(target=server.serve_forever, daemon=True).start()
+    Thread(target=server.serve_forever,
+           kwargs={"poll_interval": SERVE_POLL_S}, daemon=True).start()
     base = f"http://127.0.0.1:{server.server_port}"
     try:
         img = render_region(Region("r", COARSE, 200.0), 1, 320, 240)

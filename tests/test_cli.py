@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from ambientd import cli, httpapi
+from ambientd.edge import SensorReading
 from ambientd.scene import Region, TextureSpec, render_region
 from ambientd.sim import load_scenario
 
@@ -433,9 +434,16 @@ class TestServe:
                          "--bind", "127.0.0.1:0",
                          "--data-dir", str(tmp_path / "data")])
         assert code == 0
-        registered = [runtime.config
-                      for runtime in served["service"]._regions.values()]
+        service = served["service"]
+        registered = [runtime.config for runtime in service._regions.values()]
         assert registered == load_scenario(scenario).region_configs()
+        assert [(c.bulb_actuator, c.eink_actuator) for c in registered] == [
+            ("bulb:desk", "eink:desk"), ("bulb:shelf", "eink:shelf")]
+        # the configs used to name no actuator, so a served region recorded
+        # no command for a reading far from its optimum
+        service.ingest_reading(SensorReading("s1", "desk", 1000, lux=80.0))
+        assert [(c.actuator_id, c.kind) for c in service.region_commands(
+            "desk")] == [("bulb:desk", "set-brightness")]
 
     def test_torn_last_line_reported(self, tmp_path, monkeypatch, capsys):
         data = tmp_path / "data"

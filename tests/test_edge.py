@@ -24,6 +24,7 @@ from ambientd.errors import (BadRequestError, ConfigError, InvalidArgumentError,
 from ambientd.httpapi import MAX_BODY_BYTES, make_server
 from ambientd.scene import (MarkerSpec, Region, SyntheticImage, TextureSpec,
                             render_region)
+from ambientd.sim import SERVE_POLL_S
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -199,6 +200,22 @@ class TestPolicyStepping:
         svc.ingest_reading(reading(1000, lux=80.0))
         assert svc.marker_phase("r1") == "AdjustLight"
         assert accepted and accepted[0].kind == "set-brightness"
+
+    def test_command_to_an_unregistered_actuator_is_recorded_not_sent(
+            self, tmp_path):
+        # it used to be sent anyway, so the stored reading raised
+        # NotFoundError (a 404 over HTTP, and a retry got 409 stale); the
+        # mutant drops the registered-actuator check of the policy step
+        svc = EdgeService(tmp_path)
+        svc.register_region(RegionConfig("r1", bulb_actuator="bulb1"))
+        record = svc.ingest_reading(reading(1000, lux=200.0, with_image=False))
+        assert svc.get_latest_metrics("r1") is record
+        [line] = (tmp_path / "region_r1.jsonl").read_text().splitlines()
+        assert json.loads(line)["timestamp_ms"] == 1000
+        [cmd] = svc.region_commands("r1")
+        assert (cmd.actuator_id, cmd.kind) == ("bulb1", "set-brightness")
+        with pytest.raises(NotFoundError):
+            svc.dispatch_command(cmd)
 
     def test_marker_phase_none_for_markerless(self, service):
         assert service.marker_phase("r1") is None
@@ -397,6 +414,21 @@ class TestDispatch:
         service.dispatch_command(replace(marker, actuator_id="spare"))
         assert accepted == [replace(marker, actuator_id="spare")]
 
+    def test_an_actuator_two_regions_name_takes_both_kinds(self, tmp_path):
+        # the mutant's kinds record keeps only the last region's kind
+        svc = EdgeService(tmp_path)
+        svc.register_region(RegionConfig("a", bulb_actuator="hub"))
+        svc.register_region(RegionConfig("b", mode="marker",
+                                         eink_actuator="hub"))
+        accepted = []
+        svc.register_actuator("hub", accepted.append)
+        cmds = [ActuatorCommand("hub", "set-brightness", 50.0),
+                ActuatorCommand("hub", "set-marker",
+                                MarkerSpec("binary-grid-A", 0))]
+        for cmd in cmds:
+            svc.dispatch_command(cmd)
+        assert accepted == cmds
+
     @pytest.mark.parametrize("payload", [150, -1, -0.5, 100.5, float("nan"),
                                          float("inf"), True, "50", None])
     def test_brightness_outside_percent_rejected(self, payload):
@@ -417,7 +449,8 @@ class TestDispatch:
 @pytest.fixture
 def http_server(service):
     server = make_server(service)
-    thread = Thread(target=server.serve_forever, daemon=True)
+    thread = Thread(target=server.serve_forever,
+                    kwargs={"poll_interval": SERVE_POLL_S}, daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
@@ -665,7 +698,8 @@ class TestIngestProperty:
         svc.register_region(RegionConfig("r1", bulb_actuator="bulb1"))
         svc.register_actuator("bulb1", lambda cmd: None)
         server = make_server(svc)
-        Thread(target=server.serve_forever, daemon=True).start()
+        Thread(target=server.serve_forever,
+               kwargs={"poll_interval": SERVE_POLL_S}, daemon=True).start()
         image = base64.b64encode(render_region(
             Region("r", TextureSpec("checkerboard", cell=8), 300.0),
             1, 48, 48).to_pgm()).decode("ascii")
@@ -723,7 +757,8 @@ PIPELINE_BODIES = st.sampled_from([
 class TestPipelineProperty:
     def test_one_in_order_response_per_request(self, service):
         server = make_server(service)
-        Thread(target=server.serve_forever, daemon=True).start()
+        Thread(target=server.serve_forever,
+               kwargs={"poll_interval": SERVE_POLL_S}, daemon=True).start()
 
         @settings(max_examples=100, deadline=None, derandomize=True,
                   database=None)

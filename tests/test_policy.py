@@ -7,8 +7,7 @@ from ambientd.characterize import MatchReport, TextureClass
 from ambientd.errors import CalibrationError, InvalidArgumentError
 from ambientd.policy import (ControlConstraint, IlluminancePolicyState,
                              MarkerControllerState, MarkerPhase, PolicyConfig,
-                             SetBrightness, SetMarker, calibrate,
-                             illuminance_control_step, lux_band,
+                             calibrate, illuminance_control_step, lux_band,
                              marker_control_step, predict_tracking,
                              resolve_constraints, select_optimal_lux)
 from ambientd.scene import DEFAULT_LUX_CURVE, MarkerSpec
@@ -140,19 +139,20 @@ class TestMarkerController:
             if state.phase is MarkerPhase.EXHAUSTED:
                 break
         assert state.phase is MarkerPhase.EXHAUSTED
-        assert [type(i).__name__ for i in seen] == [
-            "SetBrightness", "SetBrightness", "SetMarker", "SetMarker",
-            "SetMarker", "SetMarker", "SetMarker"]
-        sizes = [i.spec.size_index for i in seen if isinstance(i, SetMarker)]
+        assert [i.kind for i in seen] == [
+            "set-brightness", "set-brightness", "set-marker", "set-marker",
+            "set-marker", "set-marker", "set-marker"]
+        sizes = [i.payload.size_index for i in seen if i.kind == "set-marker"]
         assert sizes[:2] == [1, 2]
-        patterns = [i.spec.pattern for i in seen if isinstance(i, SetMarker)][2:]
+        patterns = [i.payload.pattern for i in seen
+                    if i.kind == "set-marker"][2:]
         assert patterns == ["binary-grid-B", "image-uniform", "image-nonuniform"]
 
     def test_light_skipped_when_in_deadband(self):
         state, intents = self.step(self.make_state(), 10, 0.0, lux=300.0)
         assert len(intents) == 1
-        assert isinstance(intents[0], SetMarker)
-        assert intents[0].spec.size_index == 1
+        assert intents[0].kind == "set-marker"
+        assert intents[0].payload.size_index == 1
 
     def test_at_most_one_actuation_per_observation(self):
         state = self.make_state()
@@ -174,9 +174,9 @@ class TestMarkerController:
         state, intents = self.step(state, 10, 0.0, lux=300.0,
                                    config=PolicyConfig(max_size_index=0))
         # no enlargement possible; goes straight to pattern switching
-        assert isinstance(intents[0], SetMarker)
-        assert intents[0].spec.size_index == 0
-        assert intents[0].spec.pattern == "binary-grid-B"
+        assert intents[0].kind == "set-marker"
+        assert intents[0].payload.size_index == 0
+        assert intents[0].payload.pattern == "binary-grid-B"
 
     def test_recovery_marks_satisfied(self):
         state = self.make_state()

@@ -1,6 +1,8 @@
 import copy
+import gc
 import hashlib
 import json
+import time
 import urllib.error
 import urllib.request
 from dataclasses import asdict, replace
@@ -11,14 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ambientd.edge import ActuatorCommand, SensorReading
+from ambientd.edge import ActuatorCommand, EdgeService, SensorReading
 from ambientd.errors import ConfigError
 from ambientd.policy import PolicyConfig
 from ambientd.scene import (MarkerPlacement, MarkerSpec, TextureSpec)
-from ambientd.sim import (RegionScenario, Scenario, Simulator, TrajectoryEvent,
-                          default_sweep_lux_levels, run_calibration,
-                          run_scenario, scenario_from_json, stable_seed,
-                          sweep_marker_grid)
+from ambientd.sim import (HttpTransport, RegionScenario, Scenario, Simulator,
+                          TrajectoryEvent, default_sweep_lux_levels,
+                          run_calibration, run_scenario, scenario_from_json,
+                          stable_seed, sweep_marker_grid)
 
 COARSE = TextureSpec("checkerboard", cell=32, low=0.1, high=0.9)
 FINE = TextureSpec("speckle", frequency=0.5)
@@ -294,6 +296,20 @@ class TestTransports:
                                           transport="real-http")
         assert report_a == report_b
         assert events_a == events_b
+
+    def test_http_transport_closes_at_once(self, tmp_path):
+        # at serve_forever's default poll of 0.5 s, a close idled that long
+        transport = HttpTransport(EdgeService(tmp_path))
+        start = time.monotonic()
+        transport.close()
+        assert time.monotonic() - start < 0.25
+
+    def test_unknown_transport_leaves_no_temporary_directory(self):
+        # the data directory used to be made before the name was checked,
+        # and the collector then cleaned it up with a ResourceWarning
+        with pytest.raises(ConfigError, match="unknown transport"):
+            Simulator(coarse_scenario(), transport="bogus")
+        gc.collect()
 
     def test_real_http_run_opens_one_connection(self):
         sim = Simulator(coarse_scenario(duration_s=10.0), transport="real-http")
