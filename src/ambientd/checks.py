@@ -63,8 +63,9 @@ def _rules(cls) -> tuple:
                  for f in fields(cls) if "test" in f.metadata)
 
 
-def check_fields(obj, error=InvalidArgumentError) -> None:
-    """Raise error for the first field of obj whose value breaks its rule."""
+def check_fields(obj) -> None:
+    """Raise InvalidArgumentError for the first field of obj whose value
+    breaks its rule."""
     for name, test, rule in _rules(type(obj)):
         if not test(getattr(obj, name)):
-            raise error(f"{name} must be {rule}")
+            raise InvalidArgumentError(f"{name} must be {rule}")

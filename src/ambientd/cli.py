@@ -15,7 +15,7 @@ from pathlib import Path
 from . import policy, sim
 from .characterize import classify_texture, compute_metrics
 from .edge import EdgeService, RegionConfig
-from .errors import AmbientError, ConfigError, InvalidArgumentError
+from .errors import AmbientError, ConfigError
 from .scene import SyntheticImage
 
 EXIT_OK = 0
@@ -29,19 +29,11 @@ def _err(message: str) -> None:
 
 
 def cmd_run(args) -> int:
-    try:
-        scenario = sim.load_scenario(args.scenario)
-        if args.seed is not None:
-            scenario = replace(scenario, seed=args.seed)
-    except (ConfigError, InvalidArgumentError) as e:
-        _err(f"config error: {e}")
-        return EXIT_CONFIG
-    try:
-        _, report = sim.run_scenario(scenario, transport=args.transport,
-                                     out_dir=args.out)
-    except ConfigError as e:
-        _err(f"config error: {e}")
-        return EXIT_CONFIG
+    scenario = sim.load_scenario(args.scenario)
+    if args.seed is not None:
+        scenario = replace(scenario, seed=args.seed)
+    _, report = sim.run_scenario(scenario, transport=args.transport,
+                                 out_dir=args.out)
     print(json.dumps(report, sort_keys=True))
     if args.require_convergence:
         markerless = [r for r in report["regions"].values()
@@ -56,32 +48,27 @@ def cmd_serve(args) -> int:
     from .httpapi import make_server
     bind = args.bind or os.environ.get("AMBIENTD_BIND_ADDR", "127.0.0.1:8787")
     data_dir = args.data_dir or os.environ.get("AMBIENTD_DATA_DIR", "./ambientd-data")
-    host, _, port_s = bind.rpartition(":")
-    try:
-        port = int(port_s)
-    except ValueError:
-        _err(f"bad bind address {bind!r}")
-        return EXIT_CONFIG
+    host, _, port = bind.rpartition(":")
+    # a decimal port in [0, 65535]; int() alone takes "-1", "+80" and " 80"
+    if not (port.isascii() and port.isdecimal() and len(port) <= 5
+            and int(port) <= 65535):
+        raise ConfigError(f"bad bind address {bind!r}")
     service = EdgeService(data_dir)
-    try:
-        if args.scenario:
-            configs = sim.load_scenario(args.scenario).region_configs()
-        else:
-            # re-register any regions with persisted logs so GETs work after
-            # restart
-            configs = [RegionConfig(region_id=path.stem[len("region_"):])
-                       for path in sorted(Path(data_dir).glob("region_*.jsonl"))]
-        for config in configs:
-            dropped = service.register_region(config)
-            if dropped:
-                _err(f"region {config.region_id}: dropped a torn last line "
-                     f"of {dropped} bytes from its log")
-    except (ConfigError, InvalidArgumentError) as e:
-        _err(f"config error: {e}")
-        return EXIT_CONFIG
+    if args.scenario:
+        configs = sim.load_scenario(args.scenario).region_configs()
+    else:
+        # re-register any regions with persisted logs so GETs work after
+        # restart
+        configs = [RegionConfig(region_id=region_id)
+                   for region_id in service.logged_region_ids()]
+    for config in configs:
+        dropped = service.register_region(config)
+        if dropped:
+            _err(f"region {config.region_id}: dropped a torn last line "
+                 f"of {dropped} bytes from its log")
     regions = ", ".join(config.region_id for config in configs)
     try:
-        server = make_server(service, host or "127.0.0.1", port)
+        server = make_server(service, host or "127.0.0.1", int(port))
     except OSError as e:
         _err(f"cannot bind {bind}: {e}")
         return EXIT_ERROR
@@ -98,51 +85,37 @@ def cmd_serve(args) -> int:
 def cmd_characterize(args) -> int:
     try:
         data = Path(args.image).read_bytes()
-        image = SyntheticImage.from_pgm(data).pixels
-        metrics = compute_metrics(image, args.lux)
-    except (OSError, InvalidArgumentError) as e:
-        _err(str(e))
-        return EXIT_CONFIG
+    except OSError as e:
+        raise ConfigError(f"cannot read image {args.image}: {e.strerror}")
+    metrics = compute_metrics(SyntheticImage.from_pgm(data).pixels, args.lux)
     doc = dict(metrics.to_json(), texture_class=classify_texture(metrics).value)
     print(json.dumps(doc, sort_keys=True))
     return EXIT_OK
 
 
 def cmd_calibrate(args) -> int:
-    try:
-        scenario = sim.load_scenario(args.scenario)
-        curve = sim.run_calibration(scenario, args.region, args.steps)
-    except AmbientError as e:
-        _err(str(e))
-        return EXIT_CONFIG
+    scenario = sim.load_scenario(args.scenario)
+    curve = sim.run_calibration(scenario, args.region, args.steps)
     print(json.dumps({"region_id": args.region,
                       "points": [[c, l] for c, l in curve.points]}))
     return EXIT_OK
 
 
 def cmd_predict(args) -> int:
-    try:
-        pred = policy.predict_tracking(args.texture, args.lux)
-    except InvalidArgumentError as e:
-        _err(str(e))
-        return EXIT_CONFIG
+    pred = policy.predict_tracking(args.texture, args.lux)
     print(json.dumps(pred.to_json(), sort_keys=True))
     return EXIT_OK
 
 
 def cmd_sweep_markers(args) -> int:
-    try:
-        rows = sim.sweep_marker_grid(
-            patterns=args.pattern or None,
-            distances=args.distance or None,
-            angles=args.angle or None,
-            lux_levels=args.lux or None,
-            trials=args.trials,
-            size_index=args.size_index,
-            seed=args.seed or 0)
-    except InvalidArgumentError as e:
-        _err(str(e))
-        return EXIT_CONFIG
+    rows = sim.sweep_marker_grid(
+        patterns=args.pattern or None,
+        distances=args.distance or None,
+        angles=args.angle or None,
+        lux_levels=args.lux or None,
+        trials=args.trials,
+        size_index=args.size_index,
+        seed=args.seed or 0)
     out = Path(args.out) if args.out else Path("marker_grid.csv")
     out.parent.mkdir(parents=True, exist_ok=True)
     sim.write_sweep_csv(rows, out)
@@ -202,8 +175,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; the only map from an error to an exit code."""
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except AmbientError as e:
+        _err(f"config error: {e}")
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -35,8 +35,8 @@ import numpy as np
 from . import characterize, markerpipe, policy
 from .characterize import MAX_LUX, METRIC_NAMES, ImageMetrics, TextureClass
 from .checks import check_fields, checked, integer, is_number, number, one_of
-from .errors import (BadRequestError, ConfigError, InvalidArgumentError,
-                     NotFoundError, StaleReadingError)
+from .errors import (ConfigError, InvalidArgumentError, NotFoundError,
+                     StaleReadingError)
 from .policy import PolicyConfig
 from .scene import DEFAULT_LUX_CURVE, LuxCurve, MarkerSpec, SyntheticImage
 
@@ -58,9 +58,9 @@ class SensorReading:
     def __post_init__(self):
         # checked before anything is persisted; good values are not coerced,
         # so the log holds exactly what was sent
-        check_fields(self, BadRequestError)
+        check_fields(self)
         if self.lux is None and self.image_pgm_b64 is None:
-            raise BadRequestError("reading must carry lux and/or an image")
+            raise InvalidArgumentError("reading must carry lux and/or an image")
 
     @staticmethod
     def from_json(sensor_id: str, doc: dict) -> "SensorReading":
@@ -68,7 +68,7 @@ class SensorReading:
             return SensorReading(sensor_id, doc["region_id"], doc["timestamp_ms"],
                                  doc.get("lux"), doc.get("image_pgm_b64"))
         except KeyError as e:
-            raise BadRequestError(f"malformed reading: missing {e}")
+            raise InvalidArgumentError(f"malformed reading: missing {e}")
 
 
 @dataclass
@@ -79,16 +79,16 @@ class ActuatorCommand:
     issued_at_ms: int = integer(default=0)
 
     def __post_init__(self):
-        check_fields(self, BadRequestError)
+        check_fields(self)
         if self.kind == "set-brightness":
             if not is_number(self.payload, 0.0, 100.0):
-                raise BadRequestError(
+                raise InvalidArgumentError(
                     "set-brightness payload must be a percent in [0, 100]")
         elif self.kind == "set-marker":
             if not isinstance(self.payload, MarkerSpec):
-                raise BadRequestError("set-marker payload must be a marker spec")
+                raise InvalidArgumentError("set-marker payload must be a marker spec")
         else:
-            raise BadRequestError(f"unknown command kind {self.kind!r}")
+            raise InvalidArgumentError(f"unknown command kind {self.kind!r}")
 
     def to_json(self) -> dict:
         payload = self.payload
@@ -104,7 +104,7 @@ class ActuatorCommand:
             if kind == "set-marker":
                 payload = MarkerSpec(payload["pattern"], payload["size_index"])
         except (KeyError, TypeError, InvalidArgumentError) as e:
-            raise BadRequestError(f"malformed command body: {e}")
+            raise InvalidArgumentError(f"malformed command body: {e}")
         return ActuatorCommand(actuator_id, kind, payload,
                                doc.get("issued_at_ms", 0))
 
@@ -255,6 +255,11 @@ class EdgeService:
     def log_path(self, region_id: str) -> Path:
         return self.data_dir / f"region_{region_id}.jsonl"
 
+    def logged_region_ids(self) -> List[str]:
+        """The ids of the regions with a log in the data directory."""
+        return [path.stem[len("region_"):]
+                for path in sorted(self.data_dir.glob("region_*.jsonl"))]
+
     def register_actuator(self, actuator_id: str,
                           accept: Callable[[ActuatorCommand], None]) -> None:
         with self._global_lock:
@@ -276,7 +281,7 @@ class EdgeService:
                 raw = base64.b64decode(reading.image_pgm_b64, validate=True)
                 image = SyntheticImage.from_pgm(raw).pixels
             except (ValueError, InvalidArgumentError) as e:
-                raise BadRequestError(f"bad image payload: {e}")
+                raise InvalidArgumentError(f"bad image payload: {e}")
         with runtime.lock:
             last = runtime.sensor_last_ts.get(reading.sensor_id)
             if last is not None and reading.timestamp_ms <= last:
@@ -352,7 +357,7 @@ class EdgeService:
     def get_trend(self, region_id: str, window_s: float) -> TrendSummary:
         # the range test also rejects NaN and infinities
         if not 0 < window_s <= MAX_TREND_WINDOW_S:
-            raise BadRequestError(
+            raise InvalidArgumentError(
                 f"window must be in (0, {MAX_TREND_WINDOW_S:g}] s")
         runtime = self._runtime(region_id)
         with runtime.lock:
@@ -397,7 +402,7 @@ class EdgeService:
             raise NotFoundError(f"unknown actuator {cmd.actuator_id!r}")
         kinds = self._kinds.get(cmd.actuator_id)
         if kinds and cmd.kind not in kinds:
-            raise BadRequestError(
+            raise InvalidArgumentError(
                 f"actuator {cmd.actuator_id!r} takes {' or '.join(sorted(kinds))},"
                 f" not {cmd.kind}")
         start = time.monotonic()

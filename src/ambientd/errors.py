@@ -1,20 +1,31 @@
+"""The errors of ambientd and what each front end makes of them.
+
+`httpapi._status_for` maps an error to an HTTP status and `cli.main` maps
+every `AmbientError` to exit 2 with `ambientd: config error: <message>`:
+
+    class                  HTTP status   CLI exit
+    InvalidArgumentError   400           2
+    PayloadTooLargeError   413           2
+    NotFoundError          404           2
+    StaleReadingError      409           2
+    CalibrationError       500           2
+    ConfigError            500           2
+"""
+
+
 class AmbientError(Exception):
     """Base class for all ambientd errors."""
 
 
 class InvalidArgumentError(AmbientError):
-    pass
+    """A value from outside the program breaks its rule: bad input."""
 
 
 class NotFoundError(AmbientError):
     pass
 
 
-class BadRequestError(AmbientError):
-    pass
-
-
-class PayloadTooLargeError(BadRequestError):
+class PayloadTooLargeError(InvalidArgumentError):
     """Request body over the size the HTTP layer accepts."""
 
 

@@ -26,8 +26,8 @@ from urllib.parse import parse_qs, urlparse
 
 from . import policy
 from .edge import ActuatorCommand, EdgeService, SensorReading
-from .errors import (BadRequestError, InvalidArgumentError, NotFoundError,
-                     PayloadTooLargeError, StaleReadingError)
+from .errors import (InvalidArgumentError, NotFoundError, PayloadTooLargeError,
+                     StaleReadingError)
 
 # a 320x240 PGM in base64 is about 103 KB
 MAX_BODY_BYTES = 1 << 20
@@ -40,7 +40,7 @@ def _status_for(exc: Exception) -> int:
         return 409
     if isinstance(exc, PayloadTooLargeError):
         return 413
-    if isinstance(exc, (BadRequestError, InvalidArgumentError)):
+    if isinstance(exc, InvalidArgumentError):
         return 400
     return 500
 
@@ -73,11 +73,11 @@ class _Handler(BaseHTTPRequestHandler):
         # connection cannot be reused
         if "Transfer-Encoding" in self.headers:
             self.close_connection = True
-            raise BadRequestError("Transfer-Encoding is not supported")
+            raise InvalidArgumentError("Transfer-Encoding is not supported")
         length = self.headers.get("Content-Length", "0").strip()
         if not length.isdecimal():
             self.close_connection = True
-            raise BadRequestError("Content-Length must be a non-negative integer")
+            raise InvalidArgumentError("Content-Length must be a non-negative integer")
         if int(length) > MAX_BODY_BYTES:
             self.close_connection = True
             raise PayloadTooLargeError(
@@ -89,9 +89,9 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             doc = json.loads(raw)
         except (ValueError, RecursionError):    # bad UTF-8 or deep nesting too
-            raise BadRequestError("request body is not valid JSON")
+            raise InvalidArgumentError("request body is not valid JSON")
         if not isinstance(doc, dict):
-            raise BadRequestError("request body must be a JSON object")
+            raise InvalidArgumentError("request body must be a JSON object")
         return doc
 
     def _dispatch(self):
@@ -112,14 +112,14 @@ class _Handler(BaseHTTPRequestHandler):
                 try:
                     window_s = float(query["window_s"][0])
                 except (KeyError, ValueError):
-                    raise BadRequestError("missing or bad window_s")
+                    raise InvalidArgumentError("missing or bad window_s")
                 status, doc = 200, self.service.get_trend(rid, window_s).to_json()
             elif route == "GET v1/regions/{id}/prediction":
                 try:
                     texture = query["texture"][0]
                     lux = float(query["lux"][0])
                 except (KeyError, ValueError):
-                    raise BadRequestError("missing or bad texture/lux")
+                    raise InvalidArgumentError("missing or bad texture/lux")
                 status, doc = 200, policy.predict_tracking(texture, lux).to_json()
             elif route == "PUT v1/sensors/{id}/readings":
                 reading = SensorReading.from_json(rid, self._parse_body(raw))

@@ -28,6 +28,8 @@ from .scene import MARKER_PATTERNS, LuxCurve, MarkerSpec
 OPTIMAL_LUX_COARSE = 300.0
 OPTIMAL_LUX_FINE = 750.0
 GOOD_TRACKING_ERROR_CM = 5.0
+# a calibration sweep reads the sensor once a step; 101 steps are 1 % apart
+MAX_CALIBRATION_STEPS = 101
 
 # Escalation order for pattern switching; image markers last (most robust
 # to viewing conditions, but switching invalidates the reference most).
@@ -108,6 +110,9 @@ def calibrate(set_brightness: Callable[[float], None],
     """
     if steps < 2:
         raise CalibrationError("calibration needs at least 2 steps")
+    if steps > MAX_CALIBRATION_STEPS:
+        raise CalibrationError(
+            f"calibration takes at most {MAX_CALIBRATION_STEPS} steps")
     commands = np.linspace(0.0, 100.0, steps).tolist()
     luxes = []
     for command in commands:

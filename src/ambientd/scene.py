@@ -321,7 +321,7 @@ def read_light_sensor(region: Region, seed: int,
 
 
 def apply_bulb_command(env: EnvironmentState, region_id: str,
-                       command: float) -> EnvironmentState:
+                       command: float) -> None:
     """Apply a settled bulb command percent to a region's illuminance.
 
     Timing (actuation latency) is the caller's concern; the simulator invokes
@@ -332,4 +332,3 @@ def apply_bulb_command(env: EnvironmentState, region_id: str,
     if region.max_lux is not None:
         lux = min(lux, region.max_lux)
     region.illuminance = lux
-    return env

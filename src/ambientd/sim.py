@@ -55,8 +55,8 @@ def stable_seed(*parts) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def default_sweep_lux_levels(n: int = 9) -> List[float]:
-    return [float(round(v, 1)) for v in np.geomspace(50.0, 1000.0, n)]
+def default_sweep_lux_levels() -> List[float]:
+    return [float(round(v, 1)) for v in np.geomspace(50.0, 1000.0, 9)]
 
 
 # -- scenario ------------------------------------------------------------
@@ -354,11 +354,11 @@ class HttpTransport:
     """Drives a local HTTP server wrapping the same edge service, over one
     keep-alive connection for the whole run."""
 
-    def __init__(self, service: EdgeService, host: str = "127.0.0.1"):
+    def __init__(self, service: EdgeService):
         from http.client import HTTPConnection
         from .httpapi import make_server
-        self.server = make_server(service, host, 0)
-        port = self.server.server_address[1]
+        self.server = make_server(service)
+        host, port = self.server.server_address[:2]
         self.base_url = f"http://{host}:{port}"
         self._thread = threading.Thread(
             target=self.server.serve_forever,

@@ -204,6 +204,28 @@ class TestRun:
         assert result.returncode == 3
 
 
+class TestExitMap:
+    """`cli.main` maps every ambientd error to exit 2, whichever command
+    raised it."""
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "{tmp}/bad.json"],
+        ["serve", "--bind", "127.0.0.1:65536", "--data-dir", "{tmp}/data"],
+        ["characterize", "{tmp}/missing.pgm"],
+        ["calibrate", "{tmp}/s.json", "--region", "ghost"],
+        ["predict", "--texture", "checkerboard", "--lux", "nan"],
+        ["sweep-markers", "--pattern", "velvet", "--out", "{tmp}/grid.csv"],
+    ], ids=lambda argv: argv[0])
+    def test_bad_input_exit_2(self, tmp_path, capsys, argv):
+        (tmp_path / "bad.json").write_text('{"regions": [{"id": "r"}]}')
+        write_scenario(tmp_path / "s.json")
+        assert cli.main([a.format(tmp=tmp_path) for a in argv]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("ambientd: config error")
+        assert "Traceback" not in err
+        assert out == ""
+
+
 def unreadable_scenario(tmp_path, kind):
     path = tmp_path / "s.json"
     if kind == "directory":
@@ -485,3 +507,18 @@ class TestServe:
         result = run_cli("serve", "--bind", "localhost:notaport",
                          "--data-dir", str(tmp_path / "data"))
         assert result.returncode == 2
+
+    @pytest.mark.parametrize("port", ["99999", "-1"])
+    def test_out_of_range_port_exit_2(self, tmp_path, monkeypatch, capsys,
+                                      port):
+        """Each of these exited 1 with an OverflowError traceback."""
+        def make_server(service, host, port):
+            raise AssertionError("a server was made")
+
+        monkeypatch.setattr(httpapi, "make_server", make_server)
+        data = tmp_path / "data"
+        code = cli.main(["serve", "--bind", f"127.0.0.1:{port}",
+                         "--data-dir", str(data)])
+        assert code == 2
+        assert "bad bind address" in capsys.readouterr().err
+        assert not data.exists()

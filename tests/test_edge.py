@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 from ambientd.characterize import METRIC_NAMES
 from ambientd.edge import (ActuatorCommand, EdgeService, MetricsRecord,
                            RegionConfig, SensorReading)
-from ambientd.errors import (BadRequestError, ConfigError, InvalidArgumentError,
-                             NotFoundError, StaleReadingError)
+from ambientd.errors import (ConfigError, InvalidArgumentError, NotFoundError,
+                             StaleReadingError)
 from ambientd.httpapi import MAX_BODY_BYTES, make_server
 from ambientd.scene import (MarkerSpec, Region, SyntheticImage, TextureSpec,
                             render_region)
@@ -82,7 +82,7 @@ class TestIngestion:
         assert second.metrics.illuminance == 120.0
 
     def test_reading_without_payload_rejected(self):
-        with pytest.raises(BadRequestError):
+        with pytest.raises(InvalidArgumentError):
             SensorReading("s1", "r1", 1000)
 
     def test_stale_timestamp_rejected(self, service):
@@ -109,7 +109,7 @@ class TestIngestion:
 
     def test_corrupt_image_rejected(self, service):
         bad = base64.b64encode(b"P5 not really").decode("ascii")
-        with pytest.raises(BadRequestError):
+        with pytest.raises(InvalidArgumentError):
             service.ingest_reading(SensorReading("s1", "r1", 1000,
                                                  image_pgm_b64=bad))
 
@@ -126,7 +126,7 @@ class TestIngestion:
                                                   field, value):
         fields = {"sensor_id": "s1", "region_id": "r1", "timestamp_ms": 1000,
                   "lux": 80.0, field: value}
-        with pytest.raises(BadRequestError):
+        with pytest.raises(InvalidArgumentError):
             service.ingest_reading(SensorReading(**fields))
         assert not (tmp_path / "region_r1.jsonl").exists()
 
@@ -257,7 +257,7 @@ class TestTrend:
     def test_bad_window_rejected(self, service):
         service.ingest_reading(reading(1000))
         for window_s in (0.0, float("inf"), float("nan"), 1e308):
-            with pytest.raises(BadRequestError):
+            with pytest.raises(InvalidArgumentError):
                 service.get_trend("r1", window_s)
 
     def test_empty_region_not_found(self, service):
@@ -407,7 +407,7 @@ class TestDispatch:
     def test_kind_must_fit_the_actuator_a_region_names(self, service):
         marker = ActuatorCommand("bulb1", "set-marker",
                                  MarkerSpec("binary-grid-A", 0))
-        with pytest.raises(BadRequestError, match="set-brightness"):
+        with pytest.raises(InvalidArgumentError, match="set-brightness"):
             service.dispatch_command(marker)
         accepted = []
         service.register_actuator("spare", accepted.append)
@@ -432,7 +432,7 @@ class TestDispatch:
     @pytest.mark.parametrize("payload", [150, -1, -0.5, 100.5, float("nan"),
                                          float("inf"), True, "50", None])
     def test_brightness_outside_percent_rejected(self, payload):
-        with pytest.raises(BadRequestError):
+        with pytest.raises(InvalidArgumentError):
             ActuatorCommand("bulb1", "set-brightness", payload)
 
     def test_brightness_percent_bounds_accepted(self):
@@ -440,9 +440,9 @@ class TestDispatch:
             ActuatorCommand("bulb1", "set-brightness", payload)
 
     def test_bad_kind_rejected(self):
-        with pytest.raises(BadRequestError):
+        with pytest.raises(InvalidArgumentError):
             ActuatorCommand("bulb1", "warp-speed", 50.0)
-        with pytest.raises(BadRequestError):
+        with pytest.raises(InvalidArgumentError):
             ActuatorCommand("bulb1", "set-marker", 50.0)
 
 
@@ -796,8 +796,7 @@ def _answer(call, *args):
     """What a caller sees: the reply's JSON or the type of the error."""
     try:
         return call(*args).to_json()
-    except (BadRequestError, InvalidArgumentError, NotFoundError,
-            StaleReadingError) as e:
+    except (InvalidArgumentError, NotFoundError, StaleReadingError) as e:
         return type(e).__name__
 
 

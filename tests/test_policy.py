@@ -5,9 +5,10 @@ import pytest
 
 from ambientd.characterize import MatchReport, TextureClass
 from ambientd.errors import CalibrationError, InvalidArgumentError
-from ambientd.policy import (ControlConstraint, IlluminancePolicyState,
-                             MarkerControllerState, MarkerPhase, PolicyConfig,
-                             calibrate, illuminance_control_step, lux_band,
+from ambientd.policy import (MAX_CALIBRATION_STEPS, ControlConstraint,
+                             IlluminancePolicyState, MarkerControllerState,
+                             MarkerPhase, PolicyConfig, calibrate,
+                             illuminance_control_step, lux_band,
                              marker_control_step, predict_tracking,
                              resolve_constraints, select_optimal_lux)
 from ambientd.scene import DEFAULT_LUX_CURVE, MarkerSpec
@@ -90,6 +91,17 @@ class TestCalibration:
     def test_minimum_two_steps(self):
         with pytest.raises(CalibrationError):
             calibrate(lambda c: None, lambda: 100.0, steps=1)
+
+    def test_maximum_steps(self):
+        """A huge step count allocated its commands before it failed."""
+        calls = []
+        with pytest.raises(CalibrationError, match=str(MAX_CALIBRATION_STEPS)):
+            calibrate(calls.append, lambda: 100.0,
+                      steps=MAX_CALIBRATION_STEPS + 1)
+        assert calls == []
+        curve = calibrate(lambda c: None, lambda: 100.0,
+                          steps=MAX_CALIBRATION_STEPS)
+        assert len(curve.points) == MAX_CALIBRATION_STEPS
 
     def test_sensor_timeout_raises_calibration_error(self):
         def read():
