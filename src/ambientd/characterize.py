@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -65,13 +65,12 @@ class ImageMetrics:
     contrast: float = number()
     edge_strength: float = number()
     corner_count: int = integer(0)
-    illuminance: Optional[float] = number(0.0, MAX_LUX, None, optional=True)
+    # a log line holds it, null or not
+    illuminance: Optional[float] = number(0.0, MAX_LUX, None, optional=True,
+                                          required=True)
 
     def __post_init__(self):
         check_fields(self)
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 METRIC_NAMES = tuple(f.name for f in fields(ImageMetrics))

@@ -1,11 +1,23 @@
-"""Checks on values from outside the program. A field made by `checked`,
-`number`, `integer` or `one_of` carries its rule; the `__post_init__` of its
-dataclass calls `check_fields`, so an object that exists has passed them.
-No check converts a value."""
+"""Checks on values from outside the program, and their one JSON codec.
+
+A field made by `checked`, `number`, `integer` or `one_of` carries its rule;
+the `__post_init__` of its dataclass calls `check_fields`, so an object that
+exists has passed them. No check converts a value, but `decode` reads a JSON
+integer in a float field as a float.
+
+`decode(cls, doc, where)` builds a dataclass from a JSON object and
+`encode(obj)` gives its JSON value, both as its fields' types say; `wire`
+declares what a type cannot. An unknown key is refused. An error names the
+path to its value: `<where>: missing 'regions[0].illuminance'` (before any
+unknown key), `regions[0].texture: 'valu' is not a known key`, or
+`regions[0].texture: <what the constructor raised>`.
+"""
+import enum
 import functools
 import math
 import numbers
-from dataclasses import MISSING, field, fields
+from dataclasses import MISSING, field, fields, is_dataclass
+from typing import Union, get_args, get_origin, get_type_hints
 
 from .errors import InvalidArgumentError
 
@@ -28,13 +40,15 @@ def is_integer(value, lo=-2 ** 63, hi=2 ** 63 - 1) -> bool:
             and lo <= value <= hi)
 
 
-def checked(rule: str, test, default=MISSING):
-    """A dataclass field whose value must pass test; rule says what passes."""
-    return field(default=default, metadata={"rule": rule, "test": test})
+def checked(rule: str, test, default=MISSING, **options):
+    """A dataclass field whose value must pass test; rule says what passes.
+    The options are those of `wire`."""
+    return field(default=default,
+                 metadata={"rule": rule, "test": test, **options})
 
 
 def number(lo=-math.inf, hi=math.inf, default=MISSING, *, open_lo=False,
-           open_hi=False, optional=False):
+           open_hi=False, optional=False, **options):
     """A field for a finite number in [lo, hi], without a bound that is
     open; None passes too if optional."""
     def test(v) -> bool:
@@ -44,7 +58,7 @@ def number(lo=-math.inf, hi=math.inf, default=MISSING, *, open_lo=False,
 
     span = f"{'(' if open_lo else '['}{lo:g}, {hi:g}{')' if open_hi else ']'}"
     return checked(f"a finite number in {span}" + " or null" * optional, test,
-                   default)
+                   default, **options)
 
 
 def integer(lo=-2 ** 63, hi=2 ** 63 - 1, default=MISSING):
@@ -69,3 +83,150 @@ def check_fields(obj) -> None:
     for name, test, rule in _rules(type(obj)):
         if not test(getattr(obj, name)):
             raise InvalidArgumentError(f"{name} must be {rule}")
+
+
+# -- the JSON codec ---------------------------------------------------------
+
+
+class DecodeError(InvalidArgumentError):
+    """Bad input whose message names where in its document it is."""
+
+
+class MissingKeyError(DecodeError, KeyError):
+    """A key a JSON object lacks; a KeyError, as the lookup's is."""
+    __str__ = BaseException.__str__
+
+
+def wire(default=MISSING, **options):
+    """A field with what its type cannot say: key, its JSON key; flat=True
+    if its dataclass's keys sit in the enclosing object; absent, its value
+    if its key is left out; required=True if the key may not be left out;
+    decode(value, where), which builds it from its JSON value."""
+    return field(default=default, metadata=options)
+
+
+def _path(loc: tuple) -> str:
+    """A location, (document name, key or index, ...), as a path."""
+    text = ""
+    for part in loc[1:]:
+        text += f"[{part}]" if type(part) is int else f".{part}" if text else part
+    return text or loc[0]
+
+
+@functools.cache
+def _converter(tp):
+    """conv(value, where) that reads a JSON value as tp, or None if as is."""
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is Union:     # a JSON object reads as the dataclass member
+        members = [a for a in args if a is not type(None)]
+        first = _converter(members[0])
+        obj = _converter(next((a for a in members if is_dataclass(a)), members[0]))
+        return first and (lambda value, where: value if value is None else
+                          (obj if type(value) is dict else first)(value, where))
+    if origin in (tuple, list):
+        item = _converter(args[0])
+
+        def conv(value, where):
+            if type(value) is not list:
+                raise InvalidArgumentError("must be a JSON list")
+            return origin(value if item is None else
+                          (item(v, where + (i,)) for i, v in enumerate(value)))
+        return conv
+    if tp is float:
+        return lambda value, where: float(value) if type(value) is int else value
+    if is_dataclass(tp):
+        return functools.partial(decode, tp)
+    if isinstance(tp, type) and tp not in (str, int, bool, object, dict):
+        return lambda value, where: tp(value)   # an enum, a LuxCurve
+    return None
+
+
+@functools.cache
+def _plan(cls, given=()) -> tuple:
+    """(required keys, known keys, steps) of dataclass cls, less the fields
+    in given. A step is (name, key, conv, absent), and (name, None, the
+    dataclass, its steps) for a flat field."""
+    hints, required, known, steps = get_type_hints(cls), [], set(), []
+    for f in fields(cls):
+        meta, tp = f.metadata, hints[f.name]
+        if f.name in given:
+            continue
+        if meta.get("flat"):
+            inner_required, inner_known, inner_steps = _plan(tp)
+            required += inner_required
+            known |= inner_known
+            steps.append((f.name, None, tp, inner_steps))
+            continue
+        key, absent = meta.get("key", f.name), meta.get("absent", MISSING)
+        known.add(key)
+        if meta.get("required") or f.default is f.default_factory is absent is MISSING:
+            required.append(key)
+        steps.append((f.name, key, meta.get("decode") or _converter(tp), absent))
+    return dict.fromkeys(required), frozenset(known), tuple(steps)
+
+
+_BAD_JSON = (InvalidArgumentError, TypeError, ValueError, OverflowError)
+
+
+def decode(cls, doc, where, **given):
+    """cls from the JSON value doc of the document named where, or at the
+    location a `wire` decode is handed. A field in given is not read."""
+    loc = (where,) if type(where) is str else where
+    if not is_dataclass(cls):       # such as Tuple[X, ...]
+        return _converter(cls)(doc, loc)
+    required, known, steps = _plan(cls, tuple(given))
+    if type(doc) is not dict:
+        raise DecodeError(f"{_path(loc)}: must be a JSON object")
+    if not required.keys() <= doc.keys():
+        key = next(key for key in required if key not in doc)
+        raise MissingKeyError(f"{loc[0]}: missing {_path(loc + (key,))!r}")
+    if not known.issuperset(doc):
+        key = next(key for key in doc if key not in known)
+        raise DecodeError(f"{_path(loc)}: {key!r} is not a known key")
+    return _construct(cls, steps, doc, loc, given)
+
+
+def _construct(cls, steps, doc: dict, loc: tuple, kwargs: dict):
+    for name, key, conv, absent in steps:
+        if key is None:         # flat: conv is the dataclass, absent its steps
+            kwargs[name] = _construct(conv, absent, doc, loc, {})
+        elif key not in doc:
+            if absent is not MISSING:
+                kwargs[name] = absent
+        elif conv is None:
+            kwargs[name] = doc[key]
+        else:
+            try:
+                kwargs[name] = conv(doc[key], loc + (key,))
+            except DecodeError:
+                raise
+            except _BAD_JSON as e:
+                raise DecodeError(f"{_path(loc + (key,))}: {e}") from None
+    try:
+        return cls(**kwargs)
+    except _BAD_JSON as e:
+        raise DecodeError(f"{_path(loc)}: {e}") from None
+
+
+_AS_IS = {str, int, float, bool, type(None)}
+
+
+def encode(obj):
+    """The JSON value of obj; a dataclass's keys are in field order."""
+    if type(obj) in _AS_IS:
+        return obj
+    if is_dataclass(obj):
+        doc = {}
+        for name, key, *_ in _plan(type(obj))[2]:
+            if key is None:
+                doc.update(encode(getattr(obj, name)))
+            else:
+                doc[key] = encode(getattr(obj, name))
+        return doc
+    if isinstance(obj, enum.Enum):
+        return obj.value
+    if isinstance(obj, (tuple, list)):
+        return [encode(v) for v in obj]
+    if isinstance(obj, dict):
+        return {k: encode(v) for k, v in obj.items()}
+    return obj

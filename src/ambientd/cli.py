@@ -14,6 +14,7 @@ from pathlib import Path
 
 from . import policy, sim
 from .characterize import classify_texture, compute_metrics
+from .checks import encode
 from .edge import EdgeService, RegionConfig
 from .errors import AmbientError, ConfigError
 from .scene import SyntheticImage
@@ -88,7 +89,7 @@ def cmd_characterize(args) -> int:
     except OSError as e:
         raise ConfigError(f"cannot read image {args.image}: {e.strerror}")
     metrics = compute_metrics(SyntheticImage.from_pgm(data).pixels, args.lux)
-    doc = dict(metrics.to_json(), texture_class=classify_texture(metrics).value)
+    doc = dict(encode(metrics), texture_class=classify_texture(metrics).value)
     print(json.dumps(doc, sort_keys=True))
     return EXIT_OK
 
@@ -103,7 +104,7 @@ def cmd_calibrate(args) -> int:
 
 def cmd_predict(args) -> int:
     pred = policy.predict_tracking(args.texture, args.lux)
-    print(json.dumps(pred.to_json(), sort_keys=True))
+    print(json.dumps(encode(pred), sort_keys=True))
     return EXIT_OK
 
 

@@ -8,16 +8,16 @@ with the region's `PolicyConfig` to the step function of its mode, and turns
 the step's `(kind, payload)` intents into commands in one loop. A command is
 recorded, and sent only to a registered actuator, so a stored reading succeeds.
 
-A log line is a `MetricsRecord` plus the reading's `sensor_id` and whether
-it carried an `image`. `_RegionRuntime.apply` is the only writer of a
-region's reading state: live ingest appends the line and then applies it,
-and replay applies each line, so a restart restores what the live service
-knew (policy state excepted).
+A log line is a `LogEntry`: a `MetricsRecord` plus the reading's
+`sensor_id` and whether it carried an `image`. `_RegionRuntime.apply` is the
+only writer of a region's reading state: live ingest appends the line and
+then applies it, and replay applies each line, so a restart restores what
+the live service knew (policy state excepted).
 
-`SensorReading`, `ActuatorCommand`, `MetricsRecord` and `RegionConfig`
-check their fields in their constructors (checks.py), so one that exists is
-valid: nothing bad is persisted, and replay refuses a line that live ingest
-could not have written.
+`SensorReading`, `ActuatorCommand`, `MetricsRecord`, `LogEntry` and
+`RegionConfig` check their fields in their constructors, so one that exists
+is valid, and `checks.decode` reads them: nothing bad is persisted, and
+replay refuses a line that live ingest could not have written.
 """
 from __future__ import annotations
 
@@ -26,15 +26,16 @@ import json
 import re
 import threading
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Union
 
 import numpy as np
 
 from . import characterize, markerpipe, policy
 from .characterize import MAX_LUX, METRIC_NAMES, ImageMetrics, TextureClass
-from .checks import check_fields, checked, integer, is_number, number, one_of
+from .checks import (check_fields, checked, decode, encode, integer, is_number,
+                     number, one_of, wire)
 from .errors import (ConfigError, InvalidArgumentError, NotFoundError,
                      StaleReadingError)
 from .policy import PolicyConfig
@@ -57,25 +58,17 @@ class SensorReading:
 
     def __post_init__(self):
         # checked before anything is persisted; good values are not coerced,
-        # so the log holds exactly what was sent
+        # so the log holds what decode read (an integer lux as a float)
         check_fields(self)
         if self.lux is None and self.image_pgm_b64 is None:
             raise InvalidArgumentError("reading must carry lux and/or an image")
-
-    @staticmethod
-    def from_json(sensor_id: str, doc: dict) -> "SensorReading":
-        try:
-            return SensorReading(sensor_id, doc["region_id"], doc["timestamp_ms"],
-                                 doc.get("lux"), doc.get("image_pgm_b64"))
-        except KeyError as e:
-            raise InvalidArgumentError(f"malformed reading: missing {e}")
 
 
 @dataclass
 class ActuatorCommand:
     actuator_id: str
     kind: str                    # "set-brightness" | "set-marker"
-    payload: object              # percent float or MarkerSpec
+    payload: Union[float, MarkerSpec]   # a percent, or the marker to show
     issued_at_ms: int = integer(default=0)
 
     def __post_init__(self):
@@ -90,24 +83,6 @@ class ActuatorCommand:
         else:
             raise InvalidArgumentError(f"unknown command kind {self.kind!r}")
 
-    def to_json(self) -> dict:
-        payload = self.payload
-        if isinstance(payload, MarkerSpec):
-            payload = asdict(payload)
-        return {"kind": self.kind, "payload": payload,
-                "issued_at_ms": self.issued_at_ms}
-
-    @staticmethod
-    def from_json(actuator_id: str, doc: dict) -> "ActuatorCommand":
-        try:
-            kind, payload = doc["kind"], doc["payload"]
-            if kind == "set-marker":
-                payload = MarkerSpec(payload["pattern"], payload["size_index"])
-        except (KeyError, TypeError, InvalidArgumentError) as e:
-            raise InvalidArgumentError(f"malformed command body: {e}")
-        return ActuatorCommand(actuator_id, kind, payload,
-                               doc.get("issued_at_ms", 0))
-
 
 @dataclass
 class MetricsRecord:
@@ -120,22 +95,17 @@ class MetricsRecord:
     def __post_init__(self):
         check_fields(self)
 
-    def to_json(self) -> dict:
-        return {
-            "region_id": self.region_id,
-            "timestamp_ms": self.timestamp_ms,
-            "metrics": self.metrics.to_json(),
-            "texture_class": self.texture_class.value,
-            "scene_change": self.scene_change,
-        }
 
-    @staticmethod
-    def from_json(doc: dict) -> "MetricsRecord":
-        m = doc["metrics"]
-        return MetricsRecord(
-            doc["region_id"], doc["timestamp_ms"],
-            ImageMetrics(*(m[name] for name in METRIC_NAMES)),
-            TextureClass(doc["texture_class"]), doc["scene_change"])
+@dataclass
+class LogEntry:
+    """A line of a region's log; an old line has no sensor id or image."""
+    record: MetricsRecord = wire(flat=True)
+    sensor_id: Optional[str] = checked(
+        "a string or null", lambda v: v is None or isinstance(v, str), None)
+    image: bool = checked("a boolean", lambda v: isinstance(v, bool), False)
+
+    def __post_init__(self):
+        check_fields(self)
 
 
 @dataclass
@@ -143,11 +113,8 @@ class TrendSummary:
     window_s: float
     count: int
     change_events: int
-    stats: Dict[str, Dict[str, float]]   # metric -> {min, mean, max}
-
-    def to_json(self) -> dict:
-        return {"window_s": self.window_s, "count": self.count,
-                "change_events": self.change_events, "metrics": self.stats}
+    # metric -> {min, mean, max}
+    stats: Dict[str, Dict[str, float]] = wire(key="metrics")
 
 
 @dataclass(frozen=True)
@@ -190,18 +157,18 @@ class _RegionRuntime:
         self.last_match: Optional[characterize.MatchReport] = None
         self.commands: List[ActuatorCommand] = []
 
-    def apply(self, record: MetricsRecord, sensor_id: Optional[str],
-              image: bool) -> None:
+    def apply(self, entry: LogEntry) -> None:
         """Apply one log entry, live after its append or on replay; an old
         line without a sensor id or image flag leaves those states as they
         are."""
+        record = entry.record
         self.records.append(record)
         if record.metrics.illuminance is not None:
             self.last_lux = record.metrics.illuminance
-        if image:
+        if entry.image:
             self.last_image_metrics = record.metrics
-        if sensor_id is not None:
-            self.sensor_last_ts[sensor_id] = record.timestamp_ms
+        if entry.sensor_id is not None:
+            self.sensor_last_ts[entry.sensor_id] = record.timestamp_ms
 
 
 class EdgeService:
@@ -234,17 +201,13 @@ class EdgeService:
             if not line.strip():
                 continue
             try:
-                doc = json.loads(line)
-                record = MetricsRecord.from_json(doc)
-                sensor_id, image = doc.get("sensor_id"), doc.get("image", False)
-                if (record.region_id != config.region_id
-                        or not isinstance(sensor_id, (str, type(None)))
-                        or not isinstance(image, bool)):
-                    raise ValueError(f"region_id must be {config.region_id!r}, "
-                                     "sensor_id a string, image a boolean")
-            except (ValueError, KeyError, TypeError, InvalidArgumentError) as e:
-                raise ConfigError(f"{path}:{lineno}: bad record: {e}")
-            runtime.apply(record, sensor_id, image)
+                entry = decode(LogEntry, json.loads(line), "bad record")
+                if entry.record.region_id != config.region_id:
+                    raise ValueError(
+                        f"bad record: region_id must be {config.region_id!r}")
+            except (ValueError, InvalidArgumentError) as e:
+                raise ConfigError(f"{path}:{lineno}: {e}")
+            runtime.apply(entry)
         with self._global_lock:
             self._regions[config.region_id] = runtime
             for kind in COMMAND_KINDS:
@@ -303,11 +266,10 @@ class EdgeService:
 
             record = MetricsRecord(reading.region_id, reading.timestamp_ms,
                                    metrics, texture, scene_change)
-            entry = {**record.to_json(), "sensor_id": reading.sensor_id,
-                     "image": image is not None}
+            entry = LogEntry(record, reading.sensor_id, image is not None)
             with runtime.log_path.open("a") as fh:
-                fh.write(json.dumps(entry, allow_nan=False) + "\n")
-            runtime.apply(record, reading.sensor_id, image is not None)
+                fh.write(json.dumps(encode(entry), allow_nan=False) + "\n")
+            runtime.apply(entry)
 
             self._policy_step(runtime, record, image)
         return record

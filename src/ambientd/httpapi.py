@@ -15,8 +15,9 @@ connection, since the end of the body is not read. A response leaves in one
 write: over keep-alive, a second small write waits for the client's delayed
 ACK (Nagle, RFC 896).
 
-The routes hand JSON values to the constructors of `edge`, which check them;
-a value they refuse gets a 400.
+`checks.decode` reads a body into the types of `edge`, whose constructors
+check it, and `checks.encode` writes a reply. An unknown key or a value a
+constructor refuses gets a 400; an integer `lux` is read as a float.
 """
 from __future__ import annotations
 
@@ -25,6 +26,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
 from . import policy
+from .checks import decode, encode
 from .edge import ActuatorCommand, EdgeService, SensorReading
 from .errors import (InvalidArgumentError, NotFoundError, PayloadTooLargeError,
                      StaleReadingError)
@@ -78,21 +80,19 @@ class _Handler(BaseHTTPRequestHandler):
         if not length.isdecimal():
             self.close_connection = True
             raise InvalidArgumentError("Content-Length must be a non-negative integer")
-        if int(length) > MAX_BODY_BYTES:
+        # int() refuses more than 4 300 digits
+        if len(length) > len(str(MAX_BODY_BYTES)) or int(length) > MAX_BODY_BYTES:
             self.close_connection = True
             raise PayloadTooLargeError(
                 f"request body over {MAX_BODY_BYTES} bytes")
         return self.rfile.read(int(length))
 
     @staticmethod
-    def _parse_body(raw: bytes) -> dict:
+    def _parse_body(raw: bytes):
         try:
-            doc = json.loads(raw)
+            return json.loads(raw)
         except (ValueError, RecursionError):    # bad UTF-8 or deep nesting too
             raise InvalidArgumentError("request body is not valid JSON")
-        if not isinstance(doc, dict):
-            raise InvalidArgumentError("request body must be a JSON object")
-        return doc
 
     def _dispatch(self):
         try:
@@ -107,25 +107,27 @@ class _Handler(BaseHTTPRequestHandler):
             if route == "GET v1/health":
                 status, doc = 200, {"status": "ok"}
             elif route == "GET v1/regions/{id}/metrics/latest":
-                status, doc = 200, self.service.get_latest_metrics(rid).to_json()
+                status, doc = 200, encode(self.service.get_latest_metrics(rid))
             elif route == "GET v1/regions/{id}/metrics/trend":
                 try:
                     window_s = float(query["window_s"][0])
                 except (KeyError, ValueError):
                     raise InvalidArgumentError("missing or bad window_s")
-                status, doc = 200, self.service.get_trend(rid, window_s).to_json()
+                status, doc = 200, encode(self.service.get_trend(rid, window_s))
             elif route == "GET v1/regions/{id}/prediction":
                 try:
                     texture = query["texture"][0]
                     lux = float(query["lux"][0])
                 except (KeyError, ValueError):
                     raise InvalidArgumentError("missing or bad texture/lux")
-                status, doc = 200, policy.predict_tracking(texture, lux).to_json()
+                status, doc = 200, encode(policy.predict_tracking(texture, lux))
             elif route == "PUT v1/sensors/{id}/readings":
-                reading = SensorReading.from_json(rid, self._parse_body(raw))
-                status, doc = 200, self.service.ingest_reading(reading).to_json()
+                reading = decode(SensorReading, self._parse_body(raw),
+                                 "malformed reading", sensor_id=rid)
+                status, doc = 200, encode(self.service.ingest_reading(reading))
             elif route == "POST v1/actuators/{id}/commands":
-                cmd = ActuatorCommand.from_json(rid, self._parse_body(raw))
+                cmd = decode(ActuatorCommand, self._parse_body(raw),
+                             "malformed command body", actuator_id=rid)
                 status, doc = 202, {
                     "dispatch_latency_ms": self.service.dispatch_command(cmd)}
             else:

@@ -19,7 +19,7 @@ from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .checks import check_fields, checked, integer, is_number, number
+from .checks import check_fields, checked, integer, is_number, number, wire
 from .errors import CalibrationError, InvalidArgumentError
 from .characterize import MatchReport, TextureClass
 from .markerpipe import DEFAULT_MATCH_FAST_THRESHOLD, MAX_MATCH_FAST_THRESHOLD
@@ -243,14 +243,9 @@ def resolve_constraints(constraints: List[ControlConstraint]) -> float:
 @dataclass(frozen=True)
 class TrackingPrediction:
     expected_error_cm: float
-    quality: str                 # "Good" | "Poor"
+    quality: str = wire(key="class")     # "Good" | "Poor"
     estimated: bool
     guidance: Tuple[str, ...]
-
-    def to_json(self) -> dict:
-        return {"expected_error_cm": self.expected_error_cm,
-                "class": self.quality, "estimated": self.estimated,
-                "guidance": list(self.guidance)}
 
 
 def lux_band(lux: float) -> str:

@@ -16,7 +16,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .checks import check_fields, integer, is_number, number, one_of
+from .checks import check_fields, integer, is_number, number, one_of, wire
 from .errors import InvalidArgumentError, NotFoundError
 
 # Camera response saturates at this illuminance (linear below).
@@ -68,7 +68,8 @@ class MarkerSpec:
 
 @dataclass(frozen=True)
 class MarkerPlacement:
-    spec: MarkerSpec
+    # a marker object holds the keys of its spec and of its placement, flat
+    spec: MarkerSpec = wire(flat=True)
     distance_cm: float = number(MIN_MARKER_DISTANCE_CM,
                                 default=MARKER_REFERENCE_DISTANCE_CM)
     viewing_angle_deg: float = number(0.0, MAX_VIEWING_ANGLE_DEG, 0.0, open_hi=True)

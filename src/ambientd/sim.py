@@ -4,14 +4,14 @@ Wires synthetic sensors, actuators and the edge service together on a virtual
 clock. In-process transport is single-threaded and byte-reproducible; the
 real-http transport drives the same edge service through a local HTTP server.
 
-A scenario file parses into a frozen `Scenario`. Each JSON value goes as it
-is to the constructor of the type that owns it (`RegionScenario`,
-`TrajectoryEvent`, `policy.PolicyConfig`, the scene types), which checks it
-(checks.py): a scenario that exists is valid, and a bad value or a key no
-type has is a `ConfigError` naming its entry before anything runs. A key
-left out of the file keeps the dataclass default, and the `policy` object
-becomes one `PolicyConfig` shared by every region's `RegionConfig`.
-`Scenario.region_configs()` builds those, actuator ids included.
+A scenario file parses into a frozen `Scenario` by `checks.decode`: each
+JSON value goes to the constructor of the type that owns it
+(`RegionScenario`, `TrajectoryEvent`, `policy.PolicyConfig`, the scene
+types), which checks it. So a scenario that exists is valid, and a bad
+value, a missing key or a key no type has is a `ConfigError` naming its
+entry before anything runs. A key left out of the file keeps the dataclass
+default, and the `policy` object becomes one `PolicyConfig` shared by every
+region's `RegionConfig`. `Scenario.region_configs()` builds those.
 """
 from __future__ import annotations
 
@@ -22,8 +22,7 @@ import json
 import tempfile
 import threading
 from base64 import b64encode
-from contextlib import contextmanager
-from dataclasses import MISSING, asdict, dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -31,7 +30,7 @@ import numpy as np
 
 from . import policy
 from .characterize import METRIC_NAMES
-from .checks import check_fields, integer, number
+from .checks import check_fields, checked, decode, encode, integer, number, wire
 from .edge import ActuatorCommand, EdgeService, RegionConfig, SensorReading
 from .errors import ConfigError, InvalidArgumentError
 from .markerpipe import match_marker
@@ -67,14 +66,36 @@ MIN_SENSOR_PERIOD_S = 0.001             # one millisecond
 
 
 @dataclass(frozen=True)
+class _ConstraintEntry:
+    """A constraint as a scenario names it, its lo and hi as its range."""
+    range: Tuple[float, ...] = checked("a [lo, hi] pair", lambda v: len(v) == 2)
+    preferred: float
+    source: Optional[str] = None
+    priority: int = 0
+
+    def __post_init__(self):
+        check_fields(self)
+
+
+def _constraints(value, where) -> tuple:
+    """A region's constraints; one without a source is constraint-<index>."""
+    entries = decode(Tuple[_ConstraintEntry, ...], value, where)
+    return tuple(policy.ControlConstraint(
+                     f"constraint-{j}" if c.source is None else c.source,
+                     *c.range, c.preferred, c.priority)
+                 for j, c in enumerate(entries))
+
+
+@dataclass(frozen=True)
 class RegionScenario:
     id: str
-    texture: TextureSpec
+    texture: TextureSpec = wire(absent=TextureSpec("flat"))
     illuminance: float
     mode: str = "markerless"
     marker: Optional[MarkerPlacement] = None
     max_lux: Optional[float] = None
-    constraints: Tuple[policy.ControlConstraint, ...] = ()
+    constraints: Tuple[policy.ControlConstraint, ...] = wire(
+        (), decode=_constraints)
 
     def __post_init__(self):
         # the rules of the world's Region and of the edge's RegionConfig
@@ -164,95 +185,13 @@ class Scenario:
                 for r in self.regions]
 
 
-_JSON_ERRORS = (InvalidArgumentError, TypeError, ValueError, KeyError,
-                AttributeError, IndexError, OverflowError)
-
-
-@contextmanager
-def _entry(where: str):
-    """Turns what a bad JSON value makes the constructors of one scenario
-    entry raise into a ConfigError that names the entry."""
-    try:
-        yield
-    except KeyError as e:
-        raise ConfigError(f"{where}.{e.args[0]} is required") from None
-    except _JSON_ERRORS as e:
-        raise ConfigError(f"{where}: {e}") from None
-
-
-# a marker object holds the keys of its spec and of its placement, flat
-_MARKER_KEYS = ("pattern", "size_index", "distance_cm", "viewing_angle_deg")
-
-
-def _known_keys(doc, names) -> None:
-    """Raise unless doc is a JSON object whose keys are all in names."""
-    if not isinstance(doc, dict):
-        raise TypeError("must be a JSON object")
-    for key in doc:
-        if key not in names:
-            raise ValueError(f"{key!r} is not a known key")
-
-
-def _build(cls, doc, keys=None, **built):
-    """cls from a JSON object: the built field values, and each other field
-    as doc has it, but a JSON integer in a float field as a float. A field
-    doc leaves out keeps its default; a key not in keys (by default the
-    field names of cls) raises."""
-    _known_keys(doc, keys or {f.name for f in fields(cls)})
-    for f in fields(cls):
-        if f.name in doc and f.name not in built:
-            value = doc[f.name]
-            built[f.name] = (float(value) if type(value) is int
-                             and "float" in str(f.type) else value)
-        elif f.name not in built and f.default is MISSING:
-            raise KeyError(f.name)
-    return cls(**built)
-
-
-def _list(value, name: str) -> list:
-    if not isinstance(value, list):
-        raise TypeError(f"{name} must be a list")
-    return value
-
-
-def _region_from_json(doc, where: str) -> RegionScenario:
-    with _entry(where):
-        with _entry(f"{where}.texture"):
-            texture = _build(TextureSpec, doc.get("texture", {"kind": "flat"}))
-        marker = doc.get("marker")
-        if marker is not None:
-            with _entry(f"{where}.marker"):
-                marker = _build(MarkerPlacement, marker, _MARKER_KEYS,
-                                spec=_build(MarkerSpec, marker, _MARKER_KEYS))
-        constraints = []
-        for j, c in enumerate(_list(doc.get("constraints", []), "constraints")):
-            with _entry(f"{where}.constraints[{j}]"):
-                _known_keys(c, ("source", "range", "preferred", "priority"))
-                lo, hi = c["range"]
-                constraints.append(policy.ControlConstraint(
-                    c.get("source", f"constraint-{j}"), lo, hi, c["preferred"],
-                    c.get("priority", 0)))
-        return _build(RegionScenario, doc, texture=texture, marker=marker,
-                      constraints=constraints)
-
-
 def scenario_from_json(doc) -> Scenario:
-    """The Scenario of a parsed scenario file. Each value goes as it is to
-    the constructor that owns it; a value that breaks a rule raises a
-    ConfigError naming its entry."""
-    with _entry("scenario"):
-        regions = [_region_from_json(r, f"regions[{i}]")
-                   for i, r in enumerate(_list(doc["regions"], "regions"))]
-        trajectory = []
-        for k, e in enumerate(_list(doc.get("trajectory", []), "trajectory")):
-            with _entry(f"trajectory[{k}]"):
-                trajectory.append(_build(TrajectoryEvent, e))
-        with _entry("policy"):
-            config = _build(PolicyConfig, doc.get("policy", {}))
-        with _entry("lux_curve"):
-            curve = LuxCurve(doc.get("lux_curve", DEFAULT_LUX_CURVE.points))
-        return _build(Scenario, doc, regions=regions, trajectory=trajectory,
-                      policy=config, lux_curve=curve)
+    """The Scenario of a parsed scenario file; a ConfigError names the entry
+    of a value that breaks a rule, of a missing key or of an unknown one."""
+    try:
+        return decode(Scenario, doc, "scenario")
+    except InvalidArgumentError as e:
+        raise ConfigError(str(e)) from None
 
 
 def load_scenario(path) -> Scenario:
@@ -318,7 +257,7 @@ class _EInkNode(_ActuatorNode):
     def accept(self, cmd: ActuatorCommand) -> None:
         sim = self.sim
         spec: MarkerSpec = cmd.payload
-        shown = asdict(spec)
+        shown = encode(spec)
         region = sim.env.region(self.region_id)
         if spec == region.marker.spec:
             sim.log(f"eink/{self.region_id}", "command-noop", shown)
@@ -344,7 +283,8 @@ class InProcessTransport:
         self.service = service
 
     def put_reading(self, sensor_id: str, body: dict) -> None:
-        self.service.ingest_reading(SensorReading.from_json(sensor_id, body))
+        self.service.ingest_reading(decode(SensorReading, body, "malformed reading",
+                                           sensor_id=sensor_id))
 
     def close(self):
         pass
@@ -540,7 +480,7 @@ def _write_metrics_csv(sim: Simulator, path: Path) -> None:
         for r in sim.scenario.regions:
             for rec in sim.service._runtime(r.id).records:
                 writer.writerow([rec.region_id, rec.timestamp_ms,
-                                 *rec.metrics.to_json().values(),
+                                 *encode(rec.metrics).values(),
                                  rec.texture_class.value, int(rec.scene_change)])
 
 

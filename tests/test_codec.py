@@ -1,0 +1,116 @@
+"""The JSON codec (`checks.decode`/`encode`) and the wire it serves."""
+import json
+import urllib.request
+from threading import Thread
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ambientd.characterize import MAX_LUX, ImageMetrics, TextureClass
+from ambientd.checks import decode, encode
+from ambientd.edge import (ActuatorCommand, EdgeService, LogEntry,
+                           MetricsRecord, RegionConfig, SensorReading)
+from ambientd.httpapi import make_server
+from ambientd.scene import MARKER_PATTERNS, MarkerSpec
+from ambientd.sim import SERVE_POLL_S
+from test_edge import http, raw_request
+
+TEXTS = st.text(max_size=8)
+INT64 = st.integers(-2 ** 63, 2 ** 63 - 1)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+LUXES = st.none() | st.floats(0.0, MAX_LUX)
+READINGS = st.tuples(TEXTS, TEXTS, INT64, LUXES, st.none() | TEXTS).filter(
+    lambda t: t[3] is not None or t[4] is not None).map(
+    lambda t: SensorReading(*t))
+SPECS = st.builds(MarkerSpec, st.sampled_from(MARKER_PATTERNS),
+                  st.integers(0, 2))
+COMMANDS = (st.builds(ActuatorCommand, TEXTS, st.just("set-brightness"),
+                      st.floats(0.0, 100.0) | st.integers(0, 100), INT64)
+            | st.builds(ActuatorCommand, TEXTS, st.just("set-marker"), SPECS,
+                        INT64))
+RECORDS = st.builds(
+    MetricsRecord, TEXTS, INT64,
+    st.builds(ImageMetrics, FINITE, FINITE, FINITE,
+              st.integers(0, 2 ** 63 - 1), LUXES),
+    st.sampled_from(TextureClass), st.booleans())
+ENTRIES = st.builds(LogEntry, RECORDS, st.none() | TEXTS, st.booleans())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(READINGS | COMMANDS | RECORDS | ENTRIES)
+def test_decode_inverts_encode(obj):
+    doc = json.loads(json.dumps(encode(obj), allow_nan=False))
+    assert decode(type(obj), doc, "doc") == obj
+
+
+@pytest.fixture
+def served(tmp_path):
+    """(base URL, commands the bulb accepted) of a served region r1."""
+    svc = EdgeService(tmp_path)
+    svc.register_region(RegionConfig("r1", bulb_actuator="bulb1"))
+    accepted = []
+    svc.register_actuator("bulb1", accepted.append)
+    server = make_server(svc)
+    thread = Thread(target=server.serve_forever,
+                    kwargs={"poll_interval": SERVE_POLL_S}, daemon=True)
+    thread.start()
+    yield f"http://127.0.0.1:{server.server_port}", accepted
+    server.shutdown()
+    server.server_close()
+
+
+READING = {"region_id": "r1", "timestamp_ms": 1000, "lux": 80.0}
+
+
+class TestWire:
+    @pytest.mark.parametrize("method,path,body,key", [
+        ("PUT", "/v1/sensors/s1/readings",
+         {**READING, "timestamp_ms": 2000, "imgae_pgm_b64": "UDU="},
+         "imgae_pgm_b64"),
+        ("POST", "/v1/actuators/bulb1/commands",
+         {"kind": "set-brightness", "payload": 40.0, "isued_at_ms": 5},
+         "isued_at_ms"),
+    ], ids=["reading", "command"])
+    def test_unknown_key_400_and_nothing_stored(self, served, tmp_path,
+                                                method, path, body, key):
+        # the reading was stored with its misspelt image dropped, and the
+        # command was sent with issued_at_ms 0
+        url, accepted = served
+        assert http("PUT", f"{url}/v1/sensors/s1/readings", READING)[0] == 200
+        log = tmp_path / "region_r1.jsonl"
+        before, sent = log.read_bytes(), len(accepted)
+        status, doc = http(method, url + path, body)
+        assert status == 400
+        assert f"{key!r} is not a known key" in doc["error"]
+        assert log.read_bytes() == before
+        assert len(accepted) == sent
+
+    def test_integer_lux_is_logged_and_answered_as_a_float(self, served,
+                                                           tmp_path):
+        url, _ = served
+        req = urllib.request.Request(
+            f"{url}/v1/sensors/s1/readings", method="PUT",
+            data=json.dumps({**READING, "lux": 120}).encode())
+        with urllib.request.urlopen(req, timeout=10) as resp:
+            reply = resp.read()
+        assert b'"illuminance": 120.0' in reply
+        assert b'"illuminance": 120.0' in (tmp_path / "region_r1.jsonl").read_bytes()
+
+    def test_400_digit_integer_lux_400(self, served, tmp_path):
+        # the mutant that lets OverflowError of the int -> float rule
+        # through answers 500
+        url, _ = served
+        status, doc = http("PUT", f"{url}/v1/sensors/s1/readings",
+                           {**READING, "lux": 10 ** 400})
+        assert status == 400
+        assert "lux" in doc["error"]
+        assert not (tmp_path / "region_r1.jsonl").exists()
+
+    def test_content_length_beyond_int_digits_413_and_closed(self, served):
+        # int() refused the 5 000 digits with ValueError, answered with 500
+        url, _ = served
+        status, _ = raw_request(
+            url, b"PUT /v1/sensors/s1/readings HTTP/1.1\r\n"
+            b"Content-Length: " + b"9" * 5000 + b"\r\n\r\n", expect_close=True)
+        assert status == 413

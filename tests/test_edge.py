@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ambientd.characterize import METRIC_NAMES
+from ambientd.checks import decode, encode
 from ambientd.edge import (ActuatorCommand, EdgeService, MetricsRecord,
                            RegionConfig, SensorReading)
 from ambientd.errors import (ConfigError, InvalidArgumentError, NotFoundError,
@@ -273,11 +274,11 @@ class TestDurability:
         svc.register_region(RegionConfig("r1"))
         for i in range(3):
             svc.ingest_reading(reading(1000 * (i + 1), lux=80.0 + i, seed=i + 1))
-        latest = svc.get_latest_metrics("r1").to_json()
+        latest = encode(svc.get_latest_metrics("r1"))
 
         svc2 = EdgeService(tmp_path)
         svc2.register_region(RegionConfig("r1"))
-        assert svc2.get_latest_metrics("r1").to_json() == latest
+        assert encode(svc2.get_latest_metrics("r1")) == latest
         assert svc2.get_trend("r1", 60.0).count == 3
 
     def test_torn_last_line_is_cut(self, tmp_path):
@@ -305,8 +306,8 @@ class TestDurability:
                                                   with_image=False))
         lines = (tmp_path / "region_r1.jsonl").read_text().splitlines()
         assert [json.loads(line) for line in lines] == [
-            {**image.to_json(), "sensor_id": "s1", "image": True},
-            {**lux_only.to_json(), "sensor_id": "s2", "image": False}]
+            {**encode(image), "sensor_id": "s1", "image": True},
+            {**encode(lux_only), "sensor_id": "s2", "image": False}]
 
     def test_restart_keeps_staleness(self, tmp_path):
         restarted(tmp_path).ingest_reading(reading(4000))
@@ -335,12 +336,12 @@ class TestDurability:
         shutil.copy(FIXTURES / "old_log" / "region_r1.jsonl", tmp_path)
         want = json.loads((FIXTURES / "old_log" / "expected.json").read_text())
         svc = restarted(tmp_path)
-        assert svc.get_latest_metrics("r1").to_json() == want["latest"]
-        assert svc.get_trend("r1", 60.0).to_json() == want["trend_60"]
-        assert svc.get_trend("r1", 2.0).to_json() == want["trend_2"]
+        assert encode(svc.get_latest_metrics("r1")) == want["latest"]
+        assert encode(svc.get_trend("r1", 60.0)) == want["trend_60"]
+        assert encode(svc.get_trend("r1", 2.0)) == want["trend_2"]
         after = [svc.ingest_reading(reading(1, lux=50.0, with_image=False)),
                  svc.ingest_reading(reading(2, sensor="s2"))]
-        assert [r.to_json() for r in after] == want["after"]
+        assert [encode(r) for r in after] == want["after"]
 
     @pytest.mark.parametrize("extra", [
         {"sensor_id": 5}, {"image": "yes"}, {"image": None},
@@ -349,7 +350,9 @@ class TestDurability:
         {"metrics": {"brightness": "x"}},
         {"metrics": {"brightness": float("nan")}},
         {"metrics": {"corner_count": 7.5}},
-        {"metrics": {"illuminance": 1e300}}])
+        {"metrics": {"illuminance": 1e300}},
+        # a key no entry has was ignored
+        {"sensor": "s1"}])
     def test_bad_entry_key_names_file_and_line(self, tmp_path, extra):
         svc = restarted(tmp_path)
         svc.ingest_reading(reading(1000))
@@ -372,24 +375,24 @@ class TestDurability:
 
     def test_json_round_trip_is_bit_exact(self, service):
         record = service.ingest_reading(reading(1000))
-        doc = json.loads(json.dumps(record.to_json()))
-        back = MetricsRecord.from_json(doc)
+        doc = json.loads(json.dumps(encode(record)))
+        back = decode(MetricsRecord, doc, "record")
         assert back == record
 
     @pytest.mark.parametrize("name", METRIC_NAMES)
     def test_record_without_a_metric_is_refused(self, service, name):
         """Kills a decoder that reads metrics with `.get`: a line without
         `illuminance` would then replay as a lux-less record."""
-        doc = service.ingest_reading(reading(1000)).to_json()
+        doc = encode(service.ingest_reading(reading(1000)))
         del doc["metrics"][name]
         with pytest.raises(KeyError, match=name):
-            MetricsRecord.from_json(doc)
+            decode(MetricsRecord, doc, "record")
 
     def test_command_json_round_trip(self):
         cmd = ActuatorCommand("eink1", "set-marker",
                               MarkerSpec("image-uniform", 2), 1234)
-        back = ActuatorCommand.from_json("eink1",
-                                         json.loads(json.dumps(cmd.to_json())))
+        back = decode(ActuatorCommand, json.loads(json.dumps(encode(cmd))),
+                      "command")
         assert back == cmd
 
 
@@ -795,7 +798,7 @@ class TestPipelineProperty:
 def _answer(call, *args):
     """What a caller sees: the reply's JSON or the type of the error."""
     try:
-        return call(*args).to_json()
+        return encode(call(*args))
     except (InvalidArgumentError, NotFoundError, StaleReadingError) as e:
         return type(e).__name__
 
