@@ -123,14 +123,14 @@ def _converter(tp):
         obj = _converter(next((a for a in members if is_dataclass(a)), members[0]))
         return first and (lambda value, where: value if value is None else
                           (obj if type(value) is dict else first)(value, where))
-    if origin in (tuple, list):
+    if origin is tuple:
         item = _converter(args[0])
 
         def conv(value, where):
             if type(value) is not list:
                 raise InvalidArgumentError("must be a JSON list")
-            return origin(value if item is None else
-                          (item(v, where + (i,)) for i, v in enumerate(value)))
+            return tuple(value if item is None else
+                         (item(v, where + (i,)) for i, v in enumerate(value)))
         return conv
     if tp is float:
         return lambda value, where: float(value) if type(value) is int else value
@@ -208,13 +208,8 @@ def _construct(cls, steps, doc: dict, loc: tuple, kwargs: dict):
         raise DecodeError(f"{_path(loc)}: {e}") from None
 
 
-_AS_IS = {str, int, float, bool, type(None)}
-
-
 def encode(obj):
     """The JSON value of obj; a dataclass's keys are in field order."""
-    if type(obj) in _AS_IS:
-        return obj
     if is_dataclass(obj):
         doc = {}
         for name, key, *_ in _plan(type(obj))[2]:
