@@ -49,13 +49,13 @@ def resize_bilinear(image: np.ndarray, width: int, height: int) -> np.ndarray:
     mode="nearest")`, so the two agree to the byte."""
     y0, y1, wy0, wy1 = _axis_taps(image.shape[0], height)
     x0, x1, wx0, wx1 = _axis_taps(image.shape[1], width)
-    p = image.astype(np.float64)
-    top = np.take(p, y0, axis=0) * wy0[:, None]
-    bottom = np.take(p, y1, axis=0) * wy1[:, None]
+    # uint8 rows times float64 weights: the same products as float64 rows
+    top = np.take(image, y0, axis=0) * wy0[:, None]
+    bottom = np.take(image, y1, axis=0) * wy1[:, None]
     out = np.take(top, x0, axis=1) * wx0
     for rows, cols, wx in ((top, x1, wx1), (bottom, x0, wx0), (bottom, x1, wx1)):
         out += np.take(rows, cols, axis=1) * wx
-    return np.clip(np.rint(out), 0, 255).astype(np.uint8)
+    return np.clip(np.rint(out, out=out), 0, 255, out=out).astype(np.uint8)
 
 
 def _percentile_of_counts(below: np.ndarray, q: float) -> float:

@@ -10,6 +10,7 @@ bit-reproducible.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
@@ -180,13 +181,11 @@ class LuxCurve:
             return float(np.clip(self.commands[idx], 0.0, 100.0)), False
         if target_lux <= self.luxes[0]:
             return float(np.clip(self.commands[0], 0.0, 100.0)), True
+        # luxes[idx - 1] < target_lux <= luxes[idx], so the segment rises
         idx = int(np.searchsorted(self.luxes, target_lux, side="left"))
         lo_l, hi_l = self.luxes[idx - 1], self.luxes[idx]
         lo_c, hi_c = self.commands[idx - 1], self.commands[idx]
-        if hi_l == lo_l:
-            cmd = lo_c
-        else:
-            cmd = lo_c + (hi_c - lo_c) * (target_lux - lo_l) / (hi_l - lo_l)
+        cmd = lo_c + (hi_c - lo_c) * (target_lux - lo_l) / (hi_l - lo_l)
         return float(np.clip(cmd, 0.0, 100.0)), True
 
 
@@ -225,32 +224,24 @@ def texture_field(spec: TextureSpec, width: int, height: int) -> np.ndarray:
     if spec.kind == "stripes":
         parity = np.broadcast_to((xs // spec.cell) % 2, (height, width))
         return np.where(parity == 0, spec.low, spec.high)
-    if spec.kind == "speckle":
-        block = max(1, int(round(1.0 / spec.frequency)))
-        gh = -(-height // block)
-        gw = -(-width // block)
-        rng = np.random.default_rng(spec.texture_seed)
-        grid = rng.uniform(spec.low, spec.high, size=(gh, gw))
-        return np.kron(grid, np.ones((block, block)))[:height, :width]
-    # marker-grid: random binary cells, a dense fiducial-like background
+    # speckle: uniform cells of side round(1 / frequency); marker-grid:
+    # random binary cells of side `cell`, a dense fiducial-like background
     rng = np.random.default_rng(spec.texture_seed)
-    gh = -(-height // spec.cell)
-    gw = -(-width // spec.cell)
-    bits = rng.integers(0, 2, size=(gh, gw))
-    grid = np.where(bits == 0, spec.low, spec.high)
-    return np.kron(grid, np.ones((spec.cell, spec.cell)))[:height, :width]
+    speckle = spec.kind == "speckle"
+    block = max(1, int(round(1.0 / spec.frequency))) if speckle else spec.cell
+    shape = (-(-height // block), -(-width // block))
+    grid = (rng.uniform(spec.low, spec.high, size=shape) if speckle else
+            np.where(rng.integers(0, 2, size=shape) == 0, spec.low, spec.high))
+    return np.kron(grid, np.ones((block, block)))[:height, :width]
 
 
 _PATTERN_SEEDS = {"binary-grid-A": 11, "binary-grid-B": 13,
                   "image-uniform": 17, "image-nonuniform": 19}
-_PATTERN_CELL_CACHE: dict = {}
 
 
+@functools.cache
 def _pattern_cells(pattern: str) -> np.ndarray:
     """Cell reflectances for a marker pattern, incl. quiet zone and dark frame."""
-    cached = _PATTERN_CELL_CACHE.get(pattern)
-    if cached is not None:
-        return cached
     rng = np.random.default_rng(_PATTERN_SEEDS[pattern])
     if pattern in ("binary-grid-A", "binary-grid-B"):
         payload = np.where(rng.integers(0, 2, size=(6, 6)) == 0, 0.05, 0.95)
@@ -260,9 +251,7 @@ def _pattern_cells(pattern: str) -> np.ndarray:
         payload = np.full((8, 8), 0.7)
         payload[:, :4] = rng.uniform(0.05, 0.95, size=(8, 4))
     framed = np.pad(payload, 1, constant_values=0.05)   # dark frame
-    cells = np.pad(framed, 1, constant_values=0.95)     # light quiet zone
-    _PATTERN_CELL_CACHE[pattern] = cells
-    return cells
+    return np.pad(framed, 1, constant_values=0.95)      # light quiet zone
 
 
 def marker_reflectance(spec: MarkerSpec, width: int, height: int) -> np.ndarray:
@@ -301,14 +290,16 @@ def render_region(region: Region, camera_seed: int, width: int, height: int,
         x0 = (width - mw) // 2
         field_ = field_.copy()
         field_[y0:y0 + mh, x0:x0 + mw] = patch
-    base = np.rint(field_ * 255.0 * light_response(region.illuminance))
+    # in place: the same float64 operations in the same order, two arrays
+    base = field_ * 255.0
+    base *= light_response(region.illuminance)
+    np.rint(base, out=base)
     if sigma0 > 0:
         rng = np.random.default_rng(camera_seed)
-        noise = rng.normal(0.0, noise_sigma(region.illuminance, sigma0),
+        base += rng.normal(0.0, noise_sigma(region.illuminance, sigma0),
                            size=(height, width))
-        base = np.rint(base + noise)
-    pixels = np.clip(base, 0, 255).astype(np.uint8)
-    return SyntheticImage(pixels)
+        np.rint(base, out=base)
+    return SyntheticImage(np.clip(base, 0, 255, out=base).astype(np.uint8))
 
 
 def read_light_sensor(region: Region, seed: int,

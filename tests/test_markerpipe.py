@@ -188,6 +188,42 @@ class TestLargestComponent:
         mask[40:42, :] = True
         assert _largest_component(mask) == (21 * 40 + 2 * 61, 0, 42, 0, 61)
 
+    def test_staircase_hangs_a_forest_as_deep_as_the_mask(self):
+        """A one-pixel staircase through all 300 rows hangs each run on the
+        run one row up, 299 levels deep; a vertical line joins it only
+        through the last row. Kills one jump fewer than
+        `(H - 1).bit_length()` (the lowest runs point at an ancestor that is
+        not a root; area 563) and a skipped final relabel of the runs that
+        are not forest roots (the line's lower runs keep their old root;
+        area 307)."""
+        mask = np.zeros((300, 310), dtype=bool)
+        mask[np.arange(300), np.arange(300)] = True
+        mask[1:299, 305] = True
+        mask[299, 299:306] = True
+        want = largest_component_oracle(mask)
+        assert want == (299 + 298 + 7, 0, 300, 0, 306)
+        assert _largest_component(mask) == want
+
+    @pytest.mark.parametrize("lux, distance, angle, want", [
+        # the noise percolates: its cluster spans the frame
+        (50.0, 90, 60, (44260, 0, 240, 0, 320)),
+        # the marker frame wins over about 13 000 noise runs
+        (223.6, 55, 30, (2054, 93, 147, 136, 184)),
+    ])
+    def test_noisy_sweep_masks_match_flood_fill_oracle(self, lux, distance,
+                                                       angle, want):
+        """Full-size sweep masks where the threshold splits sensor noise;
+        the ndimage corpus test covers these only where scipy is
+        installed."""
+        region = Region("sweep", SWEEP_BACKGROUND, lux, marker=MarkerPlacement(
+            MarkerSpec("image-uniform", 0), float(distance), float(angle)))
+        image = render_region(region, stable_seed(
+            0, "sweep", "image-uniform", distance, angle, lux, 0),
+            CANONICAL_W, CANONICAL_H).pixels
+        dark = image < math.ceil(_bimodal_threshold(image))
+        assert largest_component_oracle(dark) == want
+        assert _largest_component(dark) == want
+
 
 def sweep_corpus():
     """Marker scenes of the sweep grid: every pattern at a near, a middle
