@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .checks import check_fields, integer, number
+from .checks import Checked, integer, number
 from .errors import InvalidArgumentError
 from .scene import MAX_ILLUMINANCE
 
@@ -60,7 +60,7 @@ class MatchReport:
 
 
 @dataclass
-class ImageMetrics:
+class ImageMetrics(Checked):
     brightness: float = number()
     contrast: float = number()
     edge_strength: float = number()
@@ -68,9 +68,6 @@ class ImageMetrics:
     # a log line holds it, null or not
     illuminance: Optional[float] = number(0.0, MAX_LUX, None, optional=True,
                                           required=True)
-
-    def __post_init__(self):
-        check_fields(self)
 
 
 METRIC_NAMES = tuple(f.name for f in fields(ImageMetrics))

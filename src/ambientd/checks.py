@@ -1,15 +1,16 @@
 """Checks on values from outside the program, and their one JSON codec.
 
-A field made by `checked`, `number`, `integer` or `one_of` carries its rule;
-the `__post_init__` of its dataclass calls `check_fields`, so an object that
-exists has passed them. No check converts a value, but `decode` reads a JSON
-integer in a float field as a float.
+A field made by `checked`, `number`, `integer` or `one_of` carries its rule,
+and its dataclass subclasses `Checked`, which checks the rules when it is
+built, so an object that exists has passed them. No check converts a value,
+but `decode` reads a JSON integer in a float field as a float.
 
 `decode(cls, doc, where)` builds a dataclass from a JSON object and
 `encode(obj)` gives its JSON value, both as its fields' types say; `wire`
-declares what a type cannot. An unknown key is refused. An error names the
-path to its value: `<where>: missing 'regions[0].illuminance'` (before any
-unknown key), `regions[0].texture: 'valu' is not a known key`, or
+declares what a type cannot, with four options: `key`, `flat`, `absent` and
+`required`. An unknown key is refused. An error names the path to its
+value: `<where>: missing 'regions[0].illuminance'` (before any unknown key),
+`regions[0].texture: 'valu' is not a known key`, or
 `regions[0].texture: <what the constructor raised>`.
 """
 import enum
@@ -85,6 +86,15 @@ def check_fields(obj) -> None:
             raise InvalidArgumentError(f"{name} must be {rule}")
 
 
+class Checked:
+    """The base of a dataclass with a checked field: it is checked when it is
+    built. A subclass that also checks a rule across fields calls
+    `super().__post_init__()` first."""
+
+    def __post_init__(self):
+        check_fields(self)
+
+
 # -- the JSON codec ---------------------------------------------------------
 
 
@@ -92,16 +102,10 @@ class DecodeError(InvalidArgumentError):
     """Bad input whose message names where in its document it is."""
 
 
-class MissingKeyError(DecodeError, KeyError):
-    """A key a JSON object lacks; a KeyError, as the lookup's is."""
-    __str__ = BaseException.__str__
-
-
 def wire(default=MISSING, **options):
     """A field with what its type cannot say: key, its JSON key; flat=True
     if its dataclass's keys sit in the enclosing object; absent, its value
-    if its key is left out; required=True if the key may not be left out;
-    decode(value, where), which builds it from its JSON value."""
+    if its key is left out; required=True if the key may not be left out."""
     return field(default=default, metadata=options)
 
 
@@ -161,7 +165,7 @@ def _plan(cls, given=()) -> tuple:
         known.add(key)
         if meta.get("required") or f.default is f.default_factory is absent is MISSING:
             required.append(key)
-        steps.append((f.name, key, meta.get("decode") or _converter(tp), absent))
+        steps.append((f.name, key, _converter(tp), absent))
     return dict.fromkeys(required), frozenset(known), tuple(steps)
 
 
@@ -169,17 +173,15 @@ _BAD_JSON = (InvalidArgumentError, TypeError, ValueError, OverflowError)
 
 
 def decode(cls, doc, where, **given):
-    """cls from the JSON value doc of the document named where, or at the
-    location a `wire` decode is handed. A field in given is not read."""
+    """Dataclass cls from the JSON value doc of the document named where, or
+    at a location in it. A field in given is not read."""
     loc = (where,) if type(where) is str else where
-    if not is_dataclass(cls):       # such as Tuple[X, ...]
-        return _converter(cls)(doc, loc)
     required, known, steps = _plan(cls, tuple(given))
     if type(doc) is not dict:
         raise DecodeError(f"{_path(loc)}: must be a JSON object")
     if not required.keys() <= doc.keys():
         key = next(key for key in required if key not in doc)
-        raise MissingKeyError(f"{loc[0]}: missing {_path(loc + (key,))!r}")
+        raise DecodeError(f"{loc[0]}: missing {_path(loc + (key,))!r}")
     if not known.issuperset(doc):
         key = next(key for key in doc if key not in known)
         raise DecodeError(f"{_path(loc)}: {key!r} is not a known key")

@@ -15,9 +15,9 @@ then applies it, and replay applies each line, so a restart restores what
 the live service knew (policy state excepted).
 
 `SensorReading`, `ActuatorCommand`, `MetricsRecord`, `LogEntry` and
-`RegionConfig` check their fields in their constructors, so one that exists
-is valid, and `checks.decode` reads them: nothing bad is persisted, and
-replay refuses a line that live ingest could not have written.
+`RegionConfig` are `checks.Checked`, so one that exists has passed its
+rules, and `checks.decode` reads them: nothing bad is persisted, and replay
+refuses a line that live ingest could not have written.
 """
 from __future__ import annotations
 
@@ -26,15 +26,15 @@ import json
 import re
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from . import characterize, markerpipe, policy
 from .characterize import MAX_LUX, METRIC_NAMES, ImageMetrics, TextureClass
-from .checks import (check_fields, checked, decode, encode, integer, is_number,
+from .checks import (Checked, checked, decode, encode, integer, is_number,
                      number, one_of, wire)
 from .errors import (ConfigError, InvalidArgumentError, NotFoundError,
                      StaleReadingError)
@@ -48,7 +48,7 @@ COMMAND_KINDS = ("set-brightness", "set-marker")
 
 
 @dataclass
-class SensorReading:
+class SensorReading(Checked):
     sensor_id: str = checked("a string", lambda v: isinstance(v, str))
     region_id: str = checked("a string", lambda v: isinstance(v, str))
     timestamp_ms: int = integer()
@@ -59,20 +59,20 @@ class SensorReading:
     def __post_init__(self):
         # checked before anything is persisted; good values are not coerced,
         # so the log holds what decode read (an integer lux as a float)
-        check_fields(self)
+        super().__post_init__()
         if self.lux is None and self.image_pgm_b64 is None:
             raise InvalidArgumentError("reading must carry lux and/or an image")
 
 
 @dataclass
-class ActuatorCommand:
+class ActuatorCommand(Checked):
     actuator_id: str
     kind: str                    # "set-brightness" | "set-marker"
     payload: Union[float, MarkerSpec]   # a percent, or the marker to show
     issued_at_ms: int = integer(default=0)
 
     def __post_init__(self):
-        check_fields(self)
+        super().__post_init__()
         if self.kind == "set-brightness":
             if not is_number(self.payload, 0.0, 100.0):
                 raise InvalidArgumentError(
@@ -85,27 +85,21 @@ class ActuatorCommand:
 
 
 @dataclass
-class MetricsRecord:
+class MetricsRecord(Checked):
     region_id: str = checked("a string", lambda v: isinstance(v, str))
     timestamp_ms: int = integer()
     metrics: ImageMetrics
     texture_class: TextureClass
     scene_change: bool = checked("a boolean", lambda v: isinstance(v, bool))
 
-    def __post_init__(self):
-        check_fields(self)
-
 
 @dataclass
-class LogEntry:
+class LogEntry(Checked):
     """A line of a region's log; an old line has no sensor id or image."""
     record: MetricsRecord = wire(flat=True)
     sensor_id: Optional[str] = checked(
         "a string or null", lambda v: v is None or isinstance(v, str), None)
     image: bool = checked("a boolean", lambda v: isinstance(v, bool), False)
-
-    def __post_init__(self):
-        check_fields(self)
 
 
 @dataclass
@@ -118,7 +112,7 @@ class TrendSummary:
 
 
 @dataclass(frozen=True)
-class RegionConfig:
+class RegionConfig(Checked):
     region_id: str = checked(f"a string matching {REGION_ID.pattern}", lambda v:
                              isinstance(v, str) and bool(REGION_ID.fullmatch(v)))
     mode: str = one_of(("markerless", "marker"), "markerless")
@@ -127,10 +121,7 @@ class RegionConfig:
     curve: LuxCurve = DEFAULT_LUX_CURVE
     policy: PolicyConfig = PolicyConfig()
     initial_marker: Optional[MarkerSpec] = None
-    constraints: List[policy.ControlConstraint] = field(default_factory=list)
-
-    def __post_init__(self):
-        check_fields(self)
+    constraints: Tuple[policy.ControlConstraint, ...] = ()
 
     def actuator(self, kind: str) -> Optional[str]:
         """The actuator this region names for a command kind, if any."""
@@ -279,8 +270,8 @@ class EdgeService:
         config = runtime.config
         now_s = record.timestamp_ms / 1000.0
         system = policy.ControlConstraint(
-            "ar-tracking", 50.0, 1000.0,
-            policy.select_optimal_lux(record.texture_class))
+            (50.0, 1000.0), policy.select_optimal_lux(record.texture_class),
+            "ar-tracking")
         optimal = policy.resolve_constraints([system, *config.constraints])
         runtime.optimal_lux = optimal
         if runtime.last_lux is None or (config.mode == "marker" and image is None):

@@ -19,7 +19,7 @@ from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .checks import check_fields, checked, integer, is_number, number, wire
+from .checks import Checked, checked, integer, is_number, number, wire
 from .errors import CalibrationError, InvalidArgumentError
 from .characterize import MatchReport, TextureClass
 from .markerpipe import DEFAULT_MATCH_FAST_THRESHOLD, MAX_MATCH_FAST_THRESHOLD
@@ -54,7 +54,7 @@ def select_optimal_lux(texture: TextureClass) -> float:
 
 
 @dataclass(frozen=True)
-class PolicyConfig:
+class PolicyConfig(Checked):
     """Controller settings shared by both loops of a region."""
     # of the optimum lux; no command inside
     deadband_fraction: float = number(0.0, 0.5, 0.10, open_lo=True, open_hi=True)
@@ -67,9 +67,6 @@ class PolicyConfig:
     # FAST threshold of marker matching
     marker_fast_threshold: int = integer(1, MAX_MATCH_FAST_THRESHOLD,
                                          DEFAULT_MATCH_FAST_THRESHOLD)
-
-    def __post_init__(self):
-        check_fields(self)
 
 
 @dataclass
@@ -207,16 +204,20 @@ def marker_control_step(state: MarkerControllerState, config: PolicyConfig,
 
 
 @dataclass(frozen=True)
-class ControlConstraint:
-    source: str = checked("a string", lambda v: isinstance(v, str))
-    lo: float = number()
-    hi: float = number()
+class ControlConstraint(Checked):
+    """A lux range (lo, hi) and the lux preferred in it; source is a label
+    that nothing reads."""
+    range: Tuple[float, float] = checked(
+        "a [lo, hi] pair of finite numbers",
+        lambda v: type(v) is tuple and len(v) == 2 and all(map(is_number, v)))
     preferred: float = number()
+    source: Optional[str] = checked(
+        "a string or null", lambda v: v is None or isinstance(v, str), None)
     priority: int = integer(0, 3, 0)
 
     def __post_init__(self):
-        check_fields(self)
-        if not (self.lo <= self.preferred <= self.hi):
+        super().__post_init__()
+        if not self.range[0] <= self.preferred <= self.range[1]:
             raise InvalidArgumentError("preferred lux must lie within the range")
 
 
@@ -230,8 +231,8 @@ def resolve_constraints(constraints: List[ControlConstraint]) -> float:
     lo, hi = -math.inf, math.inf
     for tier in tiers:
         members = [c for c in constraints if c.priority == tier]
-        new_lo = max([lo] + [c.lo for c in members])
-        new_hi = min([hi] + [c.hi for c in members])
+        new_lo = max([lo] + [c.range[0] for c in members])
+        new_hi = min([hi] + [c.range[1] for c in members])
         if new_lo > new_hi:
             break
         lo, hi = new_lo, new_hi

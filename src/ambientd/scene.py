@@ -17,7 +17,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .checks import check_fields, integer, is_number, number, one_of, wire
+from .checks import Checked, integer, is_number, number, one_of, wire
 from .errors import InvalidArgumentError, NotFoundError
 
 # Camera response saturates at this illuminance (linear below).
@@ -44,7 +44,7 @@ MAX_CELL_PX = 1024   # a texture field allocates a block of this side squared
 
 
 @dataclass(frozen=True)
-class TextureSpec:
+class TextureSpec(Checked):
     kind: str = one_of(TEXTURE_KINDS)
     value: float = number(0.0, 1.0, 0.5)    # flat
     low: float = number(0.0, 1.0, 0.1)      # two-tone / speckle range
@@ -54,42 +54,30 @@ class TextureSpec:
     frequency: float = number(1.0 / MAX_CELL_PX, default=0.5)
     texture_seed: int = integer(0, default=7)   # speckle / marker-grid realization
 
-    def __post_init__(self):
-        check_fields(self)
-
 
 @dataclass(frozen=True)
-class MarkerSpec:
+class MarkerSpec(Checked):
     pattern: str = one_of(MARKER_PATTERNS)
     size_index: int = integer(0, 2, 0)
 
-    def __post_init__(self):
-        check_fields(self)
-
 
 @dataclass(frozen=True)
-class MarkerPlacement:
+class MarkerPlacement(Checked):
     # a marker object holds the keys of its spec and of its placement, flat
     spec: MarkerSpec = wire(flat=True)
     distance_cm: float = number(MIN_MARKER_DISTANCE_CM,
                                 default=MARKER_REFERENCE_DISTANCE_CM)
     viewing_angle_deg: float = number(0.0, MAX_VIEWING_ANGLE_DEG, 0.0, open_hi=True)
 
-    def __post_init__(self):
-        check_fields(self)
-
 
 @dataclass
-class Region:
+class Region(Checked):
     id: str
     texture: TextureSpec
     illuminance: float = number(0.0, MAX_ILLUMINANCE)
     marker: Optional[MarkerPlacement] = None
     # physical cap; None = uncapped
     max_lux: Optional[float] = number(0.0, MAX_ILLUMINANCE, None, optional=True)
-
-    def __post_init__(self):
-        check_fields(self)
 
 
 @dataclass(frozen=True)

@@ -6,12 +6,13 @@ real-http transport drives the same edge service through a local HTTP server.
 
 A scenario file parses into a frozen `Scenario` by `checks.decode`: each
 JSON value goes to the constructor of the type that owns it
-(`RegionScenario`, `TrajectoryEvent`, `policy.PolicyConfig`, the scene
-types), which checks it. So a scenario that exists is valid, and a bad
-value, a missing key or a key no type has is a `ConfigError` naming its
-entry before anything runs. A key left out of the file keeps the dataclass
-default, and the `policy` object becomes one `PolicyConfig` shared by every
-region's `RegionConfig`. `Scenario.region_configs()` builds those.
+(`RegionScenario`, `TrajectoryEvent`, `policy.PolicyConfig`,
+`policy.ControlConstraint`, the scene types), which checks it. So a
+scenario that exists is valid, and a bad value, a missing key or a key no
+type has is a `ConfigError` naming its entry before anything runs. A key
+left out of the file keeps the dataclass default, and the `policy` object
+becomes one `PolicyConfig` shared by every region's `RegionConfig`.
+`Scenario.region_configs()` builds those.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ import numpy as np
 
 from . import policy
 from .characterize import METRIC_NAMES
-from .checks import check_fields, checked, decode, encode, integer, number, wire
+from .checks import Checked, decode, encode, integer, number, wire
 from .edge import ActuatorCommand, EdgeService, RegionConfig, SensorReading
 from .errors import ConfigError, InvalidArgumentError
 from .markerpipe import match_marker
@@ -66,27 +67,6 @@ MIN_SENSOR_PERIOD_S = 0.001             # one millisecond
 
 
 @dataclass(frozen=True)
-class _ConstraintEntry:
-    """A constraint as a scenario names it, its lo and hi as its range."""
-    range: Tuple[float, ...] = checked("a [lo, hi] pair", lambda v: len(v) == 2)
-    preferred: float
-    source: Optional[str] = None
-    priority: int = 0
-
-    def __post_init__(self):
-        check_fields(self)
-
-
-def _constraints(value, where) -> tuple:
-    """A region's constraints; one without a source is constraint-<index>."""
-    entries = decode(Tuple[_ConstraintEntry, ...], value, where)
-    return tuple(policy.ControlConstraint(
-                     f"constraint-{j}" if c.source is None else c.source,
-                     *c.range, c.preferred, c.priority)
-                 for j, c in enumerate(entries))
-
-
-@dataclass(frozen=True)
 class RegionScenario:
     id: str
     texture: TextureSpec = wire(absent=TextureSpec("flat"))
@@ -94,8 +74,7 @@ class RegionScenario:
     mode: str = "markerless"
     marker: Optional[MarkerPlacement] = None
     max_lux: Optional[float] = None
-    constraints: Tuple[policy.ControlConstraint, ...] = wire(
-        (), decode=_constraints)
+    constraints: Tuple[policy.ControlConstraint, ...] = ()
 
     def __post_init__(self):
         # the rules of the world's Region and of the edge's RegionConfig
@@ -112,7 +91,7 @@ class RegionScenario:
 
 
 @dataclass(frozen=True)
-class TrajectoryEvent:
+class TrajectoryEvent(Checked):
     """At t_s, moves the marker of a region; a pose value left None is kept."""
     region: str
     t_s: float = number(0.0, MAX_SCENARIO_S, 0.0)
@@ -121,12 +100,9 @@ class TrajectoryEvent:
     angle_deg: Optional[float] = number(0.0, MAX_VIEWING_ANGLE_DEG, None,
                                         open_hi=True, optional=True)
 
-    def __post_init__(self):
-        check_fields(self)
-
 
 @dataclass(frozen=True)
-class Scenario:
+class Scenario(Checked):
     regions: Tuple[RegionScenario, ...]
     duration_s: float = number(MIN_SENSOR_PERIOD_S, MAX_SCENARIO_S, 60.0)
     sensor_period_s: float = number(MIN_SENSOR_PERIOD_S, MAX_SCENARIO_S,
@@ -142,7 +118,7 @@ class Scenario:
     seed: int = integer(default=0)
 
     def __post_init__(self):
-        check_fields(self)
+        super().__post_init__()
         if self.duration_s < self.sensor_period_s:
             raise InvalidArgumentError("duration_s must be >= sensor_period_s")
         object.__setattr__(self, "regions", tuple(self.regions))

@@ -223,9 +223,9 @@ def test_criterion_8_oscillation_guard():
 @criterion(9, "conflict resolver reproduces both worked examples and 500 "
               "randomized sets stay inside the surviving intersection")
 def test_criterion_9_conflict_resolver():
-    tracking = ControlConstraint("ar-tracking", 250.0, 800.0, 750.0, priority=0)
-    energy_overlap = ControlConstraint("energy", 100.0, 400.0, 200.0, priority=1)
-    energy_disjoint = ControlConstraint("energy", 100.0, 200.0, 150.0, priority=1)
+    tracking = ControlConstraint((250.0, 800.0), 750.0, "ar-tracking", priority=0)
+    energy_overlap = ControlConstraint((100.0, 400.0), 200.0, "energy", priority=1)
+    energy_disjoint = ControlConstraint((100.0, 200.0), 150.0, "energy", priority=1)
     assert resolve_constraints([tracking, energy_overlap]) == 400.0
     assert resolve_constraints([tracking, energy_disjoint]) == 750.0
     rng = random.Random(9)
@@ -235,14 +235,14 @@ def test_criterion_9_conflict_resolver():
             lo = rng.uniform(0.0, 900.0)
             hi = lo + rng.uniform(1.0, 400.0)
             constraints.append(ControlConstraint(
-                f"c{i}", lo, hi, rng.uniform(lo, hi), rng.randint(0, 3)))
+                (lo, hi), rng.uniform(lo, hi), f"c{i}", rng.randint(0, 3)))
         result = resolve_constraints(constraints)
         # replay the tier descent to find the surviving intersection
         lo, hi = -float("inf"), float("inf")
         for tier in sorted({c.priority for c in constraints}):
             members = [c for c in constraints if c.priority == tier]
-            new_lo = max([lo] + [c.lo for c in members])
-            new_hi = min([hi] + [c.hi for c in members])
+            new_lo = max([lo] + [c.range[0] for c in members])
+            new_hi = min([hi] + [c.range[1] for c in members])
             if new_lo > new_hi:
                 break
             lo, hi = new_lo, new_hi
@@ -250,8 +250,8 @@ def test_criterion_9_conflict_resolver():
             assert lo - 1e-9 <= result <= hi + 1e-9
         top_tier = min(c.priority for c in constraints)
         top = [c for c in constraints if c.priority == top_tier]
-        top_lo = max(c.lo for c in top)
-        top_hi = min(c.hi for c in top)
+        top_lo = max(c.range[0] for c in top)
+        top_hi = min(c.range[1] for c in top)
         if top_lo <= top_hi:
             assert top_lo - 1e-9 <= result <= top_hi + 1e-9
 

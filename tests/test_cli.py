@@ -152,6 +152,14 @@ class TestRun:
         ({"regions": regions(constraints=[
             {"range": [50, 200], "preferred": 100, "priorty": 1}])},
          "regions[0].constraints[0]: 'priorty' is not a known key"),
+        # the label must stay a string, though nothing reads it
+        ({"regions": regions(constraints=[
+            {"range": [50, 200], "preferred": 100, "source": 5}])},
+         "regions[0].constraints[0]: source must be a string or null"),
+        # the error named the list, not its entry
+        ({"regions": regions(constraints=[
+            {"range": [50, 200], "preferred": 300}])},
+         "regions[0].constraints[0]: preferred lux must lie within the range"),
     ], ids=["non-monotone-curve", "single-point-curve", "negative-bulb-latency",
             "negative-eink-latency", "deadband-out-of-range",
             "max-size-index-out-of-range", "policy-not-an-object",
@@ -167,7 +175,8 @@ class TestRun:
             "seed-fraction", "texture-cell-fraction", "region-id-empty",
             "fast-threshold-above-cap", "duration-typo", "texture-typo",
             "policy-typo", "marker-typo", "marker-spec-key",
-            "constraint-typo"])
+            "constraint-typo", "constraint-source-not-string",
+            "constraint-preferred-outside-range"])
     def test_bad_actuation_config_exit_2(self, tmp_path, overrides, names):
         scenario = write_scenario(tmp_path / "s.json", **overrides)
         result = run_cli("run", str(scenario))

@@ -1,19 +1,26 @@
-"""The JSON codec (`checks.decode`/`encode`) and the wire it serves."""
+"""The JSON codec (`checks.decode`/`encode`), the wire it serves, and the
+construction-time checks of `checks.Checked`."""
+import importlib
 import json
+import pkgutil
 import urllib.request
+from dataclasses import fields, is_dataclass
 from threading import Thread
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ambientd
 from ambientd.characterize import MAX_LUX, ImageMetrics, TextureClass
-from ambientd.checks import decode, encode
+from ambientd.checks import Checked, decode, encode
 from ambientd.edge import (ActuatorCommand, EdgeService, LogEntry,
                            MetricsRecord, RegionConfig, SensorReading)
+from ambientd.errors import InvalidArgumentError
 from ambientd.httpapi import make_server
-from ambientd.scene import MARKER_PATTERNS, MarkerSpec
-from ambientd.sim import SERVE_POLL_S
+from ambientd.policy import ControlConstraint
+from ambientd.scene import MARKER_PATTERNS, MarkerSpec, TextureSpec
+from ambientd.sim import SERVE_POLL_S, RegionScenario, Scenario
 from test_edge import http, raw_request
 
 TEXTS = st.text(max_size=8)
@@ -42,6 +49,52 @@ ENTRIES = st.builds(LogEntry, RECORDS, st.none() | TEXTS, st.booleans())
 def test_decode_inverts_encode(obj):
     doc = json.loads(json.dumps(encode(obj), allow_nan=False))
     assert decode(type(obj), doc, "doc") == obj
+
+
+def package_dataclasses() -> set:
+    """Every dataclass defined in a module of the ambientd package."""
+    classes = set()
+    for info in pkgutil.iter_modules(ambientd.__path__):
+        module = importlib.import_module(f"ambientd.{info.name}")
+        classes.update(obj for obj in vars(module).values()
+                       if isinstance(obj, type) and is_dataclass(obj)
+                       and obj.__module__ == module.__name__)
+    return classes
+
+
+class TestChecked:
+    def test_every_dataclass_with_a_field_rule_is_checked(self):
+        """Kills a dataclass with a rule that is never checked, such as
+        `TrajectoryEvent` without the `Checked` base."""
+        ruled = {cls for cls in package_dataclasses()
+                 if any("test" in f.metadata for f in fields(cls))}
+        assert {"ControlConstraint", "RegionConfig", "TrajectoryEvent",
+                "ImageMetrics"} <= {cls.__name__ for cls in ruled}
+        assert sorted(cls.__qualname__ for cls in ruled
+                      if not issubclass(cls, Checked)) == []
+
+    @pytest.mark.parametrize("build", [
+        lambda: ControlConstraint((50.0, 200.0), 100.0, priority=9),
+        lambda: SensorReading("s", "r", 1.5, lux=80.0),
+        lambda: ActuatorCommand("bulb", "set-brightness", 50.0, 1.5),
+        lambda: Scenario((RegionScenario("r", TextureSpec("flat"), 80.0),),
+                         seed=1.5),
+    ], ids=["ControlConstraint", "SensorReading", "ActuatorCommand",
+            "Scenario"])
+    def test_an_extended_post_init_still_checks_the_fields(self, build):
+        """Each value passes the class's rule across fields and breaks a field
+        rule. Kills dropping `super().__post_init__()` from any of the four:
+        from `ControlConstraint`, only a random `TestScenarioProperty`
+        example caught it."""
+        with pytest.raises(InvalidArgumentError, match=r"must be an integer"):
+            build()
+
+    def test_the_extending_classes_are_those_above(self):
+        """A class that extends `__post_init__` gets a case above."""
+        extending = {cls.__name__ for cls in package_dataclasses()
+                     if issubclass(cls, Checked) and "__post_init__" in vars(cls)}
+        assert extending == {"ControlConstraint", "SensorReading",
+                             "ActuatorCommand", "Scenario"}
 
 
 @pytest.fixture

@@ -163,7 +163,7 @@ class TestPolicyStepping:
         svc = EdgeService(tmp_path)
         from ambientd.policy import ControlConstraint
         from ambientd.scene import DEFAULT_LUX_CURVE
-        cap = ControlConstraint("energy", 50.0, 200.0, 150.0, priority=1)
+        cap = ControlConstraint((50.0, 200.0), 150.0, "energy", priority=1)
         svc.register_region(RegionConfig("r1", bulb_actuator="bulb1",
                                          constraints=[cap]))
         svc.register_actuator("bulb1", accepted.append)
@@ -177,7 +177,7 @@ class TestPolicyStepping:
         svc = EdgeService(tmp_path)
         from ambientd.policy import ControlConstraint
         from ambientd.scene import DEFAULT_LUX_CURVE
-        cap = ControlConstraint("energy", 50.0, 200.0, 150.0, priority=1)
+        cap = ControlConstraint((50.0, 200.0), 150.0, "energy", priority=1)
         svc.register_region(RegionConfig(
             "r1", mode="marker", bulb_actuator="bulb1", eink_actuator="eink1",
             constraints=[cap]))
@@ -385,7 +385,8 @@ class TestDurability:
         `illuminance` would then replay as a lux-less record."""
         doc = encode(service.ingest_reading(reading(1000)))
         del doc["metrics"][name]
-        with pytest.raises(KeyError, match=name):
+        with pytest.raises(InvalidArgumentError,
+                           match=rf"missing 'metrics\.{name}'"):
             decode(MetricsRecord, doc, "record")
 
     def test_command_json_round_trip(self):

@@ -200,19 +200,19 @@ class TestMarkerController:
 
 class TestConstraintResolution:
     def test_worked_example_clamp(self):
-        tracking = ControlConstraint("ar-tracking", 250.0, 800.0, 750.0,
+        tracking = ControlConstraint((250.0, 800.0), 750.0, "ar-tracking",
                                      priority=0)
-        energy = ControlConstraint("energy", 100.0, 400.0, 200.0, priority=1)
+        energy = ControlConstraint((100.0, 400.0), 200.0, "energy", priority=1)
         assert resolve_constraints([tracking, energy]) == 400.0
 
     def test_worked_example_disjoint_lower_tier_dropped(self):
-        tracking = ControlConstraint("ar-tracking", 250.0, 800.0, 750.0,
+        tracking = ControlConstraint((250.0, 800.0), 750.0, "ar-tracking",
                                      priority=0)
-        energy = ControlConstraint("energy", 100.0, 200.0, 150.0, priority=1)
+        energy = ControlConstraint((100.0, 200.0), 150.0, "energy", priority=1)
         assert resolve_constraints([tracking, energy]) == 750.0
 
     def test_single_constraint_returns_preferred(self):
-        c = ControlConstraint("only", 100.0, 500.0, 300.0, priority=2)
+        c = ControlConstraint((100.0, 500.0), 300.0, "only", priority=2)
         assert resolve_constraints([c]) == 300.0
 
     def test_empty_rejected(self):
@@ -221,7 +221,7 @@ class TestConstraintResolution:
 
     def test_preferred_must_be_in_range(self):
         with pytest.raises(InvalidArgumentError):
-            ControlConstraint("bad", 100.0, 200.0, 300.0)
+            ControlConstraint((100.0, 200.0), 300.0, "bad")
 
     def test_randomized_properties(self):
         rng = random.Random(21)
@@ -231,18 +231,18 @@ class TestConstraintResolution:
                 lo = rng.uniform(0.0, 900.0)
                 hi = lo + rng.uniform(1.0, 400.0)
                 preferred = rng.uniform(lo, hi)
-                constraints.append(ControlConstraint(f"c{i}", lo, hi, preferred,
+                constraints.append(ControlConstraint((lo, hi), preferred, f"c{i}",
                                                      rng.randint(0, 3)))
             result = resolve_constraints(constraints)
             top_tier = min(c.priority for c in constraints)
             top = [c for c in constraints if c.priority == top_tier]
-            top_lo = max(c.lo for c in top)
-            top_hi = min(c.hi for c in top)
+            top_lo = max(c.range[0] for c in top)
+            top_hi = min(c.range[1] for c in top)
             if top_lo <= top_hi:
                 # a self-consistent top tier is always honoured
                 assert top_lo - 1e-9 <= result <= top_hi + 1e-9
-            full_lo = max(c.lo for c in constraints)
-            full_hi = min(c.hi for c in constraints)
+            full_lo = max(c.range[0] for c in constraints)
+            full_hi = min(c.range[1] for c in constraints)
             if full_lo <= full_hi:
                 # when everything intersects, every constraint is honoured
                 assert full_lo - 1e-9 <= result <= full_hi + 1e-9
