@@ -76,27 +76,55 @@ METRIC_NAMES = tuple(f.name for f in fields(ImageMetrics))
 def compute_metrics(image: np.ndarray, lux: Optional[float] = None) -> ImageMetrics:
     if min(image.shape) < 32:
         raise InvalidArgumentError("image must be at least 32x32")
+    H, W = image.shape
     # exact integer sums keep the results reproducible to the bit
-    p = image.astype(np.int64)
-    n = p.size
-    s1 = int(p.sum())
-    s2 = int((p * p).sum())
+    n = image.size
+    s1 = int(image.sum(dtype=np.int64))
+    # 255 * 255 fits in uint16
+    s2 = int(np.multiply(image, image, dtype=np.uint16).sum(dtype=np.int64))
     brightness = s1 / n
     contrast = math.sqrt(max(s2 / n - brightness * brightness, 0.0))
-    # 8-neighbour Laplacian (center 8, neighbours -1), valid region only
-    lap = 8 * p[1:-1, 1:-1]
-    for dy in (-1, 0, 1):
-        for dx in (-1, 0, 1):
-            if dy == 0 and dx == 0:
-                continue
-            lap -= p[1 + dy:p.shape[0] - 1 + dy, 1 + dx:p.shape[1] - 1 + dx]
-    ln = lap.size
+    # 8-neighbour Laplacian (center 8, neighbours -1), valid region only;
+    # |lap| <= 8 * 255 fits in int16, its square does not
+    neighbours = _runs(image.astype(np.int16), 1, _box_offsets(W))
+    lap = 8 * neighbours.pop(4)
+    for pixel in neighbours:
+        lap -= pixel
+    _clear_wrapped(lap, W, 1)
+    lap = lap.astype(np.int64)
+    ln = (H - 2) * (W - 2)
     l1 = int(lap.sum())
-    l2 = int((lap * lap).sum())
+    l2 = int(lap @ lap)
     lap_mean = l1 / ln
     edge_strength = l2 / ln - lap_mean * lap_mean
     corners = detect_fast_corners(image, FAST_DEFAULT_THRESHOLD)
     return ImageMetrics(brightness, contrast, edge_strength, len(corners), lux)
+
+
+def _runs(a: np.ndarray, k: int, offsets) -> list:
+    """One contiguous run of the flat (row-major) frame a per flat offset
+    dy*W + dx. Entry j of every run stands for pixel k*W + k + j and holds
+    the pixel that offset away from it. The entries stand for the pixels
+    from (k, k) to (H-k-1, W-k-1) in scan order: every pixel >= k px inside
+    the frame and, between two rows, those within k px of a side edge,
+    whose offsets with dx != 0 wrap into the next or the previous row."""
+    W = a.shape[1]
+    flat = a.ravel()
+    lo = k * W + k
+    hi = flat.size - lo
+    return [flat[lo + off:hi + off] for off in offsets]
+
+
+def _clear_wrapped(run: np.ndarray, W: int, k: int) -> None:
+    """Zero the entries of a run of _runs(a, k, ...) that stand for pixels
+    within k px of a side edge: 2k per row boundary, from column W-k of one
+    row to column k-1 of the next."""
+    run[W - 2 * k:].reshape(-1, W)[:, :2 * k] = 0
+
+
+def _box_offsets(W: int) -> list:
+    """Flat offsets of the 3x3 box in scan order; entry 4 is its center."""
+    return [dy * W + dx for dy in (-1, 0, 1) for dx in (-1, 0, 1)]
 
 
 def _arc_table() -> np.ndarray:
@@ -125,12 +153,16 @@ def detect_fast_corners(image: np.ndarray, threshold: int) -> np.ndarray:
     runs on every pixel; only its candidates can be corners. The full test
     packs the brighter and darker results for the 16 circle offsets into
     16-bit masks, which a 65 536-entry table checks for a 9-pixel arc. It
-    runs on the gathered candidates only, or on every pixel as slices when
-    more than half of the pixels are candidates. Measured on a 2-core Xeon
-    VM with numpy 2.4: the two plans break even at 47-52 % candidates on
-    320x240 speckle frames; the sparse plan takes a quarter of the dense
-    plan's time on marker ROIs (2-13 % candidates) and 1.6-2 times it on
-    speckle at 72-82 %.
+    runs on the gathered candidates only, or on every pixel as runs of the
+    flat frame when more than half of the pixels are candidates. The pair
+    test, the dense plan and the suppression each run a ufunc per offset
+    over one contiguous run of the flat frame, and clear the pixels whose
+    neighbours wrap across a side edge once. Measured on a 2-core Xeon VM
+    with numpy 2.4, as the median of 15 interleaved rounds: the two plans
+    break even at 42 % candidates on 320x240 speckle frames, so frames at
+    42-50 % take the slower plan, by up to 16 %; the sparse plan takes
+    0.4-0.6 of the dense plan's time on marker ROIs (3-12 % candidates)
+    and 1.7-2 times it on speckle at 72-82 %.
     """
     if threshold < 1:
         raise InvalidArgumentError("threshold must be >= 1")
@@ -140,40 +172,40 @@ def detect_fast_corners(image: np.ndarray, threshold: int) -> np.ndarray:
         return np.empty((0, 3), np.intp)
     a = image.astype(np.int16)
     candidates = _cardinal_candidates(a, threshold)
-    if np.count_nonzero(candidates) * 2 > candidates.size:
+    if np.count_nonzero(candidates) * 2 > (H - 6) * (W - 6):
         return _suppress(_dense_scores(a, threshold))
     return _suppress(_sparse_scores(a, threshold, candidates))
 
 
 def _suppress(score: np.ndarray) -> np.ndarray:
-    """(x, y, score) rows of the 3x3 maxima of an (H, W) score plane."""
+    """(x, y, score) rows of the 3x3 maxima of an (H, W) score plane whose
+    scores are >= 0, and > 0 only >= 3 px inside the frame."""
     W = score.shape[1]
-    # scored pixels sit >= 3 px inside the frame, so all 8 neighbours exist
-    flat = score.ravel()
-    idx = np.flatnonzero(flat)
-    s = flat[idx]
-    keep = np.ones(idx.size, dtype=bool)
-    for off in (-W - 1, -W, -W + 1, -1):     # earlier pixels win ties
-        keep &= s > flat[idx + off]
-        keep &= s >= flat[idx - off]
-    ys, xs = np.divmod(idx[keep], W)
-    return np.stack([xs, ys, s[keep]], axis=1)
-
-
-def _ring(a: np.ndarray, k: int) -> np.ndarray:
-    """Circle pixel k of every pixel >= 3 px inside the int16 frame a."""
-    H, W = a.shape
-    dx, dy = FAST_CIRCLE[k]
-    return a[3 + dy:H - 3 + dy, 3 + dx:W - 3 + dx]
+    # one run over every pixel with 8 neighbours; a pixel of the first or
+    # last column sees wrapped neighbours, but it scores 0, and 0 never wins
+    neighbours = _runs(score, 1, _box_offsets(W))
+    center = neighbours.pop(4)
+    keep = np.ones(center.shape, dtype=bool)
+    beats = np.empty(center.shape, dtype=bool)
+    for i, pixel in enumerate(neighbours):
+        # the 4 earlier pixels win ties
+        (np.greater if i < 4 else np.greater_equal)(center, pixel, out=beats)
+        keep &= beats
+    idx = np.flatnonzero(keep)
+    idx += W + 1
+    ys, xs = np.divmod(idx, W)
+    return np.stack([xs, ys, score.ravel()[idx]], axis=1)
 
 
 def _cardinal_candidates(a: np.ndarray, threshold: int) -> np.ndarray:
     """Pixels >= 3 px inside the frame with two adjacent cardinal points
-    beyond the threshold in one polarity: ([0] or [8]) and ([4] or [12])."""
-    H, W = a.shape
-    center = a[3:H - 3, 3:W - 3]
-    top, right, bottom, left = (_ring(a, k) for k in (0, 4, 8, 12))
-    # two int16 and two bool planes, reused across both polarities
+    beyond the threshold in one polarity: ([0] or [8]) and ([4] or [12]).
+    A bool run over the pixels of _runs(a, 3, ...), the wrapped ones
+    clear."""
+    W = a.shape[1]
+    center, top, right, bottom, left = _runs(
+        a, 3, (0, -3 * W, 3, 3 * W, -3))
+    # two int16 and two bool runs, reused across both polarities
     bound = center + threshold
     either = np.maximum(top, bottom)
     out = either > bound
@@ -185,6 +217,7 @@ def _cardinal_candidates(a: np.ndarray, threshold: int) -> np.ndarray:
     np.minimum(right, left, out=either)
     dark &= either < bound
     out |= dark
+    _clear_wrapped(out, W, 3)
     return out
 
 
@@ -193,23 +226,33 @@ def _segment_scores(circle, center: np.ndarray, threshold: int) -> np.ndarray:
     pixels of every center in FAST_CIRCLE order."""
     bright, dark = np.zeros((2,) + center.shape, dtype=np.uint16)
     bright_sum, dark_sum = np.zeros((2,) + center.shape, dtype=np.int16)
+    # buffers reused across the 16 offsets; hit holds 0 or 1
+    d, part, hit = np.empty((3,) + center.shape, dtype=np.int16)
     for pixel in circle:
-        d = pixel - center
-        for mask, total, hit in ((bright, bright_sum, d > threshold),
-                                 (dark, dark_sum, d < -threshold)):
-            mask <<= 1
-            mask |= hit
-            total += d * hit     # |total| <= 16 * 255 fits in int16
+        np.subtract(pixel, center, out=d)
+        for mask, total, test, bound in (
+                (bright, bright_sum, np.greater, threshold),
+                (dark, dark_sum, np.less, -threshold)):
+            test(d, bound, out=hit)
+            mask += mask      # a shift by one, faster than <<= on uint16
+            mask |= hit.view(np.uint16)
+            np.multiply(d, hit, out=part)
+            total += part     # |total| <= 16 * 255 fits in int16
     # no pixel has 9 of its 16 circle pixels in both polarities
-    return bright_sum * _ARC[bright] - dark_sum * _ARC[dark]
+    bright_sum *= np.take(_ARC, bright)
+    dark_sum *= np.take(_ARC, dark)
+    bright_sum -= dark_sum
+    return bright_sum
 
 
 def _dense_scores(a: np.ndarray, threshold: int) -> np.ndarray:
     """(H, W) score plane from the segment test on every pixel."""
     H, W = a.shape
+    center, *circle = _runs(a, 3, [0] + [dy * W + dx for dx, dy in FAST_CIRCLE])
     score = np.zeros((H, W), dtype=np.int16)
-    score[3:H - 3, 3:W - 3] = _segment_scores(
-        (_ring(a, k) for k in range(16)), a[3:H - 3, 3:W - 3], threshold)
+    run, = _runs(score, 3, (0,))
+    run[:] = _segment_scores(circle, center, threshold)
+    _clear_wrapped(run, W, 3)
     return score
 
 
@@ -218,7 +261,7 @@ def _sparse_scores(a: np.ndarray, threshold: int,
     """(H, W) score plane from the segment test on the candidates only."""
     H, W = a.shape
     idx = np.flatnonzero(candidates)
-    idx += 6 * (idx // (W - 6)) + 3 * W + 3      # index into the full frame
+    idx += 3 * W + 3      # index into the full frame
     flat = a.ravel()
     score = np.zeros((H, W), dtype=np.int16)
     score.ravel()[idx] = _segment_scores(

@@ -88,11 +88,45 @@ class TestMetrics:
             h = int(rng.integers(32, 48))
             w = int(rng.integers(32, 48))
             pixels = rng.integers(0, 256, size=(h, w), dtype=np.uint8)
-            m = compute_metrics(as_image(pixels))
-            eb, ec, ee = brute_metrics(pixels)
-            assert m.brightness == eb
-            assert m.contrast == ec
-            assert m.edge_strength == ee
+            self._check_against_brute_force(pixels)
+        # the edges of the flat Laplacian run: |lap| = 1020 on a 0/255
+        # checkerboard of 1-px cells and 2040, the int16 bound, on 255 dots
+        # with eight 0 neighbours; a saturated frame; 32x33, 33x32 and
+        # 32x300 frames. They kill a run that keeps the wrapped first and
+        # last columns in l1 and l2, and a Laplacian squared in int16
+        y, x = np.indices((32, 32))
+        edges = [(y + x) % 2 * 255, ((y | x) % 2 == 0) * 255,
+                 np.full((32, 32), 255)]
+        edges += [rng.integers(0, 256, size=shape)
+                  for shape in ((32, 33), (33, 32), (32, 300))]
+        for pixels in edges:
+            self._check_against_brute_force(pixels.astype(np.uint8))
+
+    def _check_against_brute_force(self, pixels):
+        m = compute_metrics(as_image(pixels))
+        eb, ec, ee = brute_metrics(pixels)
+        assert m.brightness == eb
+        assert m.contrast == ec
+        assert m.edge_strength == ee
+
+    def test_strided_input_matches_its_contiguous_copy(self):
+        # every second pixel of a 640x480 frame, a crop_to_marker_roi view
+        # and a column-major copy; kills a flat run taken in memory order
+        # (ravel(order="K")) or from the strides of a row-major frame
+        frame = render(TextureSpec("speckle", frequency=0.5), 750.0, seed=0,
+                       w=640, h=480)
+        shelf = render(TextureSpec("flat", value=0.9), 500.0, w=320, h=240,
+                       marker=MarkerPlacement(MarkerSpec("binary-grid-A", 1),
+                                              30.0, 0.0))
+        views = [frame[::2, ::2], crop_to_marker_roi(shelf),
+                 np.asfortranarray(frame[:240, :320])]
+        for view in views:
+            assert not view.flags.c_contiguous and min(view.shape) >= 32
+            copy = np.ascontiguousarray(view)
+            assert compute_metrics(view) == compute_metrics(copy)
+            for threshold in (15, 20):
+                assert np.array_equal(detect_fast_corners(view, threshold),
+                                      detect_fast_corners(copy, threshold))
 
     def test_illuminance_passthrough(self):
         img = as_image(np.full((32, 32), 100, dtype=np.uint8))
@@ -192,6 +226,42 @@ class TestFastCorners:
         want = fast_oracle(pixels, threshold)
         assert plan_corners(pixels, threshold) == (want, want)
         self._check_against_oracle(pixels, threshold)
+
+    @pytest.mark.parametrize("h", range(7, 13))
+    def test_plans_match_oracle_on_small_frames(self, h):
+        # 7-12 px on a side: most pixels of the flat runs sit within 3 px of
+        # a side edge, where the circle wraps into the next or previous row;
+        # kills a dense plan or a pair test that keeps those pixels
+        rng = np.random.default_rng(h)
+        for w in range(7, 13):
+            for density in (0.2, 0.6, 1.0):
+                pixels = np.full((h, w), rng.integers(0, 256), dtype=np.int64)
+                dots = rng.random((h, w)) < density
+                pixels[dots] = rng.integers(0, 256, size=int(dots.sum()))
+                pixels = pixels.astype(np.uint8)
+                for threshold in (1, 20):
+                    want = fast_oracle(pixels, threshold)
+                    assert plan_corners(pixels, threshold) == (want, want)
+                    self._check_against_oracle(pixels, threshold)
+
+    @pytest.mark.parametrize("level", [0, 255])
+    def test_plans_match_oracle_with_dots_in_the_side_borders(self, level):
+        # a strong interior, and black or white dots in the 3-px side
+        # borders: a border pixel's circle wraps into the other border and
+        # the interior, so its segment test passes unless it is cleared;
+        # kills a dense plan without the side-border clear
+        rng = np.random.default_rng(level)
+        for h, w in ((12, 16), (20, 24), (48, 64)):
+            pixels = rng.integers(0, 256, size=(h, w))
+            border = np.zeros((h, w), dtype=bool)
+            border[:, :3] = border[:, -3:] = True
+            pixels[border] = 128
+            pixels[border & (rng.random((h, w)) < 0.4)] = level
+            pixels = pixels.astype(np.uint8)
+            for threshold in (20, 60):
+                want = fast_oracle(pixels, threshold)
+                assert plan_corners(pixels, threshold) == (want, want)
+                self._check_against_oracle(pixels, threshold)
 
     @pytest.mark.parametrize("lux, plan", [(60.0, "_sparse_scores"),
                                            (750.0, "_dense_scores")])
