@@ -172,7 +172,10 @@ def detect_fast_corners(image: np.ndarray, threshold: int) -> np.ndarray:
         return np.empty((0, 3), np.intp)
     a = image.astype(np.int16)
     candidates = _cardinal_candidates(a, threshold)
-    if np.count_nonzero(candidates) * 2 > (H - 6) * (W - 6):
+    count = np.count_nonzero(candidates)
+    if count == 0:      # a flat or dark ROI
+        return np.empty((0, 3), np.intp)
+    if count * 2 > (H - 6) * (W - 6):
         return _suppress(_dense_scores(a, threshold))
     return _suppress(_sparse_scores(a, threshold, candidates))
 

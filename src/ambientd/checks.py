@@ -7,10 +7,10 @@ but `decode` reads a JSON integer in a float field as a float.
 
 `decode(cls, doc, where)` builds a dataclass from a JSON object and
 `encode(obj)` gives its JSON value, both as its fields' types say; `wire`
-declares what a type cannot, with four options: `key`, `flat`, `absent` and
-`required`. An unknown key is refused. An error names the path to its
-value: `<where>: missing 'regions[0].illuminance'` (before any unknown key),
-`regions[0].texture: 'valu' is not a known key`, or
+declares what a type cannot, with five options: `key`, `flat`, `absent`,
+`required` and `given`. An unknown key is refused. An error names the path
+to its value: `<where>: missing 'regions[0].illuminance'` (before any
+unknown key), `regions[0].texture: 'valu' is not a known key`, or
 `regions[0].texture: <what the constructor raised>`.
 """
 import enum
@@ -41,10 +41,10 @@ def is_integer(value, lo=-2 ** 63, hi=2 ** 63 - 1) -> bool:
             and lo <= value <= hi)
 
 
-def checked(rule: str, test, default=MISSING, **options):
+def checked(rule: str, test, default=MISSING, *, compare=True, **options):
     """A dataclass field whose value must pass test; rule says what passes.
-    The options are those of `wire`."""
-    return field(default=default,
+    compare=False leaves it out of ==; the options are those of `wire`."""
+    return field(default=default, compare=compare,
                  metadata={"rule": rule, "test": test, **options})
 
 
@@ -105,7 +105,8 @@ class DecodeError(InvalidArgumentError):
 def wire(default=MISSING, **options):
     """A field with what its type cannot say: key, its JSON key; flat=True
     if its dataclass's keys sit in the enclosing object; absent, its value
-    if its key is left out; required=True if the key may not be left out."""
+    if its key is left out; required=True if the key may not be left out;
+    given=True if it has no key, so only a caller's given value sets it."""
     return field(default=default, metadata=options)
 
 
@@ -148,12 +149,12 @@ def _converter(tp):
 @functools.cache
 def _plan(cls, given=()) -> tuple:
     """(required keys, known keys, steps) of dataclass cls, less the fields
-    in given. A step is (name, key, conv, absent), and (name, None, the
-    dataclass, its steps) for a flat field."""
+    in given and those declared given. A step is (name, key, conv, absent),
+    and (name, None, the dataclass, its steps) for a flat field."""
     hints, required, known, steps = get_type_hints(cls), [], set(), []
     for f in fields(cls):
         meta, tp = f.metadata, hints[f.name]
-        if f.name in given:
+        if f.name in given or meta.get("given"):
             continue
         if meta.get("flat"):
             inner_required, inner_known, inner_steps = _plan(tp)

@@ -21,7 +21,6 @@ refuses a line that live ingest could not have written.
 """
 from __future__ import annotations
 
-import base64
 import json
 import re
 import threading
@@ -39,7 +38,7 @@ from .checks import (Checked, checked, decode, encode, integer, is_number,
 from .errors import (ConfigError, InvalidArgumentError, NotFoundError,
                      StaleReadingError)
 from .policy import PolicyConfig
-from .scene import DEFAULT_LUX_CURVE, LuxCurve, MarkerSpec, SyntheticImage
+from .scene import DEFAULT_LUX_CURVE, LuxCurve, MarkerSpec
 
 MAX_TREND_WINDOW_S = 365 * 24 * 3600.0   # one year
 # A region id names the region's log file.
@@ -53,14 +52,18 @@ class SensorReading(Checked):
     region_id: str = checked("a string", lambda v: isinstance(v, str))
     timestamp_ms: int = integer()
     lux: Optional[float] = number(0.0, MAX_LUX, None, optional=True)
-    image_pgm_b64: Optional[str] = checked(
-        "a string or null", lambda v: v is None or isinstance(v, str), None)
+    # the camera frame's pixels: a front end hands them over, never as JSON;
+    # left out of ==, since arrays do not compare to a bool
+    image: Optional[np.ndarray] = checked(
+        "a 2-D uint8 array or null", lambda v: v is None or (
+            isinstance(v, np.ndarray) and v.dtype == np.uint8 and v.ndim == 2),
+        None, given=True, compare=False)
 
     def __post_init__(self):
         # checked before anything is persisted; good values are not coerced,
         # so the log holds what decode read (an integer lux as a float)
         super().__post_init__()
-        if self.lux is None and self.image_pgm_b64 is None:
+        if self.lux is None and self.image is None:
             raise InvalidArgumentError("reading must carry lux and/or an image")
 
 
@@ -229,13 +232,7 @@ class EdgeService:
 
     def ingest_reading(self, reading: SensorReading) -> MetricsRecord:
         runtime = self._runtime(reading.region_id)
-        image = None
-        if reading.image_pgm_b64 is not None:
-            try:
-                raw = base64.b64decode(reading.image_pgm_b64, validate=True)
-                image = SyntheticImage.from_pgm(raw).pixels
-            except (ValueError, InvalidArgumentError) as e:
-                raise InvalidArgumentError(f"bad image payload: {e}")
+        image = reading.image
         with runtime.lock:
             last = runtime.sensor_last_ts.get(reading.sensor_id)
             if last is not None and reading.timestamp_ms <= last:

@@ -1,7 +1,7 @@
 """HTTP/1.1 + JSON wire protocol in front of EdgeService.
 
 Routes:
-    PUT  /v1/sensors/{sensor_id}/readings
+    PUT  /v1/sensors/{sensor_id}/readings     (a JSON or a PGM body)
     GET  /v1/regions/{region_id}/metrics/latest
     GET  /v1/regions/{region_id}/metrics/trend?window_s=N
     POST /v1/actuators/{actuator_id}/commands
@@ -18,6 +18,13 @@ ACK (Nagle, RFC 896).
 `checks.decode` reads a body into the types of `edge`, whose constructors
 check it, and `checks.encode` writes a reply. An unknown key or a value a
 constructor refuses gets a 400; an integer `lux` is read as a float.
+
+A reading with an image is sent with the media type PGM_MEDIA_TYPE and the
+binary PGM as its body; its other fields travel as one JSON object in the
+READING_HEADER header, which `checks.decode` reads as it reads a JSON body.
+A PGM that does not parse gets a 400 starting `bad image payload:`; a PGM
+body without exactly one such header, or with one that is not JSON, gets a
+400 too. A JSON body carries a lux-only reading.
 """
 from __future__ import annotations
 
@@ -30,9 +37,12 @@ from .checks import decode, encode
 from .edge import ActuatorCommand, EdgeService, SensorReading
 from .errors import (InvalidArgumentError, NotFoundError, PayloadTooLargeError,
                      StaleReadingError)
+from .scene import SyntheticImage
 
-# a 320x240 PGM in base64 is about 103 KB
+# a 320x240 PGM is 76 815 bytes
 MAX_BODY_BYTES = 1 << 20
+PGM_MEDIA_TYPE = "image/x-portable-graymap"
+READING_HEADER = "Ambientd-Reading"
 
 
 def _status_for(exc: Exception) -> int:
@@ -94,6 +104,24 @@ class _Handler(BaseHTTPRequestHandler):
         except (ValueError, RecursionError):    # bad UTF-8 or deep nesting too
             raise InvalidArgumentError("request body is not valid JSON")
 
+    def _reading_parts(self, raw: bytes):
+        """(the reading's JSON object, its pixels or None) of the request."""
+        if self.headers.get_content_type() != PGM_MEDIA_TYPE:
+            return self._parse_body(raw), None
+        values = self.headers.get_all(READING_HEADER, [])
+        if len(values) != 1:
+            raise InvalidArgumentError(
+                f"a PGM reading needs one {READING_HEADER} header")
+        try:
+            doc = json.loads(values[0])
+        except (ValueError, RecursionError):
+            raise InvalidArgumentError(
+                f"{READING_HEADER} header is not valid JSON")
+        try:
+            return doc, SyntheticImage.from_pgm(raw).pixels
+        except InvalidArgumentError as e:
+            raise InvalidArgumentError(f"bad image payload: {e}")
+
     def _dispatch(self):
         try:
             raw = self._read_body()
@@ -122,8 +150,9 @@ class _Handler(BaseHTTPRequestHandler):
                     raise InvalidArgumentError("missing or bad texture/lux")
                 status, doc = 200, encode(policy.predict_tracking(texture, lux))
             elif route == "PUT v1/sensors/{id}/readings":
-                reading = decode(SensorReading, self._parse_body(raw),
-                                 "malformed reading", sensor_id=rid)
+                fields, image = self._reading_parts(raw)
+                reading = decode(SensorReading, fields, "malformed reading",
+                                 sensor_id=rid, image=image)
                 status, doc = 200, encode(self.service.ingest_reading(reading))
             elif route == "POST v1/actuators/{id}/commands":
                 cmd = decode(ActuatorCommand, self._parse_body(raw),

@@ -22,7 +22,6 @@ import heapq
 import json
 import tempfile
 import threading
-from base64 import b64encode
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
@@ -254,13 +253,22 @@ class _EInkNode(_ActuatorNode):
 SERVE_POLL_S = 0.05     # how often a server thread looks for a shutdown
 
 
+def _split_image(body: dict):
+    """(the reading's JSON fields, its SyntheticImage) of a body the
+    simulator sends; the body is left as it is."""
+    return ({key: value for key, value in body.items() if key != "image"},
+            body["image"])
+
+
 class InProcessTransport:
     def __init__(self, service: EdgeService):
         self.service = service
 
     def put_reading(self, sensor_id: str, body: dict) -> None:
-        self.service.ingest_reading(decode(SensorReading, body, "malformed reading",
-                                           sensor_id=sensor_id))
+        fields, image = _split_image(body)
+        self.service.ingest_reading(decode(
+            SensorReading, fields, "malformed reading", sensor_id=sensor_id,
+            image=image.pixels))
 
     def close(self):
         pass
@@ -275,7 +283,6 @@ class HttpTransport:
         from .httpapi import make_server
         self.server = make_server(service)
         host, port = self.server.server_address[:2]
-        self.base_url = f"http://{host}:{port}"
         self._thread = threading.Thread(
             target=self.server.serve_forever,
             kwargs={"poll_interval": SERVE_POLL_S}, daemon=True)
@@ -283,12 +290,15 @@ class HttpTransport:
         self._conn = HTTPConnection(host, port, timeout=30)
 
     def put_reading(self, sensor_id: str, body: dict) -> None:
-        """PUT one reading; a reply that is not 2xx raises HTTPException
-        with its status and body, which ends the run."""
+        """PUT one image reading as a PGM body; a reply that is not 2xx
+        raises HTTPException with its status and body, which ends the run."""
         from http.client import HTTPException
+        from .httpapi import PGM_MEDIA_TYPE, READING_HEADER
         path = f"/v1/sensors/{sensor_id}/readings"
-        self._conn.request("PUT", path, json.dumps(body).encode("utf-8"),
-                           {"Content-Type": "application/json"})
+        fields, image = _split_image(body)
+        self._conn.request("PUT", path, image.to_pgm(),
+                           {"Content-Type": PGM_MEDIA_TYPE,
+                            READING_HEADER: json.dumps(fields)})
         resp = self._conn.getresponse()
         reply = resp.read()
         if not 200 <= resp.status < 300:
@@ -356,7 +366,7 @@ class Simulator:
             region, stable_seed(scenario.seed, "cam", region_id, t_ms),
             CANONICAL_W, CANONICAL_H, sigma0=scenario.camera_sigma0)
         body = {"region_id": region_id, "timestamp_ms": t_ms, "lux": lux,
-                "image_pgm_b64": b64encode(image.to_pgm()).decode("ascii")}
+                "image": image}
         self.log(f"sensor/{region_id}", "reading",
                  {"lux": lux, "image_sha": hashlib.sha256(
                      image.pixels.tobytes()).hexdigest()})

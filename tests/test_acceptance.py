@@ -3,7 +3,6 @@
 Each test covers one numbered criterion and prints a single PASS/FAIL line
 (visible with pytest -s or in captured output on failure).
 """
-import base64
 import functools
 import json
 import random
@@ -17,7 +16,7 @@ import pytest
 from ambientd.characterize import (ImageMetrics, TextureClass, classify_texture,
                                    detect_fast_corners)
 from ambientd.edge import EdgeService, RegionConfig
-from ambientd.httpapi import make_server
+from ambientd.httpapi import PGM_MEDIA_TYPE, READING_HEADER, make_server
 from ambientd.policy import (ControlConstraint, IlluminancePolicyState,
                              PolicyConfig, illuminance_control_step,
                              predict_tracking, resolve_constraints)
@@ -174,20 +173,21 @@ def test_criterion_7_protocol_conformance(tmp_path):
     base = f"http://127.0.0.1:{server.server_port}"
     try:
         img = render_region(Region("r", COARSE, 200.0), 1, 320, 240)
-        body = {"region_id": "r1", "timestamp_ms": 1000, "lux": 200.0,
-                "image_pgm_b64": base64.b64encode(img.to_pgm()).decode()}
+        fields = {"region_id": "r1", "timestamp_ms": 1000, "lux": 200.0}
 
-        def call(method, path, doc=None):
-            data = json.dumps(doc).encode() if doc is not None else None
-            req = urllib.request.Request(base + path, data=data, method=method)
+        def call(method, path, data=None, headers={}):
+            req = urllib.request.Request(base + path, data=data, method=method,
+                                         headers=headers)
             with urllib.request.urlopen(req, timeout=10) as resp:
                 return resp.status, json.loads(resp.read())
 
-        _, stored = call("PUT", "/v1/sensors/s1/readings", body)
+        _, stored = call("PUT", "/v1/sensors/s1/readings", img.to_pgm(),
+                         {"Content-Type": PGM_MEDIA_TYPE,
+                          READING_HEADER: json.dumps(fields)})
         _, latest = call("GET", "/v1/regions/r1/metrics/latest")
         assert latest == stored
-        status, ack = call("POST", "/v1/actuators/bulb1/commands",
-                           {"kind": "set-brightness", "payload": 40.0})
+        status, ack = call("POST", "/v1/actuators/bulb1/commands", json.dumps(
+            {"kind": "set-brightness", "payload": 40.0}).encode())
         assert status == 202
         assert ack["dispatch_latency_ms"] < 500.0
     finally:
@@ -264,9 +264,8 @@ def test_criterion_10_durability_and_determinism(tmp_path):
     img = render_region(Region("r", COARSE, 200.0), 1, 320, 240)
     from ambientd.edge import SensorReading
     for ts in (1000, 2000, 3000):
-        svc.ingest_reading(SensorReading(
-            "s1", "r1", ts, lux=200.0,
-            image_pgm_b64=base64.b64encode(img.to_pgm()).decode()))
+        svc.ingest_reading(SensorReading("s1", "r1", ts, lux=200.0,
+                                         image=img.pixels))
     latest = svc.get_latest_metrics("r1")
     svc2 = EdgeService(tmp_path / "edge")
     svc2.register_region(RegionConfig("r1"))

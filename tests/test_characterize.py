@@ -280,6 +280,23 @@ class TestFastCorners:
         detect_fast_corners(img, 20)
         assert ran == [plan]
 
+    @pytest.mark.parametrize("roi", ["flat", "dark"])
+    def test_no_candidate_returns_what_the_sparse_plan_gives(self, monkeypatch,
+                                                             roi):
+        # the dark ROI is the marker sweep's at 50 lux, 90 cm and 60 degrees
+        threshold = markerpipe.DEFAULT_MATCH_FAST_THRESHOLD
+        pixels = (as_image(np.full((200, 200), 153)) if roi == "flat"
+                  else sweep_rois([(90.0, 60.0, 50.0)])[0])
+        a = pixels.astype(np.int16)
+        candidates = _cardinal_candidates(a, threshold)
+        assert not candidates.any()
+        want = _suppress(_sparse_scores(a, threshold, candidates))
+        for name in ("_sparse_scores", "_dense_scores"):
+            monkeypatch.setattr(characterize, name, None)   # neither plan runs
+        got = detect_fast_corners(pixels, threshold)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tolist() == want.tolist() == []
+
     def test_corner_count_rises_with_threshold_drop(self):
         img = render(TextureSpec("speckle", frequency=0.5), 300.0, w=96, h=96)
         low = len(detect_fast_corners(img, 10))

@@ -1,4 +1,3 @@
-import base64
 import json
 import signal
 import socket
@@ -12,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from ambientd import cli, httpapi
+from ambientd.httpapi import PGM_MEDIA_TYPE, READING_HEADER
 from ambientd.edge import SensorReading
 from ambientd.scene import Region, TextureSpec, render_region
 from ambientd.sim import load_scenario
@@ -419,9 +419,13 @@ class TestServe:
                 Region("r", TextureSpec("checkerboard", cell=32,
                                         low=0.1, high=0.9), 200.0),
                 1, 320, 240)
-            body = {"region_id": "r", "timestamp_ms": 1000, "lux": 200.0,
-                    "image_pgm_b64": base64.b64encode(img.to_pgm()).decode()}
-            status, stored = http("PUT", f"{base}/v1/sensors/s1/readings", body)
+            fields = {"region_id": "r", "timestamp_ms": 1000, "lux": 200.0}
+            req = urllib.request.Request(
+                f"{base}/v1/sensors/s1/readings", data=img.to_pgm(),
+                method="PUT", headers={"Content-Type": PGM_MEDIA_TYPE,
+                                       READING_HEADER: json.dumps(fields)})
+            with urllib.request.urlopen(req, timeout=10) as resp:
+                status, stored = resp.status, json.loads(resp.read())
             assert status == 200
         finally:
             proc.send_signal(signal.SIGINT)

@@ -1,4 +1,3 @@
-import base64
 import json
 import shutil
 import socket
@@ -13,7 +12,7 @@ from threading import Thread
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ambientd.characterize import METRIC_NAMES
@@ -22,7 +21,8 @@ from ambientd.edge import (ActuatorCommand, EdgeService, MetricsRecord,
                            RegionConfig, SensorReading)
 from ambientd.errors import (ConfigError, InvalidArgumentError, NotFoundError,
                              StaleReadingError)
-from ambientd.httpapi import MAX_BODY_BYTES, make_server
+from ambientd.httpapi import (MAX_BODY_BYTES, PGM_MEDIA_TYPE, READING_HEADER,
+                              make_server)
 from ambientd.scene import (MarkerSpec, Region, SyntheticImage, TextureSpec,
                             render_region)
 from ambientd.sim import SERVE_POLL_S
@@ -30,25 +30,22 @@ from ambientd.sim import SERVE_POLL_S
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
-def image_b64(lux=80.0, seed=1, texture=None):
+def frame(lux=80.0, seed=1, texture=None) -> SyntheticImage:
     region = Region("r", texture or TextureSpec("checkerboard", cell=32,
                                                 low=0.1, high=0.9), lux)
-    img = render_region(region, seed, 320, 240)
-    return base64.b64encode(img.to_pgm()).decode("ascii")
+    return render_region(region, seed, 320, 240)
 
 
 def reading(ts, lux=80.0, with_image=True, sensor="s1", region="r1", seed=1,
             texture=None):
     return SensorReading(
         sensor_id=sensor, region_id=region, timestamp_ms=ts, lux=lux,
-        image_pgm_b64=(image_b64(lux=lux, seed=seed, texture=texture)
-                       if with_image else None))
+        image=(frame(lux=lux, seed=seed, texture=texture).pixels
+               if with_image else None))
 
 
-def tiny_image_b64():
-    """A well-formed PGM too small to characterize."""
-    pixels = np.zeros((8, 8), np.uint8)
-    return base64.b64encode(SyntheticImage(pixels).to_pgm()).decode("ascii")
+# a well-formed image too small to characterize
+TINY = SyntheticImage(np.zeros((8, 8), np.uint8))
 
 
 def restarted(data_dir):
@@ -108,17 +105,20 @@ class TestIngestion:
         with pytest.raises(NotFoundError):
             service.ingest_reading(reading(1000, region="nope"))
 
-    def test_corrupt_image_rejected(self, service):
-        bad = base64.b64encode(b"P5 not really").decode("ascii")
-        with pytest.raises(InvalidArgumentError):
-            service.ingest_reading(SensorReading("s1", "r1", 1000,
-                                                 image_pgm_b64=bad))
+    def test_corrupt_image_rejected(self, service, tmp_path):
+        # a PGM is parsed by the HTTP front end; these are pixels that are not
+        for image in (np.zeros(64, np.uint8), np.zeros((64, 64), np.int16),
+                      np.zeros((64, 64, 1), np.uint8), b"P5 not really"):
+            with pytest.raises(InvalidArgumentError, match="image must be"):
+                service.ingest_reading(SensorReading("s1", "r1", 1000,
+                                                     image=image))
+        assert not (tmp_path / "region_r1.jsonl").exists()
 
     @pytest.mark.parametrize("field,value", [
         ("lux", "bright"), ("lux", float("nan")), ("lux", float("inf")),
         ("lux", -5.0), ("lux", True), ("lux", 10 ** 400), ("lux", 1e308),
         ("region_id", 7), ("timestamp_ms", True), ("timestamp_ms", 1000.0),
-        ("timestamp_ms", 2 ** 63), ("image_pgm_b64", 5), ("sensor_id", 7),
+        ("timestamp_ms", 2 ** 63), ("image", 5), ("sensor_id", 7),
     ], ids=["lux-str", "lux-nan", "lux-inf", "lux-negative", "lux-bool",
             "lux-int-beyond-float", "lux-beyond-sunlight", "region-int",
             "timestamp-bool", "timestamp-float", "timestamp-beyond-int64",
@@ -249,9 +249,9 @@ class TestTrend:
         svc = EdgeService(tmp_path)
         svc.register_region(RegionConfig("r1"))
         svc.ingest_reading(reading(1000, lux=80.0))
-        bright = image_b64(lux=400.0, seed=2)
+        bright = frame(lux=400.0, seed=2).pixels
         svc.ingest_reading(SensorReading("s1", "r1", 2000, lux=400.0,
-                                         image_pgm_b64=bright))
+                                         image=bright))
         trend = svc.get_trend("r1", 10.0)
         assert trend.change_events >= 1
 
@@ -463,8 +463,20 @@ def http_server(service):
 
 def http(method, url, doc=None):
     data = json.dumps(doc).encode() if doc is not None else None
-    req = urllib.request.Request(url, data=data, method=method,
-                                 headers={"Content-Type": "application/json"})
+    return send(urllib.request.Request(
+        url, data=data, method=method,
+        headers={"Content-Type": "application/json"}))
+
+
+def put_pgm(url, fields, pgm):
+    """PUT a reading whose image is the PGM body, its other fields in the
+    reading header."""
+    return send(urllib.request.Request(url, data=pgm, method="PUT", headers={
+        "Content-Type": PGM_MEDIA_TYPE, READING_HEADER: json.dumps(fields)}))
+
+
+def send(req):
+    """(status, JSON body) of the reply to req."""
     try:
         with urllib.request.urlopen(req, timeout=10) as resp:
             return resp.status, json.loads(resp.read())
@@ -478,9 +490,9 @@ class TestHttpApi:
         assert (status, doc) == (200, {"status": "ok"})
 
     def test_reading_round_trip(self, http_server):
-        body = {"region_id": "r1", "timestamp_ms": 1000, "lux": 80.0,
-                "image_pgm_b64": image_b64()}
-        status, doc = http("PUT", f"{http_server}/v1/sensors/s1/readings", body)
+        fields = {"region_id": "r1", "timestamp_ms": 1000, "lux": 80.0}
+        status, doc = put_pgm(f"{http_server}/v1/sensors/s1/readings", fields,
+                              frame().to_pgm())
         assert status == 200
         status, latest = http("GET",
                               f"{http_server}/v1/regions/r1/metrics/latest")
@@ -488,10 +500,10 @@ class TestHttpApi:
         assert latest == doc  # stored record is byte-identical to the ack
 
     def test_stale_conflict(self, http_server):
-        body = {"region_id": "r1", "timestamp_ms": 1000, "lux": 80.0}
-        body["image_pgm_b64"] = image_b64()
-        assert http("PUT", f"{http_server}/v1/sensors/s1/readings", body)[0] == 200
-        assert http("PUT", f"{http_server}/v1/sensors/s1/readings", body)[0] == 409
+        fields = {"region_id": "r1", "timestamp_ms": 1000, "lux": 80.0}
+        url, pgm = f"{http_server}/v1/sensors/s1/readings", frame().to_pgm()
+        assert put_pgm(url, fields, pgm)[0] == 200
+        assert put_pgm(url, fields, pgm)[0] == 409
 
     def test_unknown_region_404(self, http_server):
         status, _ = http("GET", f"{http_server}/v1/regions/zz/metrics/latest")
@@ -505,9 +517,9 @@ class TestHttpApi:
 
     def test_trend_endpoint(self, http_server):
         for ts, lux in ((1000, 80.0), (2000, 90.0)):
-            http("PUT", f"{http_server}/v1/sensors/s1/readings",
-                 {"region_id": "r1", "timestamp_ms": ts, "lux": lux,
-                  "image_pgm_b64": image_b64(seed=ts)})
+            put_pgm(f"{http_server}/v1/sensors/s1/readings",
+                    {"region_id": "r1", "timestamp_ms": ts, "lux": lux},
+                    frame(seed=ts).to_pgm())
         status, doc = http(
             "GET", f"{http_server}/v1/regions/r1/metrics/trend?window_s=60")
         assert status == 200
@@ -589,7 +601,7 @@ class TestHttpApi:
             assert read_response(replies)[0] == 202
 
     @pytest.mark.parametrize("field,value", [
-        ("lux", "bright"), ("region_id", ["r1"]), ("image_pgm_b64", 5)],
+        ("lux", "bright"), ("region_id", ["r1"]), ("image", 5)],
         ids=["lux-str", "region-list", "image-int"])
     def test_bad_reading_400_and_log_stays_clean(self, http_server, tmp_path,
                                                  field, value):
@@ -606,11 +618,9 @@ class TestHttpApi:
     def test_refused_image_does_not_move_the_staleness_clock(
             self, http_server, tmp_path):
         url = f"{http_server}/v1/sensors/s1/readings"
-        tiny = {"region_id": "r1", "timestamp_ms": 5000, "lux": 80.0,
-                "image_pgm_b64": tiny_image_b64()}
-        assert http("PUT", url, tiny)[0] == 400
-        assert http("PUT", url, {**tiny, "timestamp_ms": 4000,
-                                 "image_pgm_b64": None})[0] == 200
+        fields = {"region_id": "r1", "timestamp_ms": 5000, "lux": 80.0}
+        assert put_pgm(url, fields, TINY.to_pgm())[0] == 400
+        assert http("PUT", url, {**fields, "timestamp_ms": 4000})[0] == 200
         assert len((tmp_path / "region_r1.jsonl").read_text().splitlines()) == 1
 
     @pytest.mark.parametrize("raw", [b'"timestamp_ms": 1e400', b'"lux": NaN',
@@ -658,6 +668,87 @@ class TestHttpApi:
         assert status == 400
         assert "Transfer-Encoding" in doc["error"]
 
+    @pytest.mark.parametrize("key", ["image_pgm_b64", "image"])
+    def test_json_image_key_400(self, http_server, tmp_path, key):
+        # an image is sent as a PGM body only
+        body = {"region_id": "r1", "timestamp_ms": 1000, "lux": 80.0,
+                key: "UDUKMSAxCjI1NQoA"}
+        status, doc = http("PUT", f"{http_server}/v1/sensors/s1/readings", body)
+        assert (status, doc) == (
+            400, {"error": f"malformed reading: {key!r} is not a known key"})
+        assert not (tmp_path / "region_r1.jsonl").exists()
+
+    @pytest.mark.parametrize("header,error", [
+        (b"", f"a PGM reading needs one {READING_HEADER} header"),
+        (b"%s: {}\r\n%s: {}\r\n" % ((READING_HEADER.encode(),) * 2),
+         f"a PGM reading needs one {READING_HEADER} header"),
+        (READING_HEADER.encode() + b": {\"region_id\": \"r1\",\r\n",
+         f"{READING_HEADER} header is not valid JSON"),
+        (READING_HEADER.encode() + b": [1000]\r\n",
+         "malformed reading: must be a JSON object"),
+    ], ids=["missing", "twice", "not-json", "not-an-object"])
+    def test_pgm_without_one_good_reading_header_400(self, http_server,
+                                                     tmp_path, header, error):
+        pgm = frame().to_pgm()
+        status, doc = raw_request(
+            http_server, b"PUT /v1/sensors/s1/readings HTTP/1.1\r\n"
+            b"Content-Type: %s\r\n%sContent-Length: %d\r\n\r\n%s"
+            % (PGM_MEDIA_TYPE.encode(), header, len(pgm), pgm))
+        assert (status, doc) == (400, {"error": error})
+        assert not (tmp_path / "region_r1.jsonl").exists()
+
+    def test_reading_header_with_sensor_id_400(self, http_server, tmp_path):
+        # the sensor id comes from the path, as for a JSON body
+        fields = {"sensor_id": "s1", "region_id": "r1", "timestamp_ms": 1000,
+                  "lux": 80.0}
+        status, doc = put_pgm(f"{http_server}/v1/sensors/s1/readings", fields,
+                              frame().to_pgm())
+        assert (status, doc) == (
+            400, {"error": "malformed reading: 'sensor_id' is not a known key"})
+        assert not (tmp_path / "region_r1.jsonl").exists()
+
+    @pytest.mark.parametrize("pgm,reason", [
+        (frame().to_pgm()[:-1], "truncated PGM pixel data"),
+        (b"P5\n320 240", "truncated PGM header"),
+        (b'{"lux": 80.0}', "not a binary PGM (P5) file")],
+        ids=["pixels", "header", "json"])
+    def test_truncated_pgm_400(self, http_server, tmp_path, pgm, reason):
+        fields = {"region_id": "r1", "timestamp_ms": 1000, "lux": 80.0}
+        status, doc = put_pgm(f"{http_server}/v1/sensors/s1/readings", fields,
+                              pgm)
+        assert (status, doc) == (400, {"error": f"bad image payload: {reason}"})
+        assert not (tmp_path / "region_r1.jsonl").exists()
+
+    def test_oversized_pgm_413_and_closed(self, http_server):
+        pgm = SyntheticImage(np.zeros((1024, 1024), np.uint8)).to_pgm()
+        assert len(pgm) > MAX_BODY_BYTES
+        # only the head is sent: the server must answer without the body
+        status, _ = raw_request(
+            http_server, b"PUT /v1/sensors/s1/readings HTTP/1.1\r\n"
+            b"Content-Type: %s\r\n%s: {}\r\nContent-Length: %d\r\n\r\n"
+            % (PGM_MEDIA_TYPE.encode(), READING_HEADER.encode(), len(pgm)),
+            expect_close=True)
+        assert status == 413
+
+    def test_expect_100_continue_pgm_reading(self, http_server):
+        host, port = http_server.removeprefix("http://").split(":")
+        pgm = frame().to_pgm()
+        with socket.create_connection((host, int(port)), timeout=5) as sock:
+            sock.sendall(b"PUT /v1/sensors/s1/readings HTTP/1.1\r\n"
+                         b"Expect: 100-continue\r\n"
+                         b"Content-Type: %s\r\n"
+                         b'%s: {"region_id": "r1", "timestamp_ms": 1000}\r\n'
+                         b"Content-Length: %d\r\n\r\n"
+                         % (PGM_MEDIA_TYPE.encode(), READING_HEADER.encode(),
+                            len(pgm)))
+            replies = sock.makefile("rb")
+            assert replies.readline().split()[1] == b"100"
+            assert replies.readline() == b"\r\n"
+            sock.sendall(pgm)
+            status, doc = read_response(replies)
+        assert status == 200
+        assert doc["timestamp_ms"] == 1000 and doc["metrics"]["corner_count"] > 0
+
 
 def raw_request(base_url, request: bytes, expect_close=False):
     """Send request bytes as they are; returns (status, JSON body). With
@@ -696,27 +787,33 @@ JSON_VALUES = st.recursive(
     max_leaves=8)
 
 
+# reading-shaped objects reach validation, ingest and the policy step; an
+# image key is not one a reading has
+READING_FIELDS = st.fixed_dictionaries(
+    {"region_id": st.just("r1") | JSON_VALUES,
+     "timestamp_ms": st.integers() | JSON_VALUES,
+     "lux": st.floats(min_value=0) | JSON_VALUES},
+    optional={"image": JSON_VALUES, "image_pgm_b64": JSON_VALUES})
+
+
+def serve_r1(data_dir):
+    """A running server over a service with region r1 and actuator bulb1."""
+    svc = EdgeService(data_dir)
+    svc.register_region(RegionConfig("r1", bulb_actuator="bulb1"))
+    svc.register_actuator("bulb1", lambda cmd: None)
+    server = make_server(svc)
+    Thread(target=server.serve_forever,
+           kwargs={"poll_interval": SERVE_POLL_S}, daemon=True).start()
+    return server
+
+
 class TestIngestProperty:
     def test_no_body_gives_5xx_or_poisons_the_log(self, tmp_path):
-        svc = EdgeService(tmp_path)
-        svc.register_region(RegionConfig("r1", bulb_actuator="bulb1"))
-        svc.register_actuator("bulb1", lambda cmd: None)
-        server = make_server(svc)
-        Thread(target=server.serve_forever,
-               kwargs={"poll_interval": SERVE_POLL_S}, daemon=True).start()
-        image = base64.b64encode(render_region(
-            Region("r", TextureSpec("checkerboard", cell=8), 300.0),
-            1, 48, 48).to_pgm()).decode("ascii")
-        # reading-shaped bodies reach validation, ingest and the policy step
-        readings = st.fixed_dictionaries(
-            {"region_id": st.just("r1") | JSON_VALUES,
-             "timestamp_ms": st.integers() | JSON_VALUES,
-             "lux": st.floats(min_value=0) | JSON_VALUES},
-            optional={"image_pgm_b64": st.just(image) | JSON_VALUES})
+        server = serve_r1(tmp_path)
 
         @settings(max_examples=200, deadline=None, derandomize=True,
                   database=None)
-        @given(JSON_VALUES | readings)
+        @given(JSON_VALUES | READING_FIELDS)
         def put(body):
             conn = HTTPConnection("127.0.0.1", server.server_port, timeout=10)
             try:
@@ -741,6 +838,73 @@ class TestIngestProperty:
         assert lines
         for line in lines:
             json.loads(line, parse_constant=_reject_constant)
+
+    def test_no_pgm_body_gives_5xx_and_only_a_stored_one_is_logged(
+            self, tmp_path):
+        """Arbitrary PGM-ish bodies with arbitrary reading headers, mixed
+        with JSON bodies into one region: no PUT and no trend query after it
+        gets a 5xx, and only a reading answered 200 reaches the log."""
+        server = serve_r1(tmp_path)
+        pgm = render_region(Region("r", TextureSpec("checkerboard", cell=8),
+                                   300.0), 1, 48, 48).to_pgm()
+        bodies = (st.just(pgm) | st.binary(max_size=64)
+                  | st.integers(0, len(pgm) - 1).map(lambda n: pgm[:n])
+                  | st.builds(lambda w, h, rest: b"P5\n%d %d\n255\n" % (w, h)
+                              + rest, st.integers(-1, 2 ** 40),
+                              st.integers(-1, 2 ** 40), st.binary(max_size=64)))
+        # a header value is latin-1 without line breaks
+        headers = (st.none() | st.text(st.characters(min_codepoint=32,
+                                                     max_codepoint=255))
+                   | (JSON_VALUES | READING_FIELDS).map(json.dumps))
+
+        def pgm_put(body, header):
+            sent = {"Content-Type": PGM_MEDIA_TYPE}
+            if header is not None:
+                sent[READING_HEADER] = header
+            return body, sent
+
+        # (body, headers) of a PUT: a PGM reading or a JSON (lux-only) one
+        puts = (st.builds(pgm_put, bodies, headers)
+                | (JSON_VALUES | READING_FIELDS).map(
+                    lambda doc: (json.dumps(doc).encode(), {})))
+        stored = []     # (reply, whether the body was a PGM) of each 200
+        first = {"region_id": "r1", "timestamp_ms": 1}
+
+        # an image reading, then a lux-only one that carries its metrics
+        @settings(max_examples=200, deadline=None, derandomize=True,
+                  database=None)
+        @given(puts)
+        @example(pgm_put(pgm, json.dumps(first)))
+        @example((json.dumps({**first, "timestamp_ms": 2, "lux": 90.0}).encode(),
+                  {}))
+        def put(request):
+            body, sent = request
+            conn = HTTPConnection("127.0.0.1", server.server_port, timeout=10)
+            try:
+                conn.request("PUT", "/v1/sensors/s/readings", body, sent)
+                resp = conn.getresponse()
+                assert resp.status < 500
+                reply = json.loads(resp.read())
+                if resp.status == 200:
+                    stored.append((reply, bool(sent)))
+                conn.request("GET", "/v1/regions/r1/metrics/trend?window_s=1e6")
+                resp = conn.getresponse()
+                assert resp.status < 500
+                json.loads(resp.read(), parse_constant=_reject_constant)
+            finally:
+                conn.close()
+
+        try:
+            put()
+        finally:
+            server.shutdown()
+            server.server_close()
+        lines = (tmp_path / "region_r1.jsonl").read_text().splitlines()
+        assert len(lines) == len(stored)
+        for line, (ack, image) in zip(lines, stored):
+            entry = json.loads(line, parse_constant=_reject_constant)
+            assert entry == {**ack, "sensor_id": "s", "image": image}
+        assert [image for _, image in stored[:2]] == [True, False]
 
 
 # (method, path, status): the status does not depend on the body; the
@@ -808,9 +972,8 @@ class TestRestartProperty:
     def test_restarted_service_answers_as_its_twin(self):
         """A service restarted at any point answers every reading and query
         as a twin that never restarted."""
-        images = [tiny_image_b64()] + [
-            base64.b64encode(render_region(Region("r", texture, lux), seed,
-                                           64, 64).to_pgm()).decode("ascii")
+        images = [TINY.pixels] + [
+            render_region(Region("r", texture, lux), seed, 64, 64).pixels
             for texture, lux, seed in [
                 (TextureSpec("checkerboard", cell=8), 80.0, 1),
                 (TextureSpec("checkerboard", cell=8), 300.0, 2),

@@ -13,14 +13,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ambientd.edge import ActuatorCommand, EdgeService, SensorReading
+from ambientd.edge import (ActuatorCommand, EdgeService, RegionConfig,
+                           SensorReading)
 from ambientd.errors import ConfigError
 from ambientd.policy import PolicyConfig
-from ambientd.scene import (MarkerPlacement, MarkerSpec, TextureSpec)
-from ambientd.sim import (HttpTransport, RegionScenario, Scenario, Simulator,
-                          TrajectoryEvent, default_sweep_lux_levels,
-                          run_calibration, run_scenario, scenario_from_json,
-                          stable_seed, sweep_marker_grid)
+from ambientd.scene import (MarkerPlacement, MarkerSpec, Region, TextureSpec,
+                            render_region)
+from ambientd.sim import (HttpTransport, InProcessTransport, RegionScenario,
+                          Scenario, Simulator, TrajectoryEvent,
+                          default_sweep_lux_levels, run_calibration,
+                          run_scenario, scenario_from_json, stable_seed,
+                          sweep_marker_grid)
 
 COARSE = TextureSpec("checkerboard", cell=32, low=0.1, high=0.9)
 FINE = TextureSpec("speckle", frequency=0.5)
@@ -297,6 +300,43 @@ class TestTransports:
         assert report_a == report_b
         assert events_a == events_b
 
+    def test_a_two_argument_put_reading_wrapper_sees_every_reading(self):
+        # the benchmark times each reading by replacing put_reading on the
+        # transport with a wrapper of two positional arguments
+        sim = Simulator(coarse_scenario(duration_s=10.0), transport="real-http")
+        put, calls = sim.transport.put_reading, []
+
+        def timed_put(sensor_id, body):
+            calls.append(sensor_id)
+            put(sensor_id, body)
+
+        sim.transport.put_reading = timed_put
+        events, report = sim.run()
+        readings = [e for e in events if e["kind"] == "reading"]
+        assert len(readings) == report["regions"]["r"]["observation_cycles"] > 1
+        assert calls == ["sensor:r"] * len(readings)
+        assert len(sim.service._runtime("r").records) == len(readings)
+        assert (events, report) == run_scenario(coarse_scenario(duration_s=10.0))
+
+    def test_transports_store_the_same_log_line(self, tmp_path):
+        body = {"region_id": "r", "timestamp_ms": 1000, "lux": 80.0,
+                "image": render_region(Region("r", COARSE, 80.0), 1, 320, 240)}
+        sent = dict(body)
+        logs = []
+        for name, transport_type in (("in-process", InProcessTransport),
+                                     ("real-http", HttpTransport)):
+            service = EdgeService(tmp_path / name)
+            service.register_region(RegionConfig("r"))
+            transport = transport_type(service)
+            try:
+                transport.put_reading("s1", body)
+            finally:
+                transport.close()
+            logs.append(service.log_path("r").read_bytes())
+        assert logs[0] == logs[1]
+        assert json.loads(logs[0])["image"] is True
+        assert body == sent     # the transport leaves the caller's body alone
+
     def test_http_transport_closes_at_once(self, tmp_path):
         # at serve_forever's default poll of 0.5 s, a close idled that long
         transport = HttpTransport(EdgeService(tmp_path))
@@ -329,7 +369,8 @@ class TestTransports:
 
     def test_http_rejects_out_of_range_brightness(self):
         sim = Simulator(coarse_scenario(duration_s=10.0), transport="real-http")
-        url = f"{sim.transport.base_url}/v1/actuators/bulb:r/commands"
+        host, port = sim.transport.server.server_address[:2]
+        url = f"http://{host}:{port}/v1/actuators/bulb:r/commands"
         brightness = '{"kind": "set-brightness", "payload": %s}'
         marker = ('{"kind": "set-marker", "payload": '
                   '{"pattern": "binary-grid-A", "size_index": %s}}')
@@ -355,7 +396,8 @@ class TestTransports:
     def test_http_refuses_a_command_kind_the_actuator_does_not_take(self):
         # both were valid commands that the node failed on, a 500
         sim = Simulator(marker_scenario(duration_s=10.0), transport="real-http")
-        base = f"{sim.transport.base_url}/v1/actuators"
+        host, port = sim.transport.server.server_address[:2]
+        base = f"http://{host}:{port}/v1/actuators"
         sends = {"bulb:m": '{"kind": "set-marker", "payload": '
                            '{"pattern": "binary-grid-A", "size_index": 1}}',
                  "eink:m": '{"kind": "set-brightness", "payload": 40}'}
