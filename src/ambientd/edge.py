@@ -330,6 +330,9 @@ class EdgeService:
         change_events = sum(1 for r in window if r.scene_change)
         return TrendSummary(window_s, len(window), change_events, stats)
 
+    def region_config(self, region_id: str) -> RegionConfig:
+        return self._runtime(region_id).config
+
     def marker_phase(self, region_id: str) -> Optional[str]:
         runtime = self._runtime(region_id)
         if runtime.marker_state is None:

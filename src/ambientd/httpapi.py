@@ -10,10 +10,10 @@ Routes:
 
 Every request body is read in full before routing, so a keep-alive connection
 never takes an unread body for the next request. A body over MAX_BODY_BYTES
-gets a 413 and a request with Transfer-Encoding a 400; both close the
-connection, since the end of the body is not read. A response leaves in one
-write: over keep-alive, a second small write waits for the client's delayed
-ACK (Nagle, RFC 896).
+gets a 413, and a request with Transfer-Encoding or with more than one
+Content-Length a 400; each closes the connection, since the end of the body
+is not read or not known. A response leaves in one write: over keep-alive, a
+second small write waits for the client's delayed ACK (Nagle, RFC 896).
 
 `checks.decode` reads a body into the types of `edge`, whose constructors
 check it, and `checks.encode` writes a reply. An unknown key or a value a
@@ -86,7 +86,11 @@ class _Handler(BaseHTTPRequestHandler):
         if "Transfer-Encoding" in self.headers:
             self.close_connection = True
             raise InvalidArgumentError("Transfer-Encoding is not supported")
-        length = self.headers.get("Content-Length", "0").strip()
+        lengths = self.headers.get_all("Content-Length", ["0"])
+        if len(lengths) > 1:    # RFC 9112 6.3: the framing is invalid
+            self.close_connection = True
+            raise InvalidArgumentError("more than one Content-Length")
+        length = lengths[0].strip()
         if not length.isdecimal():
             self.close_connection = True
             raise InvalidArgumentError("Content-Length must be a non-negative integer")
@@ -98,25 +102,21 @@ class _Handler(BaseHTTPRequestHandler):
         return self.rfile.read(int(length))
 
     @staticmethod
-    def _parse_body(raw: bytes):
+    def _parse_json(text, what: str):
         try:
-            return json.loads(raw)
+            return json.loads(text)
         except (ValueError, RecursionError):    # bad UTF-8 or deep nesting too
-            raise InvalidArgumentError("request body is not valid JSON")
+            raise InvalidArgumentError(f"{what} is not valid JSON")
 
     def _reading_parts(self, raw: bytes):
         """(the reading's JSON object, its pixels or None) of the request."""
         if self.headers.get_content_type() != PGM_MEDIA_TYPE:
-            return self._parse_body(raw), None
+            return self._parse_json(raw, "request body"), None
         values = self.headers.get_all(READING_HEADER, [])
         if len(values) != 1:
             raise InvalidArgumentError(
                 f"a PGM reading needs one {READING_HEADER} header")
-        try:
-            doc = json.loads(values[0])
-        except (ValueError, RecursionError):
-            raise InvalidArgumentError(
-                f"{READING_HEADER} header is not valid JSON")
+        doc = self._parse_json(values[0], f"{READING_HEADER} header")
         try:
             return doc, SyntheticImage.from_pgm(raw).pixels
         except InvalidArgumentError as e:
@@ -148,6 +148,7 @@ class _Handler(BaseHTTPRequestHandler):
                     lux = float(query["lux"][0])
                 except (KeyError, ValueError):
                     raise InvalidArgumentError("missing or bad texture/lux")
+                self.service.region_config(rid)     # a 404 if unknown
                 status, doc = 200, encode(policy.predict_tracking(texture, lux))
             elif route == "PUT v1/sensors/{id}/readings":
                 fields, image = self._reading_parts(raw)
@@ -155,8 +156,9 @@ class _Handler(BaseHTTPRequestHandler):
                                  sensor_id=rid, image=image)
                 status, doc = 200, encode(self.service.ingest_reading(reading))
             elif route == "POST v1/actuators/{id}/commands":
-                cmd = decode(ActuatorCommand, self._parse_body(raw),
-                             "malformed command body", actuator_id=rid)
+                body = self._parse_json(raw, "request body")
+                cmd = decode(ActuatorCommand, body, "malformed command body",
+                             actuator_id=rid)
                 status, doc = 202, {
                     "dispatch_latency_ms": self.service.dispatch_command(cmd)}
             else:

@@ -1,8 +1,10 @@
 """Deterministic discrete-event scenario runner.
 
 Wires synthetic sensors, actuators and the edge service together on a virtual
-clock. In-process transport is single-threaded and byte-reproducible; the
-real-http transport drives the same edge service through a local HTTP server.
+clock. Each sensor tick sends one `edge.SensorReading`: the in-process
+transport hands it to the edge service, single-threaded and byte-reproducible;
+the real-http transport PUTs it, its pixels as the PGM body, to a local HTTP
+server in front of the same edge service.
 
 A scenario file parses into a frozen `Scenario` by `checks.decode`: each
 JSON value goes to the constructor of the type that owns it
@@ -39,8 +41,8 @@ from .scene import (DEFAULT_BULB_LATENCY_S, DEFAULT_EINK_LATENCY_S,
                     DEFAULT_LUX_CURVE, MAX_VIEWING_ANGLE_DEG,
                     MIN_MARKER_DISTANCE_CM, NOISE_SIGMA0, SENSOR_NOISE_FRACTION,
                     EnvironmentState, LuxCurve, MarkerPlacement, MarkerSpec,
-                    Region, TextureSpec, apply_bulb_command, read_light_sensor,
-                    render_region)
+                    Region, SyntheticImage, TextureSpec, apply_bulb_command,
+                    read_light_sensor, render_region)
 
 CANONICAL_W = 320
 CANONICAL_H = 240
@@ -252,23 +254,16 @@ class _EInkNode(_ActuatorNode):
 
 SERVE_POLL_S = 0.05     # how often a server thread looks for a shutdown
 
-
-def _split_image(body: dict):
-    """(the reading's JSON fields, its SyntheticImage) of a body the
-    simulator sends; the body is left as it is."""
-    return ({key: value for key, value in body.items() if key != "image"},
-            body["image"])
+# put_reading(sensor_id, reading) gets the reading's sensor id first, for a
+# wrapper to see; only the reading is sent.
 
 
 class InProcessTransport:
     def __init__(self, service: EdgeService):
         self.service = service
 
-    def put_reading(self, sensor_id: str, body: dict) -> None:
-        fields, image = _split_image(body)
-        self.service.ingest_reading(decode(
-            SensorReading, fields, "malformed reading", sensor_id=sensor_id,
-            image=image.pixels))
+    def put_reading(self, sensor_id: str, reading: SensorReading) -> None:
+        self.service.ingest_reading(reading)
 
     def close(self):
         pass
@@ -289,14 +284,16 @@ class HttpTransport:
         self._thread.start()
         self._conn = HTTPConnection(host, port, timeout=30)
 
-    def put_reading(self, sensor_id: str, body: dict) -> None:
-        """PUT one image reading as a PGM body; a reply that is not 2xx
-        raises HTTPException with its status and body, which ends the run."""
+    def put_reading(self, sensor_id: str, reading: SensorReading) -> None:
+        """PUT one image reading as a PGM body, its sensor id in the path; a
+        reply that is not 2xx raises HTTPException with its status and body,
+        which ends the run."""
         from http.client import HTTPException
         from .httpapi import PGM_MEDIA_TYPE, READING_HEADER
-        path = f"/v1/sensors/{sensor_id}/readings"
-        fields, image = _split_image(body)
-        self._conn.request("PUT", path, image.to_pgm(),
+        path = f"/v1/sensors/{reading.sensor_id}/readings"
+        fields = encode(reading)
+        del fields["sensor_id"]
+        self._conn.request("PUT", path, SyntheticImage(reading.image).to_pgm(),
                            {"Content-Type": PGM_MEDIA_TYPE,
                             READING_HEADER: json.dumps(fields)})
         resp = self._conn.getresponse()
@@ -336,7 +333,6 @@ class Simulator:
             if path.exists():
                 raise ConfigError(f"{path} holds the log of an earlier run; "
                                   "a run needs a data directory without one")
-        self._lux_readings: Dict[str, List[Tuple[int, float]]] = {}
         for r, config in zip(scenario.regions, scenario.region_configs()):
             self.service.register_region(config)
             bulb = _BulbNode(self, r.id, scenario.bulb_latency_s)
@@ -344,7 +340,6 @@ class Simulator:
             if r.marker is not None:
                 eink = _EInkNode(self, r.id, scenario.eink_latency_s)
                 self.service.register_actuator(config.eink_actuator, eink.accept)
-            self._lux_readings[r.id] = []
         self._satisfied_cycle: Dict[str, Optional[int]] = {
             r.id: None for r in scenario.regions}
         self.transport = transports[transport](self.service)
@@ -355,7 +350,8 @@ class Simulator:
         self.event_log.append({"t_ms": self.queue.now_ms, "node": node,
                                "kind": kind, "digest": digest})
 
-    def _sensor_tick(self, region_id: str) -> None:
+    def _sensor_tick(self, region_id: str, cycle: int) -> None:
+        """Send the region's reading number cycle, counted from 1."""
         scenario = self.scenario
         region = self.env.region(region_id)
         t_ms = self.queue.now_ms
@@ -365,16 +361,16 @@ class Simulator:
         image = render_region(
             region, stable_seed(scenario.seed, "cam", region_id, t_ms),
             CANONICAL_W, CANONICAL_H, sigma0=scenario.camera_sigma0)
-        body = {"region_id": region_id, "timestamp_ms": t_ms, "lux": lux,
-                "image": image}
         self.log(f"sensor/{region_id}", "reading",
                  {"lux": lux, "image_sha": hashlib.sha256(
                      image.pixels.tobytes()).hexdigest()})
-        self._lux_readings[region_id].append((t_ms, lux))
-        self.transport.put_reading(f"sensor:{region_id}", body)
+        # float: a region built in Python may hold an int lux
+        sensor_id = f"sensor:{region_id}"
+        self.transport.put_reading(sensor_id, SensorReading(
+            sensor_id, region_id, t_ms, float(lux), image.pixels))
         if (self._satisfied_cycle[region_id] is None
                 and self.service.marker_phase(region_id) == "Satisfied"):
-            self._satisfied_cycle[region_id] = len(self._lux_readings[region_id])
+            self._satisfied_cycle[region_id] = cycle
 
     def run(self) -> Tuple[List[dict], dict]:
         scenario = self.scenario
@@ -384,9 +380,9 @@ class Simulator:
             self.queue.schedule(int(round(event.t_s * 1000)),
                                 lambda event=event: self._move_marker(event))
         for r in scenario.regions:
-            for t_ms in range(0, duration_ms + 1, period_ms):
-                self.queue.schedule(
-                    t_ms, lambda rid=r.id: self._sensor_tick(rid))
+            for cycle, t_ms in enumerate(range(0, duration_ms + 1, period_ms), 1):
+                self.queue.schedule(t_ms, lambda rid=r.id, n=cycle:
+                                    self._sensor_tick(rid, n))
         try:
             self.queue.run_until(duration_ms)
         finally:
@@ -412,8 +408,8 @@ class Simulator:
         regions = {}
         for r in scenario.regions:
             runtime = self.service._runtime(r.id)
-            reads = self._lux_readings[r.id]
-            tail = [lux for _, lux in reads[-3:]]
+            records = runtime.records
+            tail = [rec.metrics.illuminance for rec in records[-3:]]
             optimal = runtime.optimal_lux
             converged = len(tail) == 3 and all(
                 policy.in_deadband(scenario.policy, optimal, v) for v in tail)
@@ -425,7 +421,7 @@ class Simulator:
                 "converged_lux": (sum(tail) / len(tail)) if tail else None,
                 "optimal_lux": optimal,
                 "converged": converged,
-                "observation_cycles": len(reads),
+                "observation_cycles": len(records),
                 "bulb_commands": len(bulb_series),
                 "eink_commands": len(commands) - len(bulb_series),
                 "marker_phase": self.service.marker_phase(r.id),

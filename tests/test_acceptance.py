@@ -68,9 +68,10 @@ def test_criterion_1_illuminance_convergence():
                             duration_s=40.0)
         sim = Simulator(scenario)
         sim.run()
-        reads = sim._lux_readings["r"]
+        reads = [rec.metrics.illuminance
+                 for rec in sim.service._runtime("r").records]
         assert len(reads) >= 6
-        for _, lux in reads[5:]:  # from the 6th sample (5 periods elapsed)
+        for lux in reads[5:]:  # from the 6th sample (5 periods elapsed)
             assert abs(lux - target) <= 0.10 * target
     assert time.monotonic() - start < 5.0
 

@@ -561,6 +561,11 @@ class TestHttpApi:
             "GET", f"{http_server}/v1/regions/r1/prediction?texture=velvet&lux=300")
         assert status == 400
 
+    def test_prediction_unknown_region_404(self, http_server):
+        status, doc = http("GET", f"{http_server}/v1/regions/nope/prediction"
+                                  "?texture=checkerboard&lux=300")
+        assert (status, doc) == (404, {"error": "unknown region 'nope'"})
+
     @pytest.mark.parametrize("lux", ["nan", "inf", "-inf", "-5"])
     def test_prediction_bad_lux_400(self, http_server, lux):
         status, doc = http("GET", f"{http_server}/v1/regions/r1/prediction"
@@ -667,6 +672,19 @@ class TestHttpApi:
             expect_close=True)
         assert status == 400
         assert "Transfer-Encoding" in doc["error"]
+
+    def test_two_content_lengths_400_and_closed(self, http_server, tmp_path):
+        # RFC 9112 6.3; the bytes only the longer length covers must not be
+        # stored with the body or answered as a request of their own
+        body = b'{"region_id": "r1", "timestamp_ms": 1000, "lux": 80.0}'
+        smuggled = b"GET /v1/health HTTP/1.1\r\nHost: x\r\n\r\n"
+        status, doc = raw_request(
+            http_server, b"PUT /v1/sensors/s1/readings HTTP/1.1\r\n"
+            b"Content-Length: %d\r\nContent-Length: %d\r\n\r\n%s%s"
+            % (len(body), len(body) + len(smuggled), body, smuggled),
+            expect_close=True)
+        assert (status, doc) == (400, {"error": "more than one Content-Length"})
+        assert not (tmp_path / "region_r1.jsonl").exists()
 
     @pytest.mark.parametrize("key", ["image_pgm_b64", "image"])
     def test_json_image_key_400(self, http_server, tmp_path, key):

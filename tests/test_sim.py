@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ambientd.checks import encode
 from ambientd.edge import (ActuatorCommand, EdgeService, RegionConfig,
                            SensorReading)
 from ambientd.errors import ConfigError
@@ -319,9 +320,9 @@ class TestTransports:
         assert (events, report) == run_scenario(coarse_scenario(duration_s=10.0))
 
     def test_transports_store_the_same_log_line(self, tmp_path):
-        body = {"region_id": "r", "timestamp_ms": 1000, "lux": 80.0,
-                "image": render_region(Region("r", COARSE, 80.0), 1, 320, 240)}
-        sent = dict(body)
+        reading = SensorReading("s1", "r", 1000, 80.0, render_region(
+            Region("r", COARSE, 80.0), 1, 320, 240).pixels)
+        sent = encode(reading)
         logs = []
         for name, transport_type in (("in-process", InProcessTransport),
                                      ("real-http", HttpTransport)):
@@ -329,13 +330,26 @@ class TestTransports:
             service.register_region(RegionConfig("r"))
             transport = transport_type(service)
             try:
-                transport.put_reading("s1", body)
+                transport.put_reading("s1", reading)
             finally:
                 transport.close()
             logs.append(service.log_path("r").read_bytes())
         assert logs[0] == logs[1]
         assert json.loads(logs[0])["image"] is True
-        assert body == sent     # the transport leaves the caller's body alone
+        assert encode(reading) == sent  # the transport leaves the reading alone
+
+    def test_transports_agree_on_an_integer_lux(self, tmp_path):
+        # a region built in Python may hold an int lux, which a reading sent
+        # over HTTP decodes as a float; the in-process path must log it so too
+        scenario = Scenario(regions=[RegionScenario("r", COARSE, 80)],
+                            duration_s=10.0, sensor_noise_fraction=0.0)
+        logs = []
+        for transport in ("in-process", "real-http"):
+            run_scenario(scenario, transport, out_dir=tmp_path / transport)
+            logs.append((tmp_path / transport / "data" / "region_r.jsonl")
+                        .read_bytes())
+        assert logs[0] == logs[1]
+        assert b'"illuminance": 80.0}' in logs[0]
 
     def test_http_transport_closes_at_once(self, tmp_path):
         # at serve_forever's default poll of 0.5 s, a close idled that long
