@@ -154,15 +154,15 @@ def detect_fast_corners(image: np.ndarray, threshold: int) -> np.ndarray:
     packs the brighter and darker results for the 16 circle offsets into
     16-bit masks, which a 65 536-entry table checks for a 9-pixel arc. It
     runs on the gathered candidates only, or on every pixel as runs of the
-    flat frame when more than half of the pixels are candidates. The pair
-    test, the dense plan and the suppression each run a ufunc per offset
-    over one contiguous run of the flat frame, and clear the pixels whose
-    neighbours wrap across a side edge once. Measured on a 2-core Xeon VM
-    with numpy 2.4, as the median of 15 interleaved rounds: the two plans
-    break even at 42 % candidates on 320x240 speckle frames, so frames at
-    42-50 % take the slower plan, by up to 16 %; the sparse plan takes
-    0.4-0.6 of the dense plan's time on marker ROIs (3-12 % candidates)
-    and 1.7-2 times it on speckle at 72-82 %.
+    flat frame when more than two fifths of the pixels are candidates. The
+    pair test, the dense plan and the suppression each run a ufunc per
+    offset over one contiguous run of the flat frame, and clear the pixels
+    whose neighbours wrap across a side edge once. Measured on a 2-core
+    Xeon VM with numpy 2.4, as the median of 15-16 interleaved rounds in
+    three batches: the two plans break even at 38-40 % candidates on
+    320x240 speckle frames, and the sparse plan takes 1.13-1.28 times the
+    dense plan's time at 45 %; it takes 0.4-0.6 of it on marker ROIs (3-12 %
+    candidates) and 1.7-2 times it on speckle at 72-82 %.
     """
     if threshold < 1:
         raise InvalidArgumentError("threshold must be >= 1")
@@ -175,7 +175,7 @@ def detect_fast_corners(image: np.ndarray, threshold: int) -> np.ndarray:
     count = np.count_nonzero(candidates)
     if count == 0:      # a flat or dark ROI
         return np.empty((0, 3), np.intp)
-    if count * 2 > (H - 6) * (W - 6):
+    if count * 5 > (H - 6) * (W - 6) * 2:
         return _suppress(_dense_scores(a, threshold))
     return _suppress(_sparse_scores(a, threshold, candidates))
 

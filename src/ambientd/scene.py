@@ -260,34 +260,55 @@ def marker_patch_size(placement: MarkerPlacement) -> tuple:
     return w, h
 
 
+# Noise-free frames kept by _noise_free_frame. One uint8 frame of 320x240
+# takes 76.8 KB, so the cache holds at most 1.2 MB at that size.
+RENDER_CACHE_FRAMES = 16
+
+
+@functools.lru_cache(maxsize=RENDER_CACHE_FRAMES)
+def _noise_free_frame(texture: TextureSpec, marker: Optional[MarkerPlacement],
+                      illuminance: float, width: int, height: int) -> np.ndarray:
+    """round(T * 255 * L(lux)) as a read-only uint8 frame. Every value is an
+    integer in [0, 255], so uint8 holds it exactly."""
+    field_ = texture_field(texture, width, height)
+    if marker is not None:
+        mw, mh = marker_patch_size(marker)
+        mw, mh = min(mw, width), min(mh, height)
+        y0 = (height - mh) // 2
+        x0 = (width - mw) // 2
+        field_[y0:y0 + mh, x0:x0 + mw] = marker_reflectance(marker.spec, mw, mh)
+    base = field_ * 255.0
+    base *= light_response(illuminance)
+    frame = np.rint(base, out=base).astype(np.uint8)
+    frame.flags.writeable = False
+    return frame
+
+
 def render_region(region: Region, camera_seed: int, width: int, height: int,
                   *, sigma0: float = NOISE_SIGMA0) -> SyntheticImage:
     """Image the region under its current illuminance.
 
     pixel = clip(round(T * 255 * L(lux)) + noise) with seed-deterministic
-    Gaussian noise; sigma0=0 disables noise.
+    Gaussian noise; sigma0=0 disables noise. The noise-free frame comes from
+    an LRU cache of RENDER_CACHE_FRAMES entries keyed by (texture, marker
+    placement, illuminance, width, height), 1.2 MB at 320x240, so a tick on
+    an unchanged region costs one noise draw. A scenario with more regions
+    than entries evicts each frame before its region's next tick and
+    re-renders it every tick.
     """
     if width < 32 or height < 32:
         raise InvalidArgumentError("render dimensions must be >= 32 px")
-    field_ = texture_field(region.texture, width, height)
-    if region.marker is not None:
-        mw, mh = marker_patch_size(region.marker)
-        mw, mh = min(mw, width), min(mh, height)
-        patch = marker_reflectance(region.marker.spec, mw, mh)
-        y0 = (height - mh) // 2
-        x0 = (width - mw) // 2
-        field_ = field_.copy()
-        field_[y0:y0 + mh, x0:x0 + mw] = patch
-    # in place: the same float64 operations in the same order, two arrays
-    base = field_ * 255.0
-    base *= light_response(region.illuminance)
-    np.rint(base, out=base)
+    frame = _noise_free_frame(region.texture, region.marker,
+                              region.illuminance, width, height)
     if sigma0 > 0:
         rng = np.random.default_rng(camera_seed)
-        base += rng.normal(0.0, noise_sigma(region.illuminance, sigma0),
-                           size=(height, width))
-        np.rint(base, out=base)
-    return SyntheticImage(np.clip(base, 0, 255, out=base).astype(np.uint8))
+        pixels = rng.normal(0.0, noise_sigma(region.illuminance, sigma0),
+                            size=(height, width))
+        pixels += frame
+        np.rint(pixels, out=pixels)
+        return SyntheticImage(
+            np.clip(pixels, 0, 255, out=pixels).astype(np.uint8))
+    return SyntheticImage(frame.copy())
 
 
 def read_light_sensor(region: Region, seed: int,

@@ -1,12 +1,16 @@
 """Independent brute-force reference implementations used as test oracles.
 
 Deliberately written as straight-line loop code, sharing nothing with the
-library implementations they check.
+library implementations they check; `reference_render` alone builds on the
+scene's texture and marker helpers, to check the render's frame cache.
 """
 import math
 from collections import deque
 
 import numpy as np
+
+from ambientd.scene import (light_response, marker_patch_size,
+                            marker_reflectance, noise_sigma, texture_field)
 
 
 def reference_checkerboard_render(width, height, cell, low, high, lux):
@@ -22,6 +26,29 @@ def reference_checkerboard_render(width, height, cell, low, high, lux):
             value = round(reflectance * 255.0 * response)
             out[y, x] = min(max(value, 0), 255)
     return out
+
+
+def reference_render(region, camera_seed, width, height, sigma0):
+    """The uncached render: a float64 base rebuilt from the texture and the
+    marker on every call, rounded, then the noise added and rounded again.
+    It shares scene.py's texture, marker and light helpers (the checkerboard
+    reference above checks those for one texture) and checks what the frame
+    cache must keep: the state each frame belongs to, and the rounding of the
+    frame before the noise is added."""
+    base = texture_field(region.texture, width, height).copy()
+    if region.marker is not None:
+        mw, mh = marker_patch_size(region.marker)
+        mw, mh = min(mw, width), min(mh, height)
+        y0 = (height - mh) // 2
+        x0 = (width - mw) // 2
+        base[y0:y0 + mh, x0:x0 + mw] = marker_reflectance(
+            region.marker.spec, mw, mh)
+    base = np.rint(base * 255.0 * light_response(region.illuminance))
+    if sigma0 > 0:
+        rng = np.random.default_rng(camera_seed)
+        base = np.rint(base + rng.normal(
+            0.0, noise_sigma(region.illuminance, sigma0), size=(height, width)))
+    return np.clip(base, 0, 255).astype(np.uint8)
 
 
 def brute_metrics(pixels):

@@ -280,6 +280,23 @@ class TestFastCorners:
         detect_fast_corners(img, 20)
         assert ran == [plan]
 
+    def test_dense_plan_at_45_percent_candidates(self, monkeypatch):
+        # a window of the 144-lux speckle frame: past the two-fifths cutover,
+        # where the sparse plan is slower; kills the cutover at one half
+        frame = render(TextureSpec("speckle", frequency=0.5), 144.0, seed=0,
+                       w=320, h=240)
+        window = as_image(frame[88:152, 128:192])
+        fraction = np.count_nonzero(_cardinal_candidates(
+            window.astype(np.int16), 20)) / (58 * 58)
+        assert 0.43 < fraction < 0.47
+        ran = []
+        real = characterize._dense_scores
+        monkeypatch.setattr(characterize, "_sparse_scores", None)
+        monkeypatch.setattr(characterize, "_dense_scores",
+                            lambda *args: ran.append(1) or real(*args))
+        self._check_against_oracle(window, 20)
+        assert ran == [1]
+
     @pytest.mark.parametrize("roi", ["flat", "dark"])
     def test_no_candidate_returns_what_the_sparse_plan_gives(self, monkeypatch,
                                                              roi):

@@ -1,15 +1,23 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ambientd import sim
 from ambientd.errors import InvalidArgumentError, NotFoundError
-from ambientd.scene import (EnvironmentState, LuxCurve, MarkerPlacement,
-                            MarkerSpec, Region, SyntheticImage, TextureSpec,
+from ambientd.scene import (MARKER_PATTERNS, RENDER_CACHE_FRAMES,
+                            TEXTURE_KINDS, EnvironmentState, LuxCurve,
+                            MarkerPlacement, MarkerSpec, Region,
+                            SyntheticImage, TextureSpec, _noise_free_frame,
                             apply_bulb_command, marker_patch_size,
                             read_light_sensor, render_region)
 
-from oracles import reference_checkerboard_render
+from oracles import reference_checkerboard_render, reference_render
+
+MIX4 = Path(__file__).parent / "fixtures" / "golden" / "mix4.json"
 
 
 def flat_region(value=0.5, lux=500.0):
@@ -76,6 +84,112 @@ class TestRender:
         a = render_region(flat_region(value=1.0, lux=500.0), 1, 64, 64, sigma0=0)
         b = render_region(flat_region(value=1.0, lux=1000.0), 1, 64, 64, sigma0=0)
         assert a.pixels.mean() == b.pixels.mean()
+
+
+textures = st.builds(
+    TextureSpec, kind=st.sampled_from(TEXTURE_KINDS),
+    value=st.sampled_from([0.0, 0.37, 1.0]),
+    low=st.sampled_from([0.0, 0.1, 0.3]), high=st.sampled_from([0.7, 0.9, 1.0]),
+    cell=st.integers(1, 40), frequency=st.sampled_from([0.05, 0.3, 0.5, 1.0]),
+    texture_seed=st.integers(0, 3))
+placements = st.builds(
+    MarkerPlacement,
+    spec=st.builds(MarkerSpec, pattern=st.sampled_from(MARKER_PATTERNS),
+                   size_index=st.integers(0, 2)),
+    distance_cm=st.sampled_from([10.0, 30.0, 45.5, 90.0, 300.0]),
+    viewing_angle_deg=st.sampled_from([0.0, 30.0, 60.0, 85.0]))
+odd_sides = st.integers(16, 60).map(lambda n: 2 * n + 1)
+
+
+class TestRenderCache:
+    """The noise-free frame cache against the uncached float render. The
+    tests kill a cache key without the illuminance or without the marker
+    pose, a render that returns the cached array when sigma0 is 0, and one
+    that adds the noise before the frame is rounded."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(texture=textures,
+           states=st.lists(st.tuples(
+               st.sampled_from([0.0, 9.0, 60.0, 127.3, 220.0, 500.0, 1000.0]),
+               st.none() | placements), min_size=1, max_size=4),
+           width=odd_sides, height=odd_sides,
+           sigma0=st.sampled_from([0.0, 2.5, 4.0]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_the_uncached_render(self, texture, states, width, height,
+                                         sigma0, seed):
+        # each state after cache_clear() (a miss, or a hit on an earlier
+        # equal state), then each again from the cache
+        _noise_free_frame.cache_clear()
+        regions = [Region("r", texture, lux, marker=marker)
+                   for lux, marker in states]
+        for _ in range(2):
+            for region in regions:
+                got = render_region(region, seed, width, height, sigma0=sigma0)
+                want = reference_render(region, seed, width, height, sigma0)
+                assert np.array_equal(got.pixels, want)
+
+    def test_a_change_of_state_re_renders(self):
+        # one region mutated as the simulator's actuators do it
+        marker = MarkerPlacement(MarkerSpec("image-uniform", 1), 30.0, 0.0)
+        region = Region("r", TextureSpec("checkerboard", cell=8), 100.0,
+                        marker=marker)
+        _noise_free_frame.cache_clear()
+        for change in ({}, {"illuminance": 240.0},
+                       {"marker": MarkerPlacement(marker.spec, 45.0, 0.0)},
+                       {"marker": MarkerPlacement(marker.spec, 45.0, 60.0)}):
+            for name, value in change.items():
+                setattr(region, name, value)
+            for sigma0 in (0.0, 4.0):
+                got = render_region(region, 5, 96, 64, sigma0=sigma0)
+                assert np.array_equal(got.pixels, reference_render(
+                    region, 5, 96, 64, sigma0))
+
+    @pytest.mark.parametrize("sigma0", [0.0, 4.0])
+    def test_pixels_are_writable_and_the_callers_own(self, sigma0):
+        region = Region("r", TextureSpec("speckle", frequency=0.5), 300.0)
+        first = render_region(region, 3, 64, 48, sigma0=sigma0).pixels
+        want = first.copy()
+        assert first.flags.writeable
+        first[:] = 7
+        again = render_region(region, 3, 64, 48, sigma0=sigma0).pixels
+        assert np.array_equal(again, want)
+
+    def test_an_int_lux_renders_as_the_equal_float(self):
+        texture = TextureSpec("checkerboard", cell=5)
+        for sigma0 in (0.0, 4.0):
+            _noise_free_frame.cache_clear()
+            a = render_region(Region("r", texture, 300), 2, 48, 48,
+                              sigma0=sigma0).pixels
+            b = render_region(Region("r", texture, 300.0), 2, 48, 48,
+                              sigma0=sigma0).pixels
+            assert np.array_equal(a, b)
+
+    def test_the_cache_holds_at_most_its_bound(self):
+        _noise_free_frame.cache_clear()
+        for i in range(RENDER_CACHE_FRAMES + 3):
+            render_region(flat_region(lux=10.0 + i), 1, 32, 32)
+        info = _noise_free_frame.cache_info()
+        assert info.maxsize == RENDER_CACHE_FRAMES
+        assert info.currsize == RENDER_CACHE_FRAMES
+        assert info.misses == RENDER_CACHE_FRAMES + 3
+
+    def test_a_run_misses_once_per_distinct_region_state(self, monkeypatch):
+        states = []
+        real = sim.render_region
+
+        def spy(region, *args, **kwargs):
+            states.append((region.texture, region.marker, region.illuminance))
+            return real(region, *args, **kwargs)
+
+        monkeypatch.setattr(sim, "render_region", spy)
+        _noise_free_frame.cache_clear()
+        sim.run_scenario(sim.load_scenario(MIX4))
+        distinct = len(set(states))
+        # a bulb command and an E-Ink update each make a new state; with no
+        # more states than entries, nothing is evicted and rendered twice
+        assert 4 < distinct <= RENDER_CACHE_FRAMES
+        info = _noise_free_frame.cache_info()
+        assert (info.misses, info.hits) == (distinct, len(states) - distinct)
 
 
 class TestMarkerRendering:
