@@ -155,14 +155,16 @@ def detect_fast_corners(image: np.ndarray, threshold: int) -> np.ndarray:
     16-bit masks, which a 65 536-entry table checks for a 9-pixel arc. It
     runs on the gathered candidates only, or on every pixel as runs of the
     flat frame when more than two fifths of the pixels are candidates. The
-    pair test, the dense plan and the suppression each run a ufunc per
+    sparse plan gathers the candidates' circle pixels into one (16, n)
+    int16 block and runs each step of the test as one array call over it.
+    The pair test, the dense plan and the suppression each run a ufunc per
     offset over one contiguous run of the flat frame, and clear the pixels
     whose neighbours wrap across a side edge once. Measured on a 2-core
-    Xeon VM with numpy 2.4, as the median of 15-16 interleaved rounds in
-    three batches: the two plans break even at 38-40 % candidates on
-    320x240 speckle frames, and the sparse plan takes 1.13-1.28 times the
-    dense plan's time at 45 %; it takes 0.4-0.6 of it on marker ROIs (3-12 %
-    candidates) and 1.7-2 times it on speckle at 72-82 %.
+    Xeon VM with numpy 2.4, as the median of 15 interleaved rounds in
+    three batches: the two plans break even at 42-44 % candidates on
+    320x240 speckle frames, and the sparse plan takes 1.03-1.10 times the
+    dense plan's time at 45 %; it takes 0.3-0.35 of it on marker ROIs (11 %
+    candidates) and over 3 times it on speckle at 81 %.
     """
     if threshold < 1:
         raise InvalidArgumentError("threshold must be >= 1")
@@ -248,10 +250,15 @@ def _segment_scores(circle, center: np.ndarray, threshold: int) -> np.ndarray:
     return bright_sum
 
 
+def _circle_offsets(W: int) -> list:
+    """Flat offsets of the FAST_CIRCLE pixels in a frame W px wide."""
+    return [dy * W + dx for dx, dy in FAST_CIRCLE]
+
+
 def _dense_scores(a: np.ndarray, threshold: int) -> np.ndarray:
     """(H, W) score plane from the segment test on every pixel."""
     H, W = a.shape
-    center, *circle = _runs(a, 3, [0] + [dy * W + dx for dx, dy in FAST_CIRCLE])
+    center, *circle = _runs(a, 3, [0] + _circle_offsets(W))
     score = np.zeros((H, W), dtype=np.int16)
     run, = _runs(score, 3, (0,))
     run[:] = _segment_scores(circle, center, threshold)
@@ -259,17 +266,41 @@ def _dense_scores(a: np.ndarray, threshold: int) -> np.ndarray:
     return score
 
 
+# bit 15 - k of a circle mask holds circle pixel k, as in _segment_scores
+_CIRCLE_BITS = np.left_shift(np.uint16(1),
+                             np.arange(15, -1, -1, dtype=np.uint16))[:, None]
+
+
 def _sparse_scores(a: np.ndarray, threshold: int,
                    candidates: np.ndarray) -> np.ndarray:
-    """(H, W) score plane from the segment test on the candidates only."""
+    """(H, W) score plane from the segment test on the candidates only.
+
+    The candidates' 16 circle pixels minus their centers form one (16, n)
+    int16 block, so each step of the test is one array call over it."""
     H, W = a.shape
     idx = np.flatnonzero(candidates)
-    idx += 3 * W + 3      # index into the full frame
-    flat = a.ravel()
+    center, *circle = _runs(a, 3, [0] + _circle_offsets(W))
+    d = np.empty((len(circle), idx.size), dtype=np.int16)
+    for row, run in zip(d, circle):
+        # every index is in bounds; "raise", the default, buffers out=
+        np.take(run, idx, out=row, mode="clip")
+    d -= np.take(center, idx)
+    # (16, n) buffers reused across both polarities; hit holds 0 or 1
+    hit = np.empty(d.shape, dtype=bool)
+    part = np.empty(d.shape, dtype=np.int16)
+    bits = part.view(np.uint16)
+    totals = []
+    for test, bound in ((np.greater, threshold), (np.less, -threshold)):
+        test(d, np.int16(bound), out=hit)
+        np.multiply(d, hit, out=part)
+        total = part.sum(axis=0, dtype=np.int16)    # |total| <= 16 * 255
+        np.multiply(hit, _CIRCLE_BITS, out=bits)
+        total *= np.take(_ARC, np.bitwise_or.reduce(bits, axis=0))
+        totals.append(total)
     score = np.zeros((H, W), dtype=np.int16)
-    score.ravel()[idx] = _segment_scores(
-        (flat[idx + (dy * W + dx)] for dx, dy in FAST_CIRCLE), flat[idx],
-        threshold)
+    run, = _runs(score, 3, (0,))
+    # no pixel has 9 of its 16 circle pixels in both polarities
+    run[idx] = totals[0] - totals[1]
     return score
 
 
@@ -278,22 +309,39 @@ _DESCRIPTOR_PAIRS = np.random.default_rng(DESCRIPTOR_PATTERN_SEED).integers(
     -DESCRIPTOR_PATCH_HALF, DESCRIPTOR_PATCH_HALF + 1, size=(DESCRIPTOR_BITS, 4))
 
 
-def _window_sums(a: np.ndarray, size: int, axis: int) -> np.ndarray:
-    """Sums of `size` consecutive entries along axis, from blocks of 1, 2,
-    4, ... entries: one add per bit of size and one per doubling."""
-    a = np.moveaxis(a, axis, 0)
-    n_out = a.shape[0] - size + 1
-    total, offset, block, width = None, 0, a, 1
+def _run_sums(flat: np.ndarray, size: int, step: int, out: np.ndarray) -> None:
+    """out[j] = the sum of flat[j + k*step] for k < size, from blocks of 1,
+    2, 4, ... terms: one add per bit of size and one per doubling."""
+    n_out = out.size
+    offset, block, width = 0, flat, step
     while size:
         if size & 1:
             part = block[offset:offset + n_out]
-            total = part.copy() if total is None else total + part
+            if offset:
+                out += part
+            else:
+                np.copyto(out, part)
             offset += width
         size >>= 1
         if size:
             block = block[:-width] + block[width:]
             width *= 2
-    return np.moveaxis(total, 0, axis)
+
+
+def _box_sums(a: np.ndarray, size: int) -> np.ndarray:
+    """Sums over every size x size window of a 2-D array, in its dtype:
+    entry [y, x] covers a[y:y+size, x:x+size]. Both passes run on
+    contiguous runs of the flat (row-major) array: a stride-W pass adds
+    size rows, then a stride-1 pass adds size neighbours along the result,
+    also across row ends; the final reshape drops those wrapped columns."""
+    H, W = a.shape
+    rows = H - size + 1
+    flat = a.ravel()
+    tall = np.empty(rows * W, dtype=a.dtype)
+    _run_sums(flat, size, W, tall)
+    out = np.empty(rows * W, dtype=a.dtype)
+    _run_sums(tall, size, 1, out[:out.size - size + 1])
+    return out.reshape(rows, W)[:, :W - size + 1]
 
 
 def extract_descriptors(image: np.ndarray, corners: np.ndarray) -> np.ndarray:
@@ -311,16 +359,19 @@ def extract_descriptors(image: np.ndarray, corners: np.ndarray) -> np.ndarray:
     cx, cy = cx[usable], cy[usable]
     if cx.size == 0:
         return np.empty((0, DESCRIPTOR_BITS // 8), np.uint8)
-    # exact integer 5x5 box sums: box[y, x] covers pixels [y, y+4] x
-    # [x, x+4], the window centered at (x+2, y+2)
+    # exact integer 5x5 box sums (25 * 255 fits in uint16): box[y, x]
+    # covers pixels [y, y+4] x [x, x+4], the window centered at (x+2, y+2)
     side = 2 * _SMOOTH_HALF + 1
-    box = _window_sums(_window_sums(image.astype(np.int32), side, 0), side, 1)
+    box = _box_sums(image.astype(np.uint16), side)
+    # flat indices into the box sums: each corner's window, plus each
+    # pair's offset from it
+    bw = box.shape[1]
+    at = np.ravel_multi_index((cy - _SMOOTH_HALF, cx - _SMOOTH_HALF),
+                              box.shape)[:, None]
     pairs = _DESCRIPTOR_PAIRS
-    ax = cx[:, None] + pairs[None, :, 0] - _SMOOTH_HALF
-    ay = cy[:, None] + pairs[None, :, 1] - _SMOOTH_HALF
-    bx = cx[:, None] + pairs[None, :, 2] - _SMOOTH_HALF
-    by = cy[:, None] + pairs[None, :, 3] - _SMOOTH_HALF
-    bits = box[ay, ax] < box[by, bx]
+    sums = box.ravel()
+    bits = (np.take(sums, at + (pairs[:, 1] * bw + pairs[:, 0]))
+            < np.take(sums, at + (pairs[:, 3] * bw + pairs[:, 2])))
     return np.packbits(bits, axis=1)
 
 

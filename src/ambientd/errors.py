@@ -6,6 +6,7 @@ every `AmbientError` to exit 2 with `ambientd: config error: <message>`:
     class                  HTTP status   CLI exit
     InvalidArgumentError   400           2
     PayloadTooLargeError   413           2
+    RequestTimeoutError    408           2
     NotFoundError          404           2
     StaleReadingError      409           2
     CalibrationError       500           2
@@ -27,6 +28,10 @@ class NotFoundError(AmbientError):
 
 class PayloadTooLargeError(InvalidArgumentError):
     """Request body over the size the HTTP layer accepts."""
+
+
+class RequestTimeoutError(AmbientError):
+    """A request body that stalls past the HTTP layer's read timeout."""
 
 
 class StaleReadingError(AmbientError):

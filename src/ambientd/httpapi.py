@@ -15,6 +15,11 @@ Content-Length a 400; each closes the connection, since the end of the body
 is not read or not known. A response leaves in one write: over keep-alive, a
 second small write waits for the client's delayed ACK (Nagle, RFC 896).
 
+Every read from a connection waits at most READ_TIMEOUT_S. A request line,
+a header or an idle keep-alive connection that stalls that long is closed
+without a reply; a body that stalls gets a 408 and the connection is closed,
+since the rest of the body is not read.
+
 `checks.decode` reads a body into the types of `edge`, whose constructors
 check it, and `checks.encode` writes a reply. An unknown key or a value a
 constructor refuses gets a 400; an integer `lux` is read as a float.
@@ -36,11 +41,14 @@ from . import policy
 from .checks import decode, encode
 from .edge import ActuatorCommand, EdgeService, SensorReading
 from .errors import (InvalidArgumentError, NotFoundError, PayloadTooLargeError,
-                     StaleReadingError)
+                     RequestTimeoutError, StaleReadingError)
 from .scene import SyntheticImage
 
 # a 320x240 PGM is 76 815 bytes
 MAX_BODY_BYTES = 1 << 20
+# seconds one read of a connection may wait; a per-read bound, so a client
+# that trickles bytes faster than this still holds its handler thread
+READ_TIMEOUT_S = 30.0
 PGM_MEDIA_TYPE = "image/x-portable-graymap"
 READING_HEADER = "Ambientd-Reading"
 
@@ -52,6 +60,8 @@ def _status_for(exc: Exception) -> int:
         return 409
     if isinstance(exc, PayloadTooLargeError):
         return 413
+    if isinstance(exc, RequestTimeoutError):
+        return 408
     if isinstance(exc, InvalidArgumentError):
         return 400
     return 500
@@ -99,7 +109,12 @@ class _Handler(BaseHTTPRequestHandler):
             self.close_connection = True
             raise PayloadTooLargeError(
                 f"request body over {MAX_BODY_BYTES} bytes")
-        return self.rfile.read(int(length))
+        try:
+            return self.rfile.read(int(length))
+        except TimeoutError:
+            self.close_connection = True
+            raise RequestTimeoutError(
+                f"request body not read within {READ_TIMEOUT_S} s")
 
     @staticmethod
     def _parse_json(text, what: str):
@@ -172,5 +187,8 @@ class _Handler(BaseHTTPRequestHandler):
 
 def make_server(service: EdgeService, host: str = "127.0.0.1",
                 port: int = 0) -> ThreadingHTTPServer:
-    handler = type("BoundHandler", (_Handler,), {"service": service})
+    # the socket timeout of every connection; read here, so a patched
+    # READ_TIMEOUT_S takes effect on the next server
+    handler = type("BoundHandler", (_Handler,),
+                   {"service": service, "timeout": READ_TIMEOUT_S})
     return ThreadingHTTPServer((host, port), handler)

@@ -13,7 +13,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .characterize import (MatchReport, ROI_MARGIN_PX, _window_sums,
+from .characterize import (MatchReport, ROI_MARGIN_PX, _box_sums,
                            crop_to_marker_roi, detect_fast_corners,
                            extract_descriptors, match_against_reference)
 from .errors import InvalidArgumentError
@@ -93,7 +93,7 @@ def normalize_contrast(image: np.ndarray) -> np.ndarray:
         return image
     stretched = np.clip((_LEVELS - lo) * (255.0 / (hi - lo)), 0, 255)
     lut = np.rint(stretched).astype(np.uint8)
-    return lut[image]
+    return np.take(lut, image)
 
 
 def _box_blur(image: np.ndarray, size: int) -> np.ndarray:
@@ -103,13 +103,16 @@ def _box_blur(image: np.ndarray, size: int) -> np.ndarray:
     The window sum S is an exact integer and the result is S / n rounded
     half up, n = size**2. For odd n, S / n is never a tie and lies at least
     1/(2n) from one, far beyond a float filter's error, so the two agree.
+    S and S + n // 2 fit in uint16 up to size 15 (15**2 * 255 = 57 375).
     """
-    if size < 1 or size % 2 == 0:
-        raise InvalidArgumentError("blur size must be a positive odd integer")
-    p = np.pad(image, size // 2, mode="symmetric").astype(np.int32)
-    s = _window_sums(_window_sums(p, size, 0), size, 1)
+    if not (1 <= size <= 15 and size % 2):
+        raise InvalidArgumentError("blur size must be an odd integer from 1 to 15")
+    p = np.pad(image, size // 2, mode="symmetric").astype(np.uint16)
+    s = _box_sums(p, size)
     n = size * size
-    return ((2 * s + n) // (2 * n)).astype(np.uint8)
+    s += np.uint16(n // 2)
+    s //= np.uint16(n)
+    return s.astype(np.uint8)
 
 
 def _strip_roi_margin(roi: np.ndarray, full: np.ndarray) -> np.ndarray:

@@ -225,6 +225,45 @@ def _reflect(k, n):
     return k if k < n else 2 * n - 1 - k
 
 
+def window_sums_oracle(values, size):
+    """Sum over every size x size window that fits in the 2-D array, as
+    Python integers; entry [y][x] covers rows y..y+size-1 and columns
+    x..x+size-1."""
+    h, w = values.shape
+    out = []
+    for y in range(h - size + 1):
+        row = []
+        for x in range(w - size + 1):
+            total = 0
+            for dy in range(size):
+                for dx in range(size):
+                    total += int(values[y + dy, x + dx])
+            row.append(total)
+        out.append(row)
+    return out
+
+
+def descriptor_oracle(pixels, corners):
+    """Packed 256-bit rows, one per corner at least 17 px inside the image:
+    bit i is set iff the 5x5 pixel sum centered at the corner plus the
+    i-th (ax, ay) offset of characterize's pattern is below the one at its
+    (bx, by) offset. The pattern is shared; the sums are loops."""
+    from ambientd.characterize import _DESCRIPTOR_PAIRS
+
+    def box(x, y):
+        return sum(int(pixels[y + dy, x + dx])
+                   for dy in range(-2, 3) for dx in range(-2, 3))
+    h, w = pixels.shape
+    rows = []
+    for x, y, _ in corners.tolist():
+        if not (17 <= x < w - 17 and 17 <= y < h - 17):
+            continue
+        bits = [box(x + ax, y + ay) < box(x + bx, y + by)
+                for ax, ay, bx, by in _DESCRIPTOR_PAIRS.tolist()]
+        rows.append(np.packbits(np.array(bits, dtype=np.uint8)).tolist())
+    return rows
+
+
 def box_mean_oracle(pixels, size):
     """Per-pixel mean over a size x size window of the mirrored image,
     rounded to the nearest integer."""

@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ambientd import characterize, markerpipe
 from ambientd.characterize import (FINE_TEXTURE_CORNER_THRESHOLD, ImageMetrics,
                                    TextureClass, _bimodal_threshold,
-                                   _cardinal_candidates, _dense_scores,
+                                   _box_sums, _cardinal_candidates,
+                                   _dense_scores,
                                    _sparse_scores, _suppress, classify_texture,
                                    compute_metrics, crop_to_marker_roi,
                                    detect_fast_corners, detect_scene_change,
@@ -18,8 +19,9 @@ from ambientd.scene import (MarkerPlacement, MarkerSpec, Region, TextureSpec,
                             render_region)
 from ambientd.sim import SWEEP_BACKGROUND
 
-from oracles import (bimodal_threshold_reference, brute_metrics, fast_oracle,
-                     match_oracle)
+from oracles import (bimodal_threshold_reference, brute_metrics,
+                     descriptor_oracle, fast_oracle, match_oracle,
+                     window_sums_oracle)
 
 
 def as_image(pixels):
@@ -321,7 +323,87 @@ class TestFastCorners:
         assert low >= high
 
 
+class TestBlockPlan:
+    """The sparse plan scores its candidates as one (16, n) block; every
+    pixel that is not a candidate scores 0 in the dense plan, so the two
+    score planes must be equal."""
+
+    def _same_planes(self, pixels, threshold, count=None):
+        a = pixels.astype(np.int16)
+        candidates = _cardinal_candidates(a, threshold)
+        if count is not None:
+            assert np.count_nonzero(candidates) == count
+        sparse = _sparse_scores(a, threshold, candidates)
+        assert np.array_equal(sparse, _dense_scores(a, threshold))
+        return sparse
+
+    @pytest.mark.parametrize("threshold", [1, 254])
+    def test_matches_the_dense_plan_at_the_extreme_thresholds(self, threshold):
+        # levels 0, 1, 254 and 255 put circle differences of exactly 1 and
+        # 254 on the threshold; kills >= for > in the block's bright test,
+        # and one circle offset of the block a column off
+        rng = np.random.default_rng(threshold)
+        levels = np.array([0, 1, 254, 255], dtype=np.uint8)
+        for h, w in ((7, 7), (24, 31), (64, 64)):
+            self._same_planes(rng.choice(levels, size=(h, w)), threshold)
+
+    def test_a_single_candidate(self):
+        # one dot on a faint texture: a (16, 1) block; kills a plan that
+        # reduces the block along the candidates instead of the circle
+        rng = np.random.default_rng(5)
+        pixels = rng.integers(100, 110, size=(20, 20)).astype(np.uint8)
+        pixels[9, 11] = 200
+        assert self._same_planes(pixels, 20, count=1)[9, 11] > 0
+
+    def test_candidates_on_the_first_and_the_last_valid_pixel(self):
+        # (3, 3) and (W-4, H-4) are the ends of the flat runs; kills a
+        # gather one pixel off, which np.take(mode="clip") does not raise on
+        rng = np.random.default_rng(6)
+        pixels = rng.integers(100, 110, size=(17, 23)).astype(np.uint8)
+        pixels[3, 3], pixels[-4, -4] = 200, 10
+        score = self._same_planes(pixels, 20, count=2)
+        assert score[3, 3] > 0 and score[-4, -4] > 0
+
+
+@st.composite
+def box_windows(draw):
+    size = draw(st.integers(1, 15))
+    h, w = draw(st.integers(size, 40)), draw(st.integers(size, 40))
+    dtype = draw(st.sampled_from([np.uint16, np.int32]))
+    # 15 * 15 * 255 fits in uint16; int32 values are signed
+    lo, hi = (0, 255) if dtype == np.uint16 else (-2 ** 20, 2 ** 20)
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    values = np.random.default_rng(seed).integers(lo, hi + 1, size=(h, w))
+    return values.astype(dtype), size
+
+
+class TestBoxSums:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(case=box_windows())
+    @example(case=(np.arange(1, 16, dtype=np.uint16)[:, None]
+                   * np.ones(15, np.uint16), 15))
+    @example(case=(np.full((1, 40), 255, np.uint16), 1))
+    @example(case=(np.arange(-40, 0, dtype=np.int32).reshape(5, 8), 4))
+    def test_matches_the_loop_oracle(self, case):
+        # a window as large as the frame, a one-row frame and an even size;
+        # kills a column pass that keeps the wrapped columns or a row pass
+        # whose stride is off by one
+        values, size = case
+        got = _box_sums(values, size)
+        assert got.dtype == values.dtype
+        assert got.tolist() == window_sums_oracle(values, size)
+
+
 class TestDescriptors:
+    def test_matches_the_loop_oracle(self):
+        # kills the flat window index with a pair's x and y offsets swapped
+        rng = np.random.default_rng(11)
+        pixels = as_image(rng.integers(0, 256, size=(48, 52)))
+        corners = detect_fast_corners(pixels, 20)
+        want = descriptor_oracle(pixels, corners)
+        assert len(want) > 3
+        assert extract_descriptors(pixels, corners).tolist() == want
+
     def test_descriptor_shape_and_margin(self):
         img = render(TextureSpec("speckle", frequency=0.5), 300.0, w=96, h=96)
         corners = detect_fast_corners(img, 20)

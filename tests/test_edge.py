@@ -5,6 +5,7 @@ import tempfile
 import time
 import urllib.error
 import urllib.request
+from contextlib import contextmanager
 from dataclasses import replace
 from http.client import HTTPConnection
 from pathlib import Path
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ambientd import httpapi
 from ambientd.characterize import METRIC_NAMES
 from ambientd.checks import decode, encode
 from ambientd.edge import (ActuatorCommand, EdgeService, MetricsRecord,
@@ -450,8 +452,8 @@ class TestDispatch:
             ActuatorCommand("bulb1", "set-marker", 50.0)
 
 
-@pytest.fixture
-def http_server(service):
+def serving(service):
+    """Serve on a free port in a thread; yields the base URL."""
     server = make_server(service)
     thread = Thread(target=server.serve_forever,
                     kwargs={"poll_interval": SERVE_POLL_S}, daemon=True)
@@ -459,6 +461,11 @@ def http_server(service):
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
     server.server_close()
+
+
+@pytest.fixture
+def http_server(service):
+    yield from serving(service)
 
 
 def http(method, url, doc=None):
@@ -766,6 +773,64 @@ class TestHttpApi:
             status, doc = read_response(replies)
         assert status == 200
         assert doc["timestamp_ms"] == 1000 and doc["metrics"]["corner_count"] > 0
+
+
+READ_DEADLINE_S = 0.5
+
+
+@pytest.fixture
+def deadline_server(service, monkeypatch):
+    monkeypatch.setattr(httpapi, "READ_TIMEOUT_S", READ_DEADLINE_S)
+    yield from serving(service)
+
+
+class TestReadDeadline:
+    """Each read of a connection waits at most httpapi.READ_TIMEOUT_S,
+    patched to READ_DEADLINE_S here; meanwhile other clients are served."""
+
+    @staticmethod
+    @contextmanager
+    def stalled(base_url, request: bytes):
+        """Send request and stall; checks that a second client is served
+        meanwhile, and yields the first's reply stream."""
+        host, port = base_url.removeprefix("http://").split(":")
+        with socket.create_connection((host, int(port)), timeout=10) as sock, \
+                sock.makefile("rb") as replies:
+            sock.sendall(request)
+            if request.endswith(b"\r\n\r\n"):   # a whole request: its reply
+                assert read_response(replies)[0] == 200
+            assert http("GET", f"{base_url}/v1/health")[0] == 200
+            sock.setblocking(False)
+            with pytest.raises(BlockingIOError):
+                sock.recv(1)                        # still open
+            sock.settimeout(10)
+            yield replies
+
+    @pytest.mark.parametrize("request_bytes", [
+        b"GET /v1/health HTTP/1.1\r\n\r\n", b"GET /v1/hea"],
+        ids=["idle-keep-alive", "mid-line"])
+    def test_a_stalled_connection_is_closed_without_a_reply(
+            self, deadline_server, request_bytes):
+        # kills a handler without a timeout, whose read waits forever
+        with self.stalled(deadline_server, request_bytes) as replies:
+            assert replies.read(1) == b""
+
+    def test_a_stalled_body_gets_408_and_is_closed(self, deadline_server,
+                                                  tmp_path):
+        # kills the timeout alone: the stalled body read then falls into
+        # the handler's catch-all, which answers 500 and keeps the
+        # connection open
+        body = json.dumps({"region_id": "r1", "timestamp_ms": 1000,
+                           "lux": 80.0}).encode()
+        with self.stalled(
+                deadline_server, b"PUT /v1/sensors/s1/readings HTTP/1.1\r\n"
+                b"Content-Type: application/json\r\n"
+                b"Content-Length: %d\r\n\r\n%s" % (len(body), body[:5])
+        ) as replies:
+            status, doc = read_response(replies)
+            assert status == 408 and "not read within" in doc["error"]
+            assert replies.read(1) == b""
+        assert not (tmp_path / "region_r1.jsonl").exists()
 
 
 def raw_request(base_url, request: bytes, expect_close=False):

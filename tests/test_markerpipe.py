@@ -116,10 +116,26 @@ class TestBoxBlur:
         assert np.array_equal(_box_blur(img, size),
                               box_mean_oracle(img, size))
 
+    def test_full_scale_sums_round_half_up(self):
+        # 13 x 13 sums of 255 reach 43 095: kills an int16 accumulator;
+        # windows over two black pixels have mean 251.98: kills a rounding
+        # down (s // n)
+        white = np.full((200, 200), 255, dtype=np.uint8)
+        assert (_box_blur(white, DESCRIBE_BLUR_PX) == 255).all()
+        white[100, 100:102] = 0
+        blurred = _box_blur(white, DESCRIBE_BLUR_PX)
+        assert (blurred.min(), blurred.max()) == (252, 255)
+
     @pytest.mark.parametrize("size", [0, 2, 12, -1])
     def test_refuses_sizes_without_a_centre(self, size):
         with pytest.raises(InvalidArgumentError):
             _box_blur(random_image(20, 20, 0), size)
+
+    def test_refuses_sizes_whose_sums_overflow_uint16(self):
+        # 17 * 17 * 255 = 73 695; 15 is the largest size that fits
+        assert _box_blur(random_image(20, 20, 0), 15).shape == (20, 20)
+        with pytest.raises(InvalidArgumentError):
+            _box_blur(random_image(20, 20, 0), 17)
 
 
 KERNELS = {
