@@ -84,14 +84,12 @@ def compute_metrics(image: np.ndarray, lux: Optional[float] = None) -> ImageMetr
     s2 = int(np.multiply(image, image, dtype=np.uint16).sum(dtype=np.int64))
     brightness = s1 / n
     contrast = math.sqrt(max(s2 / n - brightness * brightness, 0.0))
-    # 8-neighbour Laplacian (center 8, neighbours -1), valid region only;
-    # |lap| <= 8 * 255 fits in int16, its square does not
-    neighbours = _runs(image.astype(np.int16), 1, _box_offsets(W))
-    lap = 8 * neighbours.pop(4)
-    for pixel in neighbours:
-        lap -= pixel
-    _clear_wrapped(lap, W, 1)
-    lap = lap.astype(np.int64)
+    # 8-neighbour Laplacian (center 8, neighbours -1), valid region only:
+    # 9 * center less the 3x3 box sum; 9 * 255 fits in int16, a square not
+    a = image.astype(np.int16)
+    lap = np.int16(9) * a[1:-1, 1:-1]
+    lap -= _box_sums(a, 3)
+    lap = lap.astype(np.int64).ravel()
     ln = (H - 2) * (W - 2)
     l1 = int(lap.sum())
     l2 = int(lap @ lap)
@@ -211,12 +209,12 @@ def _cardinal_candidates(a: np.ndarray, threshold: int) -> np.ndarray:
     center, top, right, bottom, left = _runs(
         a, 3, (0, -3 * W, 3, 3 * W, -3))
     # two int16 and two bool runs, reused across both polarities
-    bound = center + threshold
+    bound = center + np.int16(threshold)
     either = np.maximum(top, bottom)
     out = either > bound
     np.maximum(right, left, out=either)
     out &= either > bound
-    np.subtract(center, threshold, out=bound)
+    np.subtract(center, np.int16(threshold), out=bound)
     np.minimum(top, bottom, out=either)
     dark = either < bound
     np.minimum(right, left, out=either)
@@ -236,8 +234,8 @@ def _segment_scores(circle, center: np.ndarray, threshold: int) -> np.ndarray:
     for pixel in circle:
         np.subtract(pixel, center, out=d)
         for mask, total, test, bound in (
-                (bright, bright_sum, np.greater, threshold),
-                (dark, dark_sum, np.less, -threshold)):
+                (bright, bright_sum, np.greater, np.int16(threshold)),
+                (dark, dark_sum, np.less, np.int16(-threshold))):
             test(d, bound, out=hit)
             mask += mask      # a shift by one, faster than <<= on uint16
             mask |= hit.view(np.uint16)

@@ -11,10 +11,13 @@ declares what a type cannot, with five options: `key`, `flat`, `absent`,
 `required` and `given`. An unknown key is refused. An error names the path
 to its value: `<where>: missing 'regions[0].illuminance'` (before any
 unknown key), `regions[0].texture: 'valu' is not a known key`, or
-`regions[0].texture: <what the constructor raised>`.
+`regions[0].texture: <what the constructor raised>`. `parse_json` is the
+one reader of JSON text from outside: an HTTP body or header, a scenario
+file, a region log line.
 """
 import enum
 import functools
+import json
 import math
 import numbers
 from dataclasses import MISSING, field, fields, is_dataclass
@@ -96,6 +99,16 @@ class Checked:
 
 
 # -- the JSON codec ---------------------------------------------------------
+
+
+def parse_json(text, what: str):
+    """The JSON value of text, str or bytes; bad UTF-8, bad JSON, nesting
+    too deep and an integer over int()'s 4 300 digits raise
+    InvalidArgumentError(f"{what} is not valid JSON")."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError):
+        raise InvalidArgumentError(f"{what} is not valid JSON") from None
 
 
 class DecodeError(InvalidArgumentError):

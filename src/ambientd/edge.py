@@ -34,7 +34,7 @@ import numpy as np
 from . import characterize, markerpipe, policy
 from .characterize import MAX_LUX, METRIC_NAMES, ImageMetrics, TextureClass
 from .checks import (Checked, checked, decode, encode, integer, is_number,
-                     number, one_of, wire)
+                     number, one_of, parse_json, wire)
 from .errors import (ConfigError, InvalidArgumentError, NotFoundError,
                      StaleReadingError)
 from .policy import PolicyConfig
@@ -195,11 +195,12 @@ class EdgeService:
             if not line.strip():
                 continue
             try:
-                entry = decode(LogEntry, json.loads(line), "bad record")
+                entry = decode(LogEntry, parse_json(line, "bad record"),
+                               "bad record")
                 if entry.record.region_id != config.region_id:
-                    raise ValueError(
+                    raise InvalidArgumentError(
                         f"bad record: region_id must be {config.region_id!r}")
-            except (ValueError, InvalidArgumentError) as e:
+            except InvalidArgumentError as e:
                 raise ConfigError(f"{path}:{lineno}: {e}")
             runtime.apply(entry)
         with self._global_lock:
@@ -315,9 +316,8 @@ class EdgeService:
                 raise NotFoundError(f"no records for region {region_id!r}")
             now_ms = runtime.records[-1].timestamp_ms
             cutoff = now_ms - int(window_s * 1000)
+            # the newest record is always inside its own window
             window = [r for r in runtime.records if r.timestamp_ms >= cutoff]
-        if not window:
-            raise NotFoundError("no records inside the window")
         stats = {}
         for name in METRIC_NAMES:
             values = [getattr(r.metrics, name) for r in window]

@@ -38,7 +38,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
 from . import policy
-from .checks import decode, encode
+from .checks import decode, encode, parse_json
 from .edge import ActuatorCommand, EdgeService, SensorReading
 from .errors import (InvalidArgumentError, NotFoundError, PayloadTooLargeError,
                      RequestTimeoutError, StaleReadingError)
@@ -116,22 +116,15 @@ class _Handler(BaseHTTPRequestHandler):
             raise RequestTimeoutError(
                 f"request body not read within {READ_TIMEOUT_S} s")
 
-    @staticmethod
-    def _parse_json(text, what: str):
-        try:
-            return json.loads(text)
-        except (ValueError, RecursionError):    # bad UTF-8 or deep nesting too
-            raise InvalidArgumentError(f"{what} is not valid JSON")
-
     def _reading_parts(self, raw: bytes):
         """(the reading's JSON object, its pixels or None) of the request."""
         if self.headers.get_content_type() != PGM_MEDIA_TYPE:
-            return self._parse_json(raw, "request body"), None
+            return parse_json(raw, "request body"), None
         values = self.headers.get_all(READING_HEADER, [])
         if len(values) != 1:
             raise InvalidArgumentError(
                 f"a PGM reading needs one {READING_HEADER} header")
-        doc = self._parse_json(values[0], f"{READING_HEADER} header")
+        doc = parse_json(values[0], f"{READING_HEADER} header")
         try:
             return doc, SyntheticImage.from_pgm(raw).pixels
         except InvalidArgumentError as e:
@@ -171,7 +164,7 @@ class _Handler(BaseHTTPRequestHandler):
                                  sensor_id=rid, image=image)
                 status, doc = 200, encode(self.service.ingest_reading(reading))
             elif route == "POST v1/actuators/{id}/commands":
-                body = self._parse_json(raw, "request body")
+                body = parse_json(raw, "request body")
                 cmd = decode(ActuatorCommand, body, "malformed command body",
                              actuator_id=rid)
                 status, doc = 202, {

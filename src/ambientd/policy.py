@@ -272,6 +272,4 @@ def predict_tracking(texture_label: str, lux: float) -> TrackingPrediction:
             guidance.append("Hologram drift likely - increase light level")
         if texture_label == "fine-paper-like":
             guidance.append("Add visual texture near placement point")
-        if not guidance:
-            guidance.append("Reposition virtual content onto a coarser texture")
     return TrackingPrediction(error_cm, quality, estimated, tuple(guidance))

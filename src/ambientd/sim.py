@@ -32,7 +32,7 @@ import numpy as np
 
 from . import policy
 from .characterize import METRIC_NAMES
-from .checks import Checked, decode, encode, integer, number, wire
+from .checks import Checked, decode, encode, integer, number, parse_json, wire
 from .edge import ActuatorCommand, EdgeService, RegionConfig, SensorReading
 from .errors import ConfigError, InvalidArgumentError
 from .markerpipe import match_marker
@@ -173,14 +173,10 @@ def scenario_from_json(doc) -> Scenario:
 
 def load_scenario(path) -> Scenario:
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"scenario file {path} is not valid JSON: {e}")
+        text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read scenario file {path}: {e}")
-    except RecursionError:
-        raise ConfigError(f"scenario file {path} is nested too deeply")
-    return scenario_from_json(doc)
+    return scenario_from_json(parse_json(text, f"scenario file {path}"))
 
 
 # -- event queue ---------------------------------------------------------

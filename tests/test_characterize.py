@@ -91,11 +91,11 @@ class TestMetrics:
             w = int(rng.integers(32, 48))
             pixels = rng.integers(0, 256, size=(h, w), dtype=np.uint8)
             self._check_against_brute_force(pixels)
-        # the edges of the flat Laplacian run: |lap| = 1020 on a 0/255
-        # checkerboard of 1-px cells and 2040, the int16 bound, on 255 dots
-        # with eight 0 neighbours; a saturated frame; 32x33, 33x32 and
-        # 32x300 frames. They kill a run that keeps the wrapped first and
-        # last columns in l1 and l2, and a Laplacian squared in int16
+        # the edges of the Laplacian: |lap| = 1020 on a 0/255 checkerboard
+        # of 1-px cells and 2040 on 255 dots with eight 0 neighbours; a
+        # saturated frame, where 9 * center reaches 2 295; 32x33, 33x32
+        # and 32x300 frames. They kill box sums that keep the wrapped
+        # columns in l1 and l2, and a Laplacian squared in int16
         y, x = np.indices((32, 32))
         edges = [(y + x) % 2 * 255, ((y | x) % 2 == 0) * 255,
                  np.full((32, 32), 255)]
@@ -437,6 +437,68 @@ class TestDescriptors:
             flipped += int(np.sum(a != b))
             total += a.size
         assert flipped / total > 0.95
+
+
+class _Traced(np.ndarray):
+    """An array that records its ufunc calls (NEP 13) in `calls`, and in
+    `mixed` each call that mixes a Python scalar with an integer array
+    narrower than 64 bits: numpy < 2 casts such a call by the scalar's
+    value, numpy >= 2 by its type (NEP 50), so the two can differ."""
+    calls, mixed = [], []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        name = f"{ufunc.__name__}.{method}"
+        _Traced.calls.append(name)
+        out = kwargs.get("out", ())
+        narrow = [x.dtype for x in inputs + out if isinstance(x, np.ndarray)
+                  and x.dtype.kind in "iu" and x.dtype.itemsize < 8]
+        if narrow and any(type(x) in (bool, int, float) for x in inputs):
+            _Traced.mixed.append((name, narrow))
+        plain = [x.view(np.ndarray) if isinstance(x, _Traced) else x
+                 for x in inputs]
+        if out:
+            kwargs["out"] = tuple(x.view(np.ndarray) for x in out)
+        result = getattr(ufunc, method)(*plain, **kwargs)
+        if out:
+            return out[0] if len(out) == 1 else out
+        if isinstance(result, tuple):
+            return tuple(r.view(_Traced) for r in result)
+        return result.view(_Traced) if isinstance(result, np.ndarray) else result
+
+
+class TestScalarCasting:
+    """No ufunc of the pixel kernels mixes a Python scalar with a narrow
+    integer array, so value-based casting and NEP 50 give the same dtypes.
+    The frames are those of test_plan_follows_the_candidate_fraction: the
+    sparse plan at 60 lux, the dense one at 750."""
+
+    @pytest.fixture(autouse=True)
+    def traced(self, monkeypatch):
+        # new buffers are traced too, so an out= buffer is seen
+        for name in ("empty", "zeros", "ones"):
+            real = getattr(np, name)
+            monkeypatch.setattr(np, name, lambda *args, real=real, **kwargs:
+                                real(*args, **kwargs).view(_Traced))
+        _Traced.calls.clear()
+        _Traced.mixed.clear()
+
+    @pytest.mark.parametrize("kernel, lux", [
+        ("compute_metrics", 60.0), ("compute_metrics", 750.0),
+        ("_box_blur", 300.0), ("extract_descriptors", 300.0)])
+    def test_no_python_scalar_meets_a_narrow_integer_array(self, kernel,
+                                                           lux):
+        # kills 8 * center for the Laplacian, and center + threshold or the
+        # dense plan's d > threshold with the Python int threshold
+        frame = render(TextureSpec("speckle", frequency=0.5), lux, seed=0,
+                       w=320, h=240).view(_Traced)
+        if kernel == "compute_metrics":
+            compute_metrics(frame)
+        elif kernel == "_box_blur":
+            markerpipe._box_blur(frame, markerpipe.DESCRIBE_BLUR_PX)
+        else:
+            extract_descriptors(frame, detect_fast_corners(frame, 20))
+        assert len(_Traced.calls) > 5
+        assert _Traced.mixed == []
 
 
 class TestMatching:

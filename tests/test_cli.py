@@ -264,6 +264,39 @@ class TestScenarioFile:
         assert "Traceback" not in result.stderr
 
 
+DEEP = "[" * 100_000 + "]" * 100_000
+LONG_INT = "9" * 5_000      # int() takes at most 4 300 digits
+
+
+class TestJsonLimits:
+    """JSON that Python cannot read, nested 100 000 deep or holding an
+    integer of 5 000 digits, in a scenario file or a region log line."""
+
+    @pytest.mark.parametrize("value", [LONG_INT, DEEP],
+                             ids=["long-int", "deep"])
+    def test_scenario_file_exit_2(self, tmp_path, capsys, value):
+        # the long integer exited 1 with a ValueError traceback
+        path = write_scenario(tmp_path / "s.json")
+        path.write_text(path.read_text()[:-1] + f', "seed": {value}}}')
+        assert cli.main(["run", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"ambientd: config error: scenario file {path} is not valid JSON\n")
+
+    @pytest.mark.parametrize("value", [LONG_INT, DEEP],
+                             ids=["long-int", "deep"])
+    def test_log_line_exit_2_before_binding(self, tmp_path, capsys,
+                                            monkeypatch, value):
+        # the deep line exited 1 with a RecursionError traceback
+        log = tmp_path / "region_r.jsonl"
+        log.write_text(f'{{"timestamp_ms": {value}}}\n')
+        monkeypatch.setattr(httpapi, "make_server",
+                            lambda *args: pytest.fail("serve bound a port"))
+        argv = ["serve", "--data-dir", str(tmp_path), "--bind", "127.0.0.1:0"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"ambientd: config error: {log}:1: bad record is not valid JSON\n")
+
+
 class TestCharacterize:
     def test_uniform_image(self, tmp_path):
         path = write_pgm(tmp_path / "flat.pgm", TextureSpec("flat", value=0.5))
@@ -405,8 +438,26 @@ class TestServe:
                       "--data-dir", str(tmp_path / "data")]
         if scenario:
             args += ["--scenario", str(scenario)]
-        return subprocess.Popen(args, stdout=subprocess.PIPE,
-                                stderr=subprocess.PIPE, text=True)
+        # an ignored SIGINT is inherited, a handled one is reset to its
+        # default by exec: so the child's Python raises KeyboardInterrupt on
+        # SIGINT even where the suite runs with SIGINT ignored
+        old = signal.signal(signal.SIGINT, signal.default_int_handler)
+        try:
+            return subprocess.Popen(args, stdout=subprocess.PIPE,
+                                    stderr=subprocess.PIPE, text=True)
+        finally:
+            signal.signal(signal.SIGINT, old)
+
+    @staticmethod
+    def stop(proc):
+        """Stop the server as ^C does; kill and reap it if it outlives that."""
+        proc.send_signal(signal.SIGINT)
+        try:
+            proc.communicate(timeout=10)   # also closes its pipes
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.communicate()
+            raise
 
     def test_serve_ingest_restart_durability(self, tmp_path):
         scenario = write_scenario(tmp_path / "s.json")
@@ -428,8 +479,7 @@ class TestServe:
                 status, stored = resp.status, json.loads(resp.read())
             assert status == 200
         finally:
-            proc.send_signal(signal.SIGINT)
-            proc.communicate(timeout=10)   # also closes its pipes
+            self.stop(proc)
 
         port2 = free_port()
         proc = self.serve(tmp_path, port2)  # no scenario: replay from disk
@@ -440,8 +490,7 @@ class TestServe:
             assert status == 200
             assert latest == stored
         finally:
-            proc.send_signal(signal.SIGINT)
-            proc.communicate(timeout=10)   # also closes its pipes
+            self.stop(proc)
 
     def test_scenario_registers_its_region_configs(self, tmp_path,
                                                      monkeypatch):

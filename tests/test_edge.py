@@ -366,6 +366,15 @@ class TestDurability:
         with pytest.raises(ConfigError, match=r"region_r1\.jsonl:2:"):
             restarted(tmp_path)
 
+    def test_blank_lines_are_skipped(self, tmp_path):
+        # kills parsing every line: "bad record is not valid JSON"
+        svc = restarted(tmp_path)
+        svc.ingest_reading(reading(1000))
+        log = tmp_path / "region_r1.jsonl"
+        log.write_bytes(b"\n" + log.read_bytes() + b" \t\r\n")
+        svc.ingest_reading(reading(2000))
+        assert restarted(tmp_path).get_trend("r1", 60.0).count == 2
+
     def test_unparseable_line_names_file_and_line(self, tmp_path):
         svc = EdgeService(tmp_path)
         svc.register_region(RegionConfig("r1"))

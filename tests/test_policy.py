@@ -5,10 +5,10 @@ import pytest
 
 from ambientd.characterize import MatchReport, TextureClass
 from ambientd.errors import CalibrationError, InvalidArgumentError
-from ambientd.policy import (MAX_CALIBRATION_STEPS, ControlConstraint,
-                             IlluminancePolicyState, MarkerControllerState,
-                             MarkerPhase, PolicyConfig, calibrate,
-                             illuminance_control_step, lux_band,
+from ambientd.policy import (ERROR_TABLE, LUX_BANDS, MAX_CALIBRATION_STEPS,
+                             ControlConstraint, IlluminancePolicyState,
+                             MarkerControllerState, MarkerPhase, PolicyConfig,
+                             calibrate, illuminance_control_step, lux_band,
                              marker_control_step, predict_tracking,
                              resolve_constraints, select_optimal_lux)
 from ambientd.scene import DEFAULT_LUX_CURVE, MarkerSpec
@@ -296,3 +296,14 @@ class TestTrackingPrediction:
     def test_unknown_texture_rejected(self):
         with pytest.raises(InvalidArgumentError):
             predict_tracking("velvet", 300.0)
+
+    def test_every_poor_cell_gets_guidance(self):
+        # kills a mutant that drops the drift line: checkerboard/low has no
+        # other
+        band_lux = {name: lo for name, lo, _ in LUX_BANDS}
+        qualities = set()
+        for texture, band in ERROR_TABLE:
+            p = predict_tracking(texture, band_lux[band])
+            qualities.add(p.quality)
+            assert p.quality == "Good" or p.guidance, (texture, band)
+        assert qualities == {"Good", "Poor"}

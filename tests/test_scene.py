@@ -274,6 +274,17 @@ class TestPgm:
         with pytest.raises(InvalidArgumentError):
             SyntheticImage.from_pgm(b"P2\n2 2\n255\nabcd")
 
+    def test_header_comment_lines_are_skipped(self):
+        # kills a parser that reads "#" as a field: malformed PGM header
+        data = b"P5\n# by hand\n3 2\n# maxval next\n255\n" + bytes(range(6))
+        pixels = SyntheticImage.from_pgm(data).pixels
+        assert pixels.tolist() == [[0, 1, 2], [3, 4, 5]]
+
+    def test_non_decimal_field_is_a_malformed_header(self):
+        # kills dropping the ValueError map: int() of b"2a" escapes as is
+        with pytest.raises(InvalidArgumentError, match="malformed PGM header"):
+            SyntheticImage.from_pgm(b"P5 2a 2 255\n" + bytes(4))
+
 
 class TestValidation:
     def test_lux_curve_monotone(self):

@@ -126,6 +126,12 @@ class TestScenarioParsing:
         assert scenario.regions[0].id == "r"
         assert scenario.regions[0].texture.kind == "flat"
 
+    def test_region_without_texture_is_flat(self):
+        # kills dropping the codec's absent value: a missing argument
+        doc = self.base_doc()
+        del doc["regions"][0]["texture"]
+        assert scenario_from_json(doc).regions[0].texture == TextureSpec("flat")
+
     def test_missing_illuminance_names_field(self):
         doc = self.base_doc()
         del doc["regions"][0]["illuminance"]
