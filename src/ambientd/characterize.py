@@ -120,11 +120,6 @@ def _clear_wrapped(run: np.ndarray, W: int, k: int) -> None:
     run[W - 2 * k:].reshape(-1, W)[:, :2 * k] = 0
 
 
-def _box_offsets(W: int) -> list:
-    """Flat offsets of the 3x3 box in scan order; entry 4 is its center."""
-    return [dy * W + dx for dy in (-1, 0, 1) for dx in (-1, 0, 1)]
-
-
 def _arc_table() -> np.ndarray:
     """Entry m: does the 16-bit circle mask m hold a circular run of >=
     FAST_ARC_LENGTH set bits? A run survives bit reversal."""
@@ -184,9 +179,11 @@ def _suppress(score: np.ndarray) -> np.ndarray:
     """(x, y, score) rows of the 3x3 maxima of an (H, W) score plane whose
     scores are >= 0, and > 0 only >= 3 px inside the frame."""
     W = score.shape[1]
-    # one run over every pixel with 8 neighbours; a pixel of the first or
-    # last column sees wrapped neighbours, but it scores 0, and 0 never wins
-    neighbours = _runs(score, 1, _box_offsets(W))
+    # one run over every pixel with 8 neighbours per offset of the 3x3 box,
+    # in scan order; a pixel of the first or last column sees wrapped
+    # neighbours, but it scores 0, and 0 never wins
+    box = [dy * W + dx for dy in (-1, 0, 1) for dx in (-1, 0, 1)]
+    neighbours = _runs(score, 1, box)
     center = neighbours.pop(4)
     keep = np.ones(center.shape, dtype=bool)
     beats = np.empty(center.shape, dtype=bool)
@@ -513,6 +510,16 @@ def crop_to_marker_roi(image: np.ndarray) -> np.ndarray:
     _, y0, y1, x0, x1 = blob
     m = ROI_MARGIN_PX
     return image[max(0, y0 - m):y1 + m, max(0, x0 - m):x1 + m]
+
+
+def strip_roi_margin(roi: np.ndarray, full: np.ndarray) -> np.ndarray:
+    """Undo the margin `crop_to_marker_roi` adds, so crops of different sizes
+    share scale; returns a view of the ROI."""
+    m = ROI_MARGIN_PX
+    (h, w), (full_h, full_w) = roi.shape, full.shape
+    if (h >= full_h and w >= full_w) or min(h, w) <= 2 * m + 8:
+        return roi
+    return roi[m:-m, m:-m]
 
 
 def classify_texture(metrics: ImageMetrics) -> TextureClass:

@@ -36,12 +36,11 @@ def cmd_run(args) -> int:
     _, report = sim.run_scenario(scenario, transport=args.transport,
                                  out_dir=args.out)
     print(json.dumps(report, sort_keys=True))
-    if args.require_convergence:
-        markerless = [r for r in report["regions"].values()
-                      if r["marker_phase"] is None]
-        if any(not r["converged"] for r in markerless):
-            _err("one or more regions failed to converge")
-            return EXIT_NO_CONVERGENCE
+    if args.require_convergence and any(
+            r["marker_phase"] is None and not r["converged"]
+            for r in report["regions"].values()):
+        _err("one or more regions failed to converge")
+        return EXIT_NO_CONVERGENCE
     return EXIT_OK
 
 
@@ -63,8 +62,7 @@ def cmd_serve(args) -> int:
         configs = [RegionConfig(region_id=region_id)
                    for region_id in service.logged_region_ids()]
     for config in configs:
-        dropped = service.register_region(config)
-        if dropped:
+        if dropped := service.register_region(config):
             _err(f"region {config.region_id}: dropped a torn last line "
                  f"of {dropped} bytes from its log")
     regions = ", ".join(config.region_id for config in configs)
@@ -109,14 +107,9 @@ def cmd_predict(args) -> int:
 
 
 def cmd_sweep_markers(args) -> int:
-    rows = sim.sweep_marker_grid(
-        patterns=args.pattern or None,
-        distances=args.distance or None,
-        angles=args.angle or None,
-        lux_levels=args.lux or None,
-        trials=args.trials,
-        size_index=args.size_index,
-        seed=args.seed or 0)
+    rows = sim.sweep_marker_grid(args.pattern, args.distance, args.angle,
+                                 args.lux, trials=args.trials,
+                                 size_index=args.size_index, seed=args.seed)
     out = Path(args.out) if args.out else Path("marker_grid.csv")
     out.parent.mkdir(parents=True, exist_ok=True)
     sim.write_sweep_csv(rows, out)

@@ -147,7 +147,7 @@ class _RegionRuntime:
         self.marker_state: Optional[policy.MarkerControllerState] = None
         if config.mode == "marker":
             self.marker_state = policy.MarkerControllerState(
-                config.initial_marker or MarkerSpec("binary-grid-A", 0))
+                config.initial_marker or policy.INITIAL_MARKER)
         self.last_match: Optional[characterize.MatchReport] = None
         self.commands: List[ActuatorCommand] = []
 
@@ -267,10 +267,7 @@ class EdgeService:
                      image: Optional[np.ndarray]) -> None:
         config = runtime.config
         now_s = record.timestamp_ms / 1000.0
-        system = policy.ControlConstraint(
-            (50.0, 1000.0), policy.select_optimal_lux(record.texture_class),
-            "ar-tracking")
-        optimal = policy.resolve_constraints([system, *config.constraints])
+        optimal = policy.optimal_lux(record.texture_class, config.constraints)
         runtime.optimal_lux = optimal
         if runtime.last_lux is None or (config.mode == "marker" and image is None):
             return
@@ -335,12 +332,14 @@ class EdgeService:
 
     def marker_phase(self, region_id: str) -> Optional[str]:
         runtime = self._runtime(region_id)
-        if runtime.marker_state is None:
-            return None
-        return runtime.marker_state.phase.value
+        with runtime.lock:
+            state = runtime.marker_state
+            return None if state is None else state.phase.value
 
     def region_commands(self, region_id: str) -> List[ActuatorCommand]:
-        return list(self._runtime(region_id).commands)
+        runtime = self._runtime(region_id)
+        with runtime.lock:
+            return list(runtime.commands)
 
     # -- actuation --------------------------------------------------------
 

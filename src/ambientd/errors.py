@@ -1,7 +1,8 @@
 """The errors of ambientd and what each front end makes of them.
 
-`httpapi._status_for` maps an error to an HTTP status and `cli.main` maps
-every `AmbientError` to exit 2 with `ambientd: config error: <message>`:
+`httpapi._status_for` is a table from class to HTTP status, read along the
+error's MRO (500 if no class is in it), and `cli.main` maps every
+`AmbientError` to exit 2 with `ambientd: config error: <message>`:
 
     class                  HTTP status   CLI exit
     InvalidArgumentError   400           2

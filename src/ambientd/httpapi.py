@@ -27,6 +27,7 @@ constructor refuses gets a 400; an integer `lux` is read as a float.
 A reading with an image is sent with the media type PGM_MEDIA_TYPE and the
 binary PGM as its body; its other fields travel as one JSON object in the
 READING_HEADER header, which `checks.decode` reads as it reads a JSON body.
+`reading_request` builds that request and `_reading_parts` reads it back.
 A PGM that does not parse gets a 400 starting `bad image payload:`; a PGM
 body without exactly one such header, or with one that is not JSON, gets a
 400 too. A JSON body carries a lux-only reading.
@@ -53,18 +54,37 @@ PGM_MEDIA_TYPE = "image/x-portable-graymap"
 READING_HEADER = "Ambientd-Reading"
 
 
+_STATUS = {NotFoundError: 404, StaleReadingError: 409, PayloadTooLargeError: 413,
+           RequestTimeoutError: 408, InvalidArgumentError: 400}
+
+
 def _status_for(exc: Exception) -> int:
-    if isinstance(exc, NotFoundError):
-        return 404
-    if isinstance(exc, StaleReadingError):
-        return 409
-    if isinstance(exc, PayloadTooLargeError):
-        return 413
-    if isinstance(exc, RequestTimeoutError):
-        return 408
-    if isinstance(exc, InvalidArgumentError):
-        return 400
-    return 500
+    return next((_STATUS[c] for c in type(exc).__mro__ if c in _STATUS), 500)
+
+
+def reading_request(reading: SensorReading) -> tuple:
+    """(path, body, headers) of the PUT of an image reading: the PGM as the
+    body, the other fields but the path's sensor id in READING_HEADER."""
+    fields = encode(reading)
+    del fields["sensor_id"]
+    return (f"/v1/sensors/{reading.sensor_id}/readings",
+            SyntheticImage(reading.image).to_pgm(),
+            {"Content-Type": PGM_MEDIA_TYPE, READING_HEADER: json.dumps(fields)})
+
+
+def _reading_parts(headers, raw: bytes):
+    """(the reading's JSON object, its pixels or None) of a PUT request."""
+    if headers.get_content_type() != PGM_MEDIA_TYPE:
+        return parse_json(raw, "request body"), None
+    values = headers.get_all(READING_HEADER, [])
+    if len(values) != 1:
+        raise InvalidArgumentError(
+            f"a PGM reading needs one {READING_HEADER} header")
+    doc = parse_json(values[0], f"{READING_HEADER} header")
+    try:
+        return doc, SyntheticImage.from_pgm(raw).pixels
+    except InvalidArgumentError as e:
+        raise InvalidArgumentError(f"bad image payload: {e}")
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -116,20 +136,6 @@ class _Handler(BaseHTTPRequestHandler):
             raise RequestTimeoutError(
                 f"request body not read within {READ_TIMEOUT_S} s")
 
-    def _reading_parts(self, raw: bytes):
-        """(the reading's JSON object, its pixels or None) of the request."""
-        if self.headers.get_content_type() != PGM_MEDIA_TYPE:
-            return parse_json(raw, "request body"), None
-        values = self.headers.get_all(READING_HEADER, [])
-        if len(values) != 1:
-            raise InvalidArgumentError(
-                f"a PGM reading needs one {READING_HEADER} header")
-        doc = parse_json(values[0], f"{READING_HEADER} header")
-        try:
-            return doc, SyntheticImage.from_pgm(raw).pixels
-        except InvalidArgumentError as e:
-            raise InvalidArgumentError(f"bad image payload: {e}")
-
     def _dispatch(self):
         try:
             raw = self._read_body()
@@ -159,7 +165,7 @@ class _Handler(BaseHTTPRequestHandler):
                 self.service.region_config(rid)     # a 404 if unknown
                 status, doc = 200, encode(policy.predict_tracking(texture, lux))
             elif route == "PUT v1/sensors/{id}/readings":
-                fields, image = self._reading_parts(raw)
+                fields, image = _reading_parts(self.headers, raw)
                 reading = decode(SensorReading, fields, "malformed reading",
                                  sensor_id=rid, image=image)
                 status, doc = 200, encode(self.service.ingest_reading(reading))

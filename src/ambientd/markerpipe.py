@@ -13,9 +13,9 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .characterize import (MatchReport, ROI_MARGIN_PX, _box_sums,
-                           crop_to_marker_roi, detect_fast_corners,
-                           extract_descriptors, match_against_reference)
+from .characterize import (MatchReport, _box_sums, crop_to_marker_roi,
+                           detect_fast_corners, extract_descriptors,
+                           match_against_reference, strip_roi_margin)
 from .errors import InvalidArgumentError
 from .scene import MarkerSpec, marker_reflectance
 
@@ -115,19 +115,8 @@ def _box_blur(image: np.ndarray, size: int) -> np.ndarray:
     return s.astype(np.uint8)
 
 
-def _strip_roi_margin(roi: np.ndarray, full: np.ndarray) -> np.ndarray:
-    """Undo the fixed crop margin so crops of different sizes share scale;
-    returns a view of the ROI."""
-    m = ROI_MARGIN_PX
-    (h, w), (full_h, full_w) = roi.shape, full.shape
-    if (h >= full_h and w >= full_w) or min(h, w) <= 2 * m + 8:
-        return roi
-    return roi[m:-m, m:-m]
-
-
 def _scene_descriptors(image: np.ndarray, threshold: int) -> np.ndarray:
-    roi = crop_to_marker_roi(image)
-    roi = _strip_roi_margin(roi, image)
+    roi = strip_roi_margin(crop_to_marker_roi(image), image)
     roi = resize_bilinear(roi, REFERENCE_SIDE_PX, REFERENCE_SIDE_PX)
     roi = normalize_contrast(roi)
     roi = _box_blur(roi, DESCRIBE_BLUR_PX)

@@ -4,7 +4,7 @@ tracking-quality prediction.
 
 `PolicyConfig` holds the controller settings and is their only home, and
 its constructor checks them, so a config that exists is valid. The two step
-functions take it, the optimum lux (computed by the caller) and a mutable
+functions take it, the optimum lux (`optimal_lux`, once a step) and a mutable
 state that holds only what changes between steps. Both use `in_deadband`,
 the deadband test, and `_light_command`, the settle-then-actuate bulb step.
 An intent is `(kind, payload)`, and its kind is the wire's command kind,
@@ -34,6 +34,9 @@ MAX_CALIBRATION_STEPS = 101
 # Escalation order for pattern switching; image markers last (most robust
 # to viewing conditions, but switching invalidates the reference most).
 PATTERN_SWITCH_ORDER = MARKER_PATTERNS
+# the marker a marker region shows first unless its config names one
+INITIAL_MARKER = MarkerSpec(PATTERN_SWITCH_ORDER[0], 0)
+AR_TRACKING_LUX = (50.0, 1000.0)     # the lux range AR tracking works in
 
 LUX_BANDS = (("low", 50.0, 100.0), ("medium", 150.0, 450.0), ("high", 500.0, 1000.0))
 
@@ -239,6 +242,14 @@ def resolve_constraints(constraints: List[ControlConstraint]) -> float:
     top = [c for c in constraints if c.priority == tiers[0]]
     preferred = min(c.preferred for c in top)  # lower-lux (energy-saving) bias
     return float(min(max(preferred, lo), hi))
+
+
+def optimal_lux(texture: TextureClass, constraints: tuple) -> float:
+    """The lux to drive a region to: AR tracking's range and the texture's
+    preferred lux as the system constraint, resolved with the region's own."""
+    system = ControlConstraint(AR_TRACKING_LUX, select_optimal_lux(texture),
+                               "ar-tracking")
+    return resolve_constraints([system, *constraints])
 
 
 @dataclass(frozen=True)

@@ -38,11 +38,11 @@ from .errors import ConfigError, InvalidArgumentError
 from .markerpipe import match_marker
 from .policy import PolicyConfig
 from .scene import (DEFAULT_BULB_LATENCY_S, DEFAULT_EINK_LATENCY_S,
-                    DEFAULT_LUX_CURVE, MAX_VIEWING_ANGLE_DEG,
+                    DEFAULT_LUX_CURVE, MARKER_PATTERNS, MAX_VIEWING_ANGLE_DEG,
                     MIN_MARKER_DISTANCE_CM, NOISE_SIGMA0, SENSOR_NOISE_FRACTION,
                     EnvironmentState, LuxCurve, MarkerPlacement, MarkerSpec,
-                    Region, SyntheticImage, TextureSpec, apply_bulb_command,
-                    read_light_sensor, render_region)
+                    Region, TextureSpec, apply_bulb_command, read_light_sensor,
+                    render_region)
 
 CANONICAL_W = 320
 CANONICAL_H = 240
@@ -57,7 +57,7 @@ def stable_seed(*parts) -> int:
 
 
 def default_sweep_lux_levels() -> List[float]:
-    return [float(round(v, 1)) for v in np.geomspace(50.0, 1000.0, 9)]
+    return [float(round(v, 1)) for v in np.geomspace(*policy.AR_TRACKING_LUX, 9)]
 
 
 # -- scenario ------------------------------------------------------------
@@ -285,13 +285,9 @@ class HttpTransport:
         reply that is not 2xx raises HTTPException with its status and body,
         which ends the run."""
         from http.client import HTTPException
-        from .httpapi import PGM_MEDIA_TYPE, READING_HEADER
-        path = f"/v1/sensors/{reading.sensor_id}/readings"
-        fields = encode(reading)
-        del fields["sensor_id"]
-        self._conn.request("PUT", path, SyntheticImage(reading.image).to_pgm(),
-                           {"Content-Type": PGM_MEDIA_TYPE,
-                            READING_HEADER: json.dumps(fields)})
+        from .httpapi import reading_request
+        path, body, headers = reading_request(reading)
+        self._conn.request("PUT", path, body, headers)
         resp = self._conn.getresponse()
         reply = resp.read()
         if not 200 <= resp.status < 300:
@@ -365,7 +361,8 @@ class Simulator:
         self.transport.put_reading(sensor_id, SensorReading(
             sensor_id, region_id, t_ms, float(lux), image.pixels))
         if (self._satisfied_cycle[region_id] is None
-                and self.service.marker_phase(region_id) == "Satisfied"):
+                and self.service.marker_phase(region_id)
+                == policy.MarkerPhase.SATISFIED.value):
             self._satisfied_cycle[region_id] = cycle
 
     def run(self) -> Tuple[List[dict], dict]:
@@ -404,8 +401,7 @@ class Simulator:
         regions = {}
         for r in scenario.regions:
             runtime = self.service._runtime(r.id)
-            records = runtime.records
-            tail = [rec.metrics.illuminance for rec in records[-3:]]
+            tail = [rec.metrics.illuminance for rec in runtime.records[-3:]]
             optimal = runtime.optimal_lux
             converged = len(tail) == 3 and all(
                 policy.in_deadband(scenario.policy, optimal, v) for v in tail)
@@ -417,14 +413,13 @@ class Simulator:
                 "converged_lux": (sum(tail) / len(tail)) if tail else None,
                 "optimal_lux": optimal,
                 "converged": converged,
-                "observation_cycles": len(records),
+                "observation_cycles": len(runtime.records),
                 "bulb_commands": len(bulb_series),
                 "eink_commands": len(commands) - len(bulb_series),
                 "marker_phase": self.service.marker_phase(r.id),
                 "satisfied_after_cycles": self._satisfied_cycle[r.id],
-                "last_match_percentage": (
-                    runtime.last_match.percentage
-                    if runtime.last_match is not None else None),
+                "last_match_percentage": (runtime.last_match.percentage
+                                          if runtime.last_match else None),
                 "bulb_command_series": bulb_series,
             }
         return {"seed": scenario.seed, "duration_s": scenario.duration_s,
@@ -494,7 +489,6 @@ def sweep_marker_grid(patterns=None, distances=None, angles=None,
     """Open-loop grid of mean match percentages (controller disabled)."""
     if trials < 1:
         raise InvalidArgumentError("trials must be >= 1")
-    from .scene import MARKER_PATTERNS
     patterns = list(patterns or MARKER_PATTERNS)
     distances = list(distances or range(20, 91, 10))
     angles = list(angles or range(0, 61, 15))

@@ -154,6 +154,13 @@ class TestFastCorners:
         got = set(map(tuple, corners.tolist()))
         assert got == fast_oracle(img, threshold)
 
+    @pytest.mark.parametrize("threshold", [0, -1])
+    def test_threshold_below_one_refused(self, threshold):
+        # kills dropping the check: the call then returns without an error
+        img = as_image(np.full((32, 32), 128, dtype=np.uint8))
+        with pytest.raises(InvalidArgumentError, match="threshold must be >= 1"):
+            detect_fast_corners(img, threshold)
+
     def test_flat_has_no_corners(self):
         img = as_image(np.full((32, 32), 128, dtype=np.uint8))
         assert len(detect_fast_corners(img, 20)) == 0

@@ -1,4 +1,6 @@
+import io
 import json
+import re
 import shutil
 import socket
 import tempfile
@@ -7,17 +9,18 @@ import urllib.error
 import urllib.request
 from contextlib import contextmanager
 from dataclasses import replace
-from http.client import HTTPConnection
+from http.client import HTTPConnection, parse_headers
 from pathlib import Path
 from threading import Thread
+from urllib.parse import urlparse
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ambientd import httpapi
-from ambientd.characterize import METRIC_NAMES
+from ambientd import errors, httpapi
+from ambientd.characterize import MAX_LUX, METRIC_NAMES
 from ambientd.checks import decode, encode
 from ambientd.edge import (ActuatorCommand, EdgeService, MetricsRecord,
                            RegionConfig, SensorReading)
@@ -233,6 +236,24 @@ class TestPolicyStepping:
         # the id names the region's log file
         with pytest.raises(InvalidArgumentError):
             RegionConfig(**fields)
+
+
+class TestLockedReads:
+    @pytest.mark.parametrize("read, want", [("marker_phase", "AdjustLight"),
+                                            ("region_commands", [])])
+    def test_a_read_waits_for_the_region_lock(self, tmp_path, read, want):
+        # kills the unlocked read, which returns while an ingest holds the
+        # lock and may see its policy state half written
+        svc = EdgeService(tmp_path)
+        svc.register_region(RegionConfig("r1", mode="marker"))
+        got = []
+        reader = Thread(target=lambda: got.append(getattr(svc, read)("r1")))
+        with svc._runtime("r1").lock:
+            reader.start()
+            reader.join(0.1)
+            assert reader.is_alive() and got == []
+        reader.join(10)
+        assert not reader.is_alive() and got == [want]
 
 
 class TestTrend:
@@ -500,6 +521,58 @@ def send(req):
         return e.code, json.loads(e.read())
 
 
+# (class, HTTP status) of each row of the table in errors.py's docstring
+STATUS_ROWS = [(getattr(errors, name), int(status)) for name, status in
+               re.findall(r"^ +(\w+Error) +(\d{3}) +\d+$", errors.__doc__, re.M)]
+
+
+class TestWire:
+    def test_the_status_table_lists_every_error(self):
+        listed = {cls for cls, _ in STATUS_ROWS}
+        assert listed == {cls for cls in vars(errors).values() if isinstance(cls, type)
+                          and issubclass(cls, errors.AmbientError)
+                          and cls is not errors.AmbientError}
+        assert httpapi._status_for(RuntimeError("boom")) == 500
+
+    @pytest.mark.parametrize("cls, status", STATUS_ROWS,
+                             ids=[cls.__name__ for cls, _ in STATUS_ROWS])
+    def test_each_error_gets_its_listed_status(self, cls, status):
+        # kills a table missing a row: its class falls back to its base's
+        # status (413 to 400) or to 500
+        assert httpapi._status_for(cls("x")) == status
+
+    @settings(max_examples=60, deadline=None)
+    @given(region_id=st.text("abcXYZ019_.-", min_size=1, max_size=64).filter(
+               lambda s: not s.startswith(".")),
+           timestamp_ms=st.integers(-2 ** 63, 2 ** 63 - 1),
+           lux=st.none() | st.floats(0.0, MAX_LUX),
+           height=st.integers(1, 240), width=st.integers(1, 320),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(region_id="desk", timestamp_ms=0, lux=None, height=1, width=1,
+             seed=0)
+    @example(region_id="shelf", timestamp_ms=5000, lux=60.0, height=240,
+             width=320, seed=1)
+    def test_reading_request_parses_back_to_the_reading(
+            self, region_id, timestamp_ms, lux, height, width, seed):
+        # the id the simulator gives a region's sensor
+        sensor_id = f"sensor:{region_id}"
+        pixels = np.random.default_rng(seed).integers(
+            0, 256, (height, width), dtype=np.uint8)
+        sent = SensorReading(sensor_id, region_id, timestamp_ms, lux, pixels)
+        path, body, headers = httpapi.reading_request(sent)
+        # the headers as the server's parser reads them off the wire
+        head = "".join(f"{k}: {v}\r\n" for k, v in headers.items()) + "\r\n"
+        parsed = parse_headers(io.BytesIO(head.encode("iso-8859-1")))
+        fields, image = httpapi._reading_parts(parsed, body)
+        # the third path segment, as the handler routes it
+        path_id = urlparse(path).path.strip("/").split("/")[2]
+        got = decode(SensorReading, fields, "malformed reading",
+                     sensor_id=path_id, image=image)
+        assert got == sent
+        assert got.image.dtype == np.uint8
+        assert np.array_equal(got.image, pixels)
+
+
 class TestHttpApi:
     def test_health(self, http_server):
         status, doc = http("GET", f"{http_server}/v1/health")
@@ -576,6 +649,22 @@ class TestHttpApi:
         status, _ = http(
             "GET", f"{http_server}/v1/regions/r1/prediction?texture=velvet&lux=300")
         assert status == 400
+
+    @pytest.mark.parametrize("query", ["", "?window_s=abc", "?window_s="])
+    def test_trend_without_a_number_window_400(self, http_server, query):
+        # kills dropping KeyError or ValueError from the query's except,
+        # which turns the reply into a 500
+        status, doc = http(
+            "GET", f"{http_server}/v1/regions/r1/metrics/trend{query}")
+        assert (status, doc) == (400, {"error": "missing or bad window_s"})
+
+    @pytest.mark.parametrize("query", ["?lux=300", "?texture=checkerboard",
+                                       "?texture=checkerboard&lux=abc"])
+    def test_prediction_without_texture_or_number_lux_400(self, http_server,
+                                                         query):
+        # kills dropping KeyError or ValueError from the query's except
+        status, doc = http("GET", f"{http_server}/v1/regions/r1/prediction{query}")
+        assert (status, doc) == (400, {"error": "missing or bad texture/lux"})
 
     def test_prediction_unknown_region_404(self, http_server):
         status, doc = http("GET", f"{http_server}/v1/regions/nope/prediction"

@@ -6,13 +6,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ambientd.characterize import (_bimodal_threshold, _largest_component,
-                                   crop_to_marker_roi)
+                                   crop_to_marker_roi, strip_roi_margin)
 from ambientd.errors import InvalidArgumentError
 from ambientd.markerpipe import (DESCRIBE_BLUR_PX, MAX_MATCH_FAST_THRESHOLD,
                                  REFERENCE_SIDE_PX, _box_blur,
-                                 _percentile_of_counts, _strip_roi_margin,
-                                 match_marker, normalize_contrast,
-                                 reference_descriptors, resize_bilinear)
+                                 _percentile_of_counts, match_marker,
+                                 normalize_contrast, reference_descriptors,
+                                 resize_bilinear)
 from ambientd.policy import PolicyConfig
 from ambientd.scene import (MARKER_PATTERNS, MarkerPlacement, MarkerSpec,
                             Region, render_region)
@@ -275,7 +275,7 @@ def test_kernels_match_ndimage_on_the_sweep_corpus():
             int(areas[best]), int(ys.min()), int(ys.max()) + 1,
             int(xs.min()), int(xs.max()) + 1)
 
-        roi = _strip_roi_margin(crop_to_marker_roi(image), image)
+        roi = strip_roi_margin(crop_to_marker_roi(image), image)
         yy = (np.arange(side) + 0.5) * (roi.shape[0] / side) - 0.5
         xx = (np.arange(side) + 0.5) * (roi.shape[1] / side) - 0.5
         grid = np.meshgrid(yy, xx, indexing="ij")

@@ -241,6 +241,13 @@ class TestActuators:
         with pytest.raises(NotFoundError):
             apply_bulb_command(env, "nope", 10.0)
 
+    @pytest.mark.parametrize("target", [100.0, 20.0, 0.0])
+    def test_invert_at_or_below_the_first_lux_is_the_first_command(self, target):
+        # kills dropping that branch: the segment search then reads
+        # luxes[-1] and extrapolates from the last knot (20 lux gives 1.0)
+        curve = LuxCurve([(10.0, 100.0), (50.0, 500.0), (100.0, 900.0)])
+        assert curve.invert(target) == (10.0, True)
+
 
 class TestLightSensor:
     def test_noise_disabled_exact(self):

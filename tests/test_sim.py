@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from ambientd.checks import encode
 from ambientd.edge import (ActuatorCommand, EdgeService, RegionConfig,
                            SensorReading)
-from ambientd.errors import ConfigError
+from ambientd.errors import ConfigError, InvalidArgumentError
 from ambientd.policy import PolicyConfig
 from ambientd.scene import (MarkerPlacement, MarkerSpec, Region, TextureSpec,
                             render_region)
@@ -461,6 +461,12 @@ class TestSweep:
         assert len(rows_a) == 2
         by_lux = {r["lux"]: r["mean_match_percentage"] for r in rows_a}
         assert by_lux[300.0] > by_lux[50.0]
+
+    def test_zero_trials_refused(self):
+        # kills dropping the check: the first cell then divides by zero
+        with pytest.raises(InvalidArgumentError, match="trials must be >= 1"):
+            sweep_marker_grid(patterns=["binary-grid-A"], distances=[20],
+                              angles=[0], lux_levels=[50.0], trials=0)
 
     def test_default_lux_levels(self):
         levels = default_sweep_lux_levels()
