@@ -7,6 +7,9 @@ NDJSON log; a policy step computes the region's optimum lux once, hands it
 with the region's `PolicyConfig` to the step function of its mode, and turns
 the step's `(kind, payload)` intents into commands in one loop. A command is
 recorded, and sent only to a registered actuator, so a stored reading succeeds.
+A marker region's image reading hands the marker step its match as a call
+that runs the marker pipeline at most once, and only if the step or
+`marker_match` reads it.
 
 A log line is a `LogEntry`: a `MetricsRecord` plus the reading's
 `sensor_id` and whether it carried an `image`. `_RegionRuntime.apply` is the
@@ -21,6 +24,7 @@ refuses a line that live ingest could not have written.
 """
 from __future__ import annotations
 
+import functools
 import json
 import re
 import threading
@@ -52,8 +56,9 @@ class SensorReading(Checked):
     region_id: str = checked("a string", lambda v: isinstance(v, str))
     timestamp_ms: int = integer()
     lux: Optional[float] = number(0.0, MAX_LUX, None, optional=True)
-    # the camera frame's pixels: a front end hands them over, never as JSON;
-    # left out of ==, since arrays do not compare to a bool
+    # the camera frame's pixels: a front end hands them over, never as JSON,
+    # and does not change them after, since a marker region may match them
+    # later; left out of ==, since arrays do not compare to a bool
     image: Optional[np.ndarray] = checked(
         "a 2-D uint8 array or null", lambda v: v is None or (
             isinstance(v, np.ndarray) and v.dtype == np.uint8 and v.ndim == 2),
@@ -148,7 +153,8 @@ class _RegionRuntime:
         if config.mode == "marker":
             self.marker_state = policy.MarkerControllerState(
                 config.initial_marker or policy.INITIAL_MARKER)
-        self.last_match: Optional[characterize.MatchReport] = None
+        # the latest image reading's match, evaluated once when first called
+        self.latest_match: Optional[Callable[[], characterize.MatchReport]] = None
         self.commands: List[ActuatorCommand] = []
 
     def apply(self, entry: LogEntry) -> None:
@@ -278,13 +284,15 @@ class EdgeService:
             intents = ([] if command is None
                        else [policy.Intent("set-brightness", command)])
         else:
-            report = markerpipe.match_marker(
-                image, runtime.marker_state.current_spec,
-                config.policy.marker_fast_threshold)
-            runtime.last_match = report
+            # the spec this reading was taken under, bound now: the step may
+            # change the state's spec before the match is evaluated
+            runtime.latest_match = functools.cache(functools.partial(
+                markerpipe.match_marker, image,
+                runtime.marker_state.current_spec,
+                config.policy.marker_fast_threshold))
             runtime.marker_state, intents = policy.marker_control_step(
-                runtime.marker_state, config.policy, report, optimal,
-                runtime.last_lux, config.curve, now_s)
+                runtime.marker_state, config.policy, runtime.latest_match,
+                optimal, runtime.last_lux, config.curve, now_s)
         for kind, payload in intents:
             if actuator := config.actuator(kind):
                 cmd = ActuatorCommand(actuator, kind, payload,
@@ -335,6 +343,14 @@ class EdgeService:
         with runtime.lock:
             state = runtime.marker_state
             return None if state is None else state.phase.value
+
+    def marker_match(self, region_id: str) -> Optional[characterize.MatchReport]:
+        """The match of the region's latest image reading against the marker
+        it showed then; None before a marker region's first image reading."""
+        runtime = self._runtime(region_id)
+        with runtime.lock:
+            match = runtime.latest_match
+            return None if match is None else match()
 
     def region_commands(self, region_id: str) -> List[ActuatorCommand]:
         runtime = self._runtime(region_id)

@@ -162,7 +162,7 @@ class MarkerControllerState:
 
 
 def marker_control_step(state: MarkerControllerState, config: PolicyConfig,
-                        report: MatchReport, optimal_lux: float,
+                        match: Callable[[], MatchReport], optimal_lux: float,
                         measured_lux: float, curve: LuxCurve, now: float
                         ) -> Tuple[MarkerControllerState, List[Intent]]:
     """One observation of the marker adaptation loop.
@@ -170,12 +170,20 @@ def marker_control_step(state: MarkerControllerState, config: PolicyConfig,
     Escalates light -> marker size -> marker pattern until the matched-feature
     percentage reaches the target, then reports Satisfied (or Exhausted once
     every escalation is spent). At most one actuation per observation.
+
+    match returns the observation's `MatchReport`. It is called only where
+    the percentage decides the outcome: on an Exhausted step, which a match
+    at the target turns Satisfied, and on an unfinished step whose settle
+    period is over. A Satisfied step and an unfinished settling step do not
+    call it.
     """
-    finished = state.phase in (MarkerPhase.SATISFIED, MarkerPhase.EXHAUSTED)
-    settling = now < state.settle_until
-    if report.percentage >= config.target_percentage and (finished or not settling):
+    if state.phase is MarkerPhase.SATISFIED or (
+            state.phase is not MarkerPhase.EXHAUSTED
+            and now < state.settle_until):
+        return state, []
+    if match().percentage >= config.target_percentage:
         state.phase = MarkerPhase.SATISFIED
-    if finished or settling or state.phase is MarkerPhase.SATISFIED:
+    if state.phase in (MarkerPhase.SATISFIED, MarkerPhase.EXHAUSTED):
         return state, []
 
     if state.phase is MarkerPhase.ADJUST_LIGHT:

@@ -355,7 +355,7 @@ class Simulator:
             CANONICAL_W, CANONICAL_H, sigma0=scenario.camera_sigma0)
         self.log(f"sensor/{region_id}", "reading",
                  {"lux": lux, "image_sha": hashlib.sha256(
-                     image.pixels.tobytes()).hexdigest()})
+                     image.pixels).hexdigest()})
         # float: a region built in Python may hold an int lux
         sensor_id = f"sensor:{region_id}"
         self.transport.put_reading(sensor_id, SensorReading(
@@ -406,6 +406,7 @@ class Simulator:
             converged = len(tail) == 3 and all(
                 policy.in_deadband(scenario.policy, optimal, v) for v in tail)
             commands = self.service.region_commands(r.id)
+            match = self.service.marker_match(r.id)
             bulb_series = [float(c.payload) for c in commands
                            if c.kind == "set-brightness"]
             regions[r.id] = {
@@ -418,8 +419,7 @@ class Simulator:
                 "eink_commands": len(commands) - len(bulb_series),
                 "marker_phase": self.service.marker_phase(r.id),
                 "satisfied_after_cycles": self._satisfied_cycle[r.id],
-                "last_match_percentage": (runtime.last_match.percentage
-                                          if runtime.last_match else None),
+                "last_match_percentage": match.percentage if match else None,
                 "bulb_command_series": bulb_series,
             }
         return {"seed": scenario.seed, "duration_s": scenario.duration_s,

@@ -2,13 +2,16 @@
 
 Deliberately written as straight-line loop code, sharing nothing with the
 library implementations they check; `reference_render` alone builds on the
-scene's texture and marker helpers, to check the render's frame cache.
+scene's texture and marker helpers, to check the render's frame cache, and
+`reference_marker_step` on the policy's phase and intent names.
 """
 import math
 from collections import deque
+from dataclasses import replace
 
 import numpy as np
 
+from ambientd.policy import PATTERN_SWITCH_ORDER, Intent, MarkerPhase
 from ambientd.scene import (light_response, marker_patch_size,
                             marker_reflectance, noise_sigma, texture_field)
 
@@ -310,3 +313,45 @@ def largest_component_oracle(mask):
             if best is None or area > best[0]:
                 best = (area, y0, y1 + 1, x0, x1 + 1)
     return best
+
+
+def reference_marker_step(state, config, report, optimal_lux, measured_lux,
+                          curve, now):
+    """The eager marker step: it takes the observation's `MatchReport`
+    itself, so the match has run whether or not the step reads it. The lazy
+    `policy.marker_control_step` must leave the same state and intents."""
+    finished = state.phase in (MarkerPhase.SATISFIED, MarkerPhase.EXHAUSTED)
+    settling = now < state.settle_until
+    if report.percentage >= config.target_percentage and (finished or not settling):
+        state.phase = MarkerPhase.SATISFIED
+    if finished or settling or state.phase is MarkerPhase.SATISFIED:
+        return state, []
+
+    if state.phase is MarkerPhase.ADJUST_LIGHT:
+        if state.light_attempts < 2:
+            in_deadband = (abs(measured_lux - optimal_lux)
+                           <= config.deadband_fraction * optimal_lux)
+            if not in_deadband:
+                state.settle_until = now + config.settle_s
+                state.light_attempts += 1
+                return state, [Intent("set-brightness",
+                                      curve.invert(optimal_lux)[0])]
+        state.phase = MarkerPhase.ENLARGE_MARKER
+
+    spec = state.current_spec
+    if state.phase is MarkerPhase.ENLARGE_MARKER:
+        if spec.size_index < config.max_size_index:
+            spec = replace(spec, size_index=spec.size_index + 1)
+        else:
+            state.phase = MarkerPhase.SWITCH_PATTERN
+            state.patterns_tried = (spec.pattern,)
+    if state.phase is MarkerPhase.SWITCH_PATTERN:
+        untried = [p for p in PATTERN_SWITCH_ORDER if p not in state.patterns_tried]
+        if not untried:
+            state.phase = MarkerPhase.EXHAUSTED
+            return state, []
+        state.patterns_tried += (untried[0],)
+        spec = replace(spec, pattern=untried[0])
+    state.current_spec = spec
+    state.settle_until = now + config.settle_s
+    return state, [Intent("set-marker", spec)]

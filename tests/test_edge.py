@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ambientd import errors, httpapi
+from ambientd import errors, httpapi, markerpipe
 from ambientd.characterize import MAX_LUX, METRIC_NAMES
 from ambientd.checks import decode, encode
 from ambientd.edge import (ActuatorCommand, EdgeService, MetricsRecord,
@@ -28,8 +28,10 @@ from ambientd.errors import (ConfigError, InvalidArgumentError, NotFoundError,
                              StaleReadingError)
 from ambientd.httpapi import (MAX_BODY_BYTES, PGM_MEDIA_TYPE, READING_HEADER,
                               make_server)
-from ambientd.scene import (MarkerSpec, Region, SyntheticImage, TextureSpec,
-                            render_region)
+from ambientd.markerpipe import DEFAULT_MATCH_FAST_THRESHOLD
+from ambientd.policy import INITIAL_MARKER, PolicyConfig
+from ambientd.scene import (MarkerPlacement, MarkerSpec, Region, SyntheticImage,
+                            TextureSpec, render_region)
 from ambientd.sim import SERVE_POLL_S
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -47,6 +49,21 @@ def reading(ts, lux=80.0, with_image=True, sensor="s1", region="r1", seed=1,
         sensor_id=sensor, region_id=region, timestamp_ms=ts, lux=lux,
         image=(frame(lux=lux, seed=seed, texture=texture).pixels
                if with_image else None))
+
+
+def marker_frame(seed, distance_cm=30.0):
+    """A shelf at 300 lux showing the initial marker: at 30 cm it matches
+    above the 60 % target, at 90 cm it matches nothing."""
+    shelf = Region("shelf", TextureSpec("flat", value=0.6), 300.0,
+                   marker=MarkerPlacement(INITIAL_MARKER, distance_cm, 0.0))
+    return render_region(shelf, seed, 320, 240).pixels
+
+
+MATCH_MARKER = markerpipe.match_marker
+
+
+def eager_match(image, spec=INITIAL_MARKER):
+    return MATCH_MARKER(image, spec, DEFAULT_MATCH_FAST_THRESHOLD)
 
 
 # a well-formed image too small to characterize
@@ -238,9 +255,72 @@ class TestPolicyStepping:
             RegionConfig(**fields)
 
 
+class TestLazyMarkerMatch:
+    """A marker region runs the marker pipeline only for a step or a
+    `marker_match` that reads the match, once per image reading."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return MATCH_MARKER(*args)
+        monkeypatch.setattr(markerpipe, "match_marker", counted)
+        return calls
+
+    @staticmethod
+    def marker_region(tmp_path, **fields):
+        svc = EdgeService(tmp_path)
+        svc.register_region(RegionConfig("r1", mode="marker",
+                                         eink_actuator="eink1", **fields))
+        return svc
+
+    def test_a_satisfied_region_matches_only_when_read(self, tmp_path, calls):
+        # kills the stale callable, an earlier reading's match kept: the
+        # first and last frames match differently
+        svc = self.marker_region(tmp_path)
+        first = marker_frame(1)
+        svc.ingest_reading(SensorReading("s1", "r1", 1000, 300.0, first))
+        assert svc.marker_phase("r1") == "Satisfied" and len(calls) == 1
+        for ts, seed in ((2000, 2), (3000, 3)):
+            last = marker_frame(seed)
+            svc.ingest_reading(SensorReading("s1", "r1", ts, 300.0, last))
+        assert len(calls) == 1
+        want = eager_match(last)
+        assert want != eager_match(first)
+        assert svc.marker_match("r1") == want
+        assert svc.marker_match("r1") == want and len(calls) == 2
+
+    def test_a_match_is_taken_against_the_marker_shown(self, tmp_path, calls):
+        # kills a late-bound spec, read from the region's state each time
+        # the match runs: this reading switches the marker, so a later
+        # match would run against the next pattern. A size change would not
+        # show it, as every size has the same reference; nor would a
+        # memoized late-bound call, as the step runs it before it changes
+        # the spec.
+        svc = self.marker_region(tmp_path, policy=PolicyConfig(max_size_index=0))
+        image = marker_frame(1, distance_cm=90.0)
+        svc.ingest_reading(SensorReading("s1", "r1", 1000, 300.0, image))
+        [cmd] = svc.region_commands("r1")
+        assert cmd.payload == MarkerSpec("binary-grid-B", 0)
+        assert svc.marker_match("r1") == eager_match(image)
+        assert eager_match(image) != eager_match(image, cmd.payload)
+        assert len(calls) == 1
+
+    def test_a_lux_only_reading_keeps_the_previous_match(self, tmp_path, calls):
+        svc = self.marker_region(tmp_path)
+        image = marker_frame(1)
+        svc.ingest_reading(SensorReading("s1", "r1", 1000, 300.0, image))
+        svc.ingest_reading(SensorReading("s1", "r1", 2000, 300.0))
+        assert svc.marker_match("r1") == eager_match(image)
+        assert len(calls) == 1
+
+
 class TestLockedReads:
     @pytest.mark.parametrize("read, want", [("marker_phase", "AdjustLight"),
-                                            ("region_commands", [])])
+                                            ("region_commands", []),
+                                            ("marker_match", None)])
     def test_a_read_waits_for_the_region_lock(self, tmp_path, read, want):
         # kills the unlocked read, which returns while an ingest holds the
         # lock and may see its policy state half written

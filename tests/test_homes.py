@@ -12,13 +12,15 @@ SOURCES = {path.stem: path.read_text(encoding="utf-8")
            for path in Path(ambientd.__file__).parent.glob("*.py")}
 
 # (pattern, its home): the reading request's header and media type, the ROI
-# margin, the system lux constraint, the name of the Satisfied phase
+# margin, the system lux constraint, the name of the Satisfied phase, and the
+# settle period, which decides whether a marker step reads its match
 HOMES = {
     "READING_HEADER": (r"\bREADING_HEADER\b", "httpapi"),
     "PGM_MEDIA_TYPE": (r"\bPGM_MEDIA_TYPE\b", "httpapi"),
     "ROI_MARGIN_PX": (r"\bROI_MARGIN_PX\b", "characterize"),
     "ControlConstraint-call": (r"\bControlConstraint\(", "policy"),
     "Satisfied-literal": (r"""(["'])Satisfied\1""", "policy"),
+    "settle_until": (r"\bsettle_until\b", "policy"),
 }
 
 

@@ -1,7 +1,10 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ambientd.characterize import MatchReport, TextureClass
 from ambientd.errors import CalibrationError, InvalidArgumentError
@@ -11,7 +14,9 @@ from ambientd.policy import (ERROR_TABLE, LUX_BANDS, MAX_CALIBRATION_STEPS,
                              calibrate, illuminance_control_step, lux_band,
                              marker_control_step, predict_tracking,
                              resolve_constraints, select_optimal_lux)
-from ambientd.scene import DEFAULT_LUX_CURVE, MarkerSpec
+from ambientd.scene import DEFAULT_LUX_CURVE, MARKER_PATTERNS, MarkerSpec
+
+from oracles import reference_marker_step
 
 
 CONFIG = PolicyConfig()
@@ -131,7 +136,7 @@ class TestMarkerController:
     def step(self, state, pct, now, lux=80.0, texture=TextureClass.COARSE,
              config=CONFIG):
         report = MatchReport(int(pct), 100)
-        return marker_control_step(state, config, report,
+        return marker_control_step(state, config, lambda: report,
                                    select_optimal_lux(texture), lux,
                                    DEFAULT_LUX_CURVE, now)
 
@@ -196,6 +201,57 @@ class TestMarkerController:
         state, intents = self.step(state, 70, 3.0)
         assert state.phase is MarkerPhase.SATISFIED
         assert intents == []
+
+
+CONTROLLER_STATES = st.builds(
+    MarkerControllerState,
+    st.builds(MarkerSpec, st.sampled_from(MARKER_PATTERNS), st.integers(0, 2)),
+    st.sampled_from(MarkerPhase),
+    st.integers(0, 3),
+    st.one_of(st.just(-math.inf), st.floats(0.0, 10.0)),
+    st.lists(st.sampled_from(MARKER_PATTERNS), unique=True).map(tuple))
+# a target above 0 %, so a 0 % and a 100 % match always differ at the target
+POLICY_CONFIGS = st.builds(
+    PolicyConfig, st.floats(0.01, 0.49), st.floats(0.0, 4.0),
+    st.integers(1, 100).map(float), st.integers(0, 2))
+STEPS = st.tuples(st.integers(0, 100), st.sampled_from([0.0, 0.5, 1.0, 2.5]),
+                  POLICY_CONFIGS, st.floats(0.0, 1500.0),
+                  st.sampled_from([300.0, 750.0]))
+
+
+class TestLazyMatch:
+    """The marker step calls its match only where the percentage decides the
+    outcome, and leaves the state and intents of the eager oracle step."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(CONTROLLER_STATES, st.lists(STEPS, min_size=1, max_size=12))
+    def test_equals_the_eager_oracle_and_matches_only_when_read(self, state,
+                                                                steps):
+        # kills the early return also taken for Exhausted (an Exhausted
+        # region no longer turns Satisfied) and a match called on a
+        # settling or Satisfied step
+        now = 0.0
+        for pct, dt, config, lux, optimal in steps:
+            now += dt
+            before = replace(state)
+
+            def eager(percent):
+                return reference_marker_step(
+                    replace(before), config, MatchReport(percent, 100),
+                    optimal, lux, DEFAULT_LUX_CURVE, now)
+
+            want = eager(pct)
+            needs_match = eager(0) != eager(100)
+            calls = []
+
+            def match():
+                calls.append(pct)
+                return MatchReport(pct, 100)
+
+            state, intents = marker_control_step(
+                state, config, match, optimal, lux, DEFAULT_LUX_CURVE, now)
+            assert (state, intents) == want
+            assert len(calls) == needs_match
 
 
 class TestConstraintResolution:
