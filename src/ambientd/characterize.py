@@ -88,7 +88,7 @@ def compute_metrics(image: np.ndarray, lux: Optional[float] = None) -> ImageMetr
     # 9 * center less the 3x3 box sum; 9 * 255 fits in int16, a square not
     a = image.astype(np.int16)
     lap = np.int16(9) * a[1:-1, 1:-1]
-    lap -= _box_sums(a, 3)
+    lap -= box_sums(a, 3)
     lap = lap.astype(np.int64).ravel()
     ln = (H - 2) * (W - 2)
     l1 = int(lap.sum())
@@ -323,7 +323,7 @@ def _run_sums(flat: np.ndarray, size: int, step: int, out: np.ndarray) -> None:
             width *= 2
 
 
-def _box_sums(a: np.ndarray, size: int) -> np.ndarray:
+def box_sums(a: np.ndarray, size: int) -> np.ndarray:
     """Sums over every size x size window of a 2-D array, in its dtype:
     entry [y, x] covers a[y:y+size, x:x+size]. Both passes run on
     contiguous runs of the flat (row-major) array: a stride-W pass adds
@@ -357,7 +357,7 @@ def extract_descriptors(image: np.ndarray, corners: np.ndarray) -> np.ndarray:
     # exact integer 5x5 box sums (25 * 255 fits in uint16): box[y, x]
     # covers pixels [y, y+4] x [x, x+4], the window centered at (x+2, y+2)
     side = 2 * _SMOOTH_HALF + 1
-    box = _box_sums(image.astype(np.uint16), side)
+    box = box_sums(image.astype(np.uint16), side)
     # flat indices into the box sums: each corner's window, plus each
     # pair's offset from it
     bw = box.shape[1]

@@ -7,9 +7,9 @@ NDJSON log; a policy step computes the region's optimum lux once, hands it
 with the region's `PolicyConfig` to the step function of its mode, and turns
 the step's `(kind, payload)` intents into commands in one loop. A command is
 recorded, and sent only to a registered actuator, so a stored reading succeeds.
-A marker region's image reading hands the marker step its match as a call
-that runs the marker pipeline at most once, and only if the step or
-`marker_match` reads it.
+Each image reading of a marker region binds its match, lux or not, as a
+call that runs the marker pipeline at most once, and only if the marker
+step or `marker_match` reads it.
 
 A log line is a `LogEntry`: a `MetricsRecord` plus the reading's
 `sensor_id` and whether it carried an `image`. `_RegionRuntime.apply` is the
@@ -146,8 +146,6 @@ class _RegionRuntime:
         self.last_image_metrics: Optional[ImageMetrics] = None
         self.last_lux: Optional[float] = None
         self.sensor_last_ts: Dict[str, int] = {}
-        # the optimum of the latest policy step
-        self.optimal_lux = policy.OPTIMAL_LUX_COARSE
         self.illum_state = policy.IlluminancePolicyState()
         self.marker_state: Optional[policy.MarkerControllerState] = None
         if config.mode == "marker":
@@ -220,9 +218,16 @@ class EdgeService:
         return self.data_dir / f"region_{region_id}.jsonl"
 
     def logged_region_ids(self) -> List[str]:
-        """The ids of the regions with a log in the data directory."""
-        return [path.stem[len("region_"):]
-                for path in sorted(self.data_dir.glob("region_*.jsonl"))]
+        """The ids of the regions with a log in the data directory; a log
+        whose name holds no region id raises ConfigError."""
+        ids = []
+        for path in sorted(self.data_dir.glob("region_*.jsonl")):
+            region_id = path.stem[len("region_"):]
+            if not REGION_ID.fullmatch(region_id):
+                raise ConfigError(f"{path}: region_id must be a string"
+                                  f" matching {REGION_ID.pattern}")
+            ids.append(region_id)
+        return ids
 
     def register_actuator(self, actuator_id: str,
                           accept: Callable[[ActuatorCommand], None]) -> None:
@@ -272,11 +277,19 @@ class EdgeService:
     def _policy_step(self, runtime: _RegionRuntime, record: MetricsRecord,
                      image: Optional[np.ndarray]) -> None:
         config = runtime.config
+        if config.mode == "marker":
+            if image is None:
+                return
+            # the spec this reading was taken under, bound now: the step may
+            # change the state's spec before the match is evaluated
+            runtime.latest_match = functools.cache(functools.partial(
+                markerpipe.match_marker, image,
+                runtime.marker_state.current_spec,
+                config.policy.marker_fast_threshold))
+        if runtime.last_lux is None:
+            return
         now_s = record.timestamp_ms / 1000.0
         optimal = policy.optimal_lux(record.texture_class, config.constraints)
-        runtime.optimal_lux = optimal
-        if runtime.last_lux is None or (config.mode == "marker" and image is None):
-            return
         if config.mode == "markerless":
             command = policy.illuminance_control_step(
                 runtime.illum_state, config.policy, optimal, runtime.last_lux,
@@ -284,12 +297,6 @@ class EdgeService:
             intents = ([] if command is None
                        else [policy.Intent("set-brightness", command)])
         else:
-            # the spec this reading was taken under, bound now: the step may
-            # change the state's spec before the match is evaluated
-            runtime.latest_match = functools.cache(functools.partial(
-                markerpipe.match_marker, image,
-                runtime.marker_state.current_spec,
-                config.policy.marker_fast_threshold))
             runtime.marker_state, intents = policy.marker_control_step(
                 runtime.marker_state, config.policy, runtime.latest_match,
                 optimal, runtime.last_lux, config.curve, now_s)
@@ -351,6 +358,11 @@ class EdgeService:
         with runtime.lock:
             match = runtime.latest_match
             return None if match is None else match()
+
+    def region_records(self, region_id: str) -> List[MetricsRecord]:
+        runtime = self._runtime(region_id)
+        with runtime.lock:
+            return list(runtime.records)
 
     def region_commands(self, region_id: str) -> List[ActuatorCommand]:
         runtime = self._runtime(region_id)

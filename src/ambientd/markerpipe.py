@@ -13,7 +13,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .characterize import (MatchReport, _box_sums, crop_to_marker_roi,
+from .characterize import (MatchReport, box_sums, crop_to_marker_roi,
                            detect_fast_corners, extract_descriptors,
                            match_against_reference, strip_roi_margin)
 from .errors import InvalidArgumentError
@@ -108,7 +108,7 @@ def _box_blur(image: np.ndarray, size: int) -> np.ndarray:
     if not (1 <= size <= 15 and size % 2):
         raise InvalidArgumentError("blur size must be an odd integer from 1 to 15")
     p = np.pad(image, size // 2, mode="symmetric").astype(np.uint16)
-    s = _box_sums(p, size)
+    s = box_sums(p, size)
     n = size * size
     s += np.uint16(n // 2)
     s //= np.uint16(n)

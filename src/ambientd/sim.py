@@ -400,9 +400,9 @@ class Simulator:
         scenario = self.scenario
         regions = {}
         for r in scenario.regions:
-            runtime = self.service._runtime(r.id)
-            tail = [rec.metrics.illuminance for rec in runtime.records[-3:]]
-            optimal = runtime.optimal_lux
+            records = self.service.region_records(r.id)
+            tail = [rec.metrics.illuminance for rec in records[-3:]]
+            optimal = policy.optimal_lux(records[-1].texture_class, r.constraints)
             converged = len(tail) == 3 and all(
                 policy.in_deadband(scenario.policy, optimal, v) for v in tail)
             commands = self.service.region_commands(r.id)
@@ -414,7 +414,7 @@ class Simulator:
                 "converged_lux": (sum(tail) / len(tail)) if tail else None,
                 "optimal_lux": optimal,
                 "converged": converged,
-                "observation_cycles": len(runtime.records),
+                "observation_cycles": len(records),
                 "bulb_commands": len(bulb_series),
                 "eink_commands": len(commands) - len(bulb_series),
                 "marker_phase": self.service.marker_phase(r.id),
@@ -451,7 +451,7 @@ def _write_metrics_csv(sim: Simulator, path: Path) -> None:
         writer.writerow(["region_id", "timestamp_ms", *METRIC_NAMES,
                          "texture_class", "scene_change"])
         for r in sim.scenario.regions:
-            for rec in sim.service._runtime(r.id).records:
+            for rec in sim.service.region_records(r.id):
                 writer.writerow([rec.region_id, rec.timestamp_ms,
                                  *encode(rec.metrics).values(),
                                  rec.texture_class.value, int(rec.scene_change)])

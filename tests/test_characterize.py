@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from ambientd import characterize, markerpipe
 from ambientd.characterize import (FINE_TEXTURE_CORNER_THRESHOLD, ImageMetrics,
                                    TextureClass, _bimodal_threshold,
-                                   _box_sums, _cardinal_candidates,
+                                   _cardinal_candidates,
                                    _dense_scores,
-                                   _sparse_scores, _suppress, classify_texture,
+                                   _sparse_scores, _suppress, box_sums,
+                                   classify_texture,
                                    compute_metrics, crop_to_marker_roi,
                                    detect_fast_corners, detect_scene_change,
                                    extract_descriptors, match_against_reference)
@@ -396,7 +397,7 @@ class TestBoxSums:
         # kills a column pass that keeps the wrapped columns or a row pass
         # whose stride is off by one
         values, size = case
-        got = _box_sums(values, size)
+        got = box_sums(values, size)
         assert got.dtype == values.dtype
         assert got.tolist() == window_sums_oracle(values, size)
 

@@ -555,6 +555,18 @@ class TestServe:
         assert "region_r.jsonl:1:" in result.stderr
         assert "Traceback" not in result.stderr
 
+    def test_log_name_without_region_id_exit_2(self, tmp_path, monkeypatch,
+                                               capsys):
+        # the message named the rule and not the file that broke it
+        log = tmp_path / "region_a b.jsonl"
+        log.write_text("")
+        monkeypatch.setattr(httpapi, "make_server",
+                            lambda *args: pytest.fail("serve bound a port"))
+        argv = ["serve", "--data-dir", str(tmp_path), "--bind", "127.0.0.1:0"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith(
+            f"ambientd: config error: {log}: region_id must be")
+
     def test_occupied_port_exit_1(self, tmp_path):
         with socket.socket() as blocker:
             blocker.bind(("127.0.0.1", 0))

@@ -316,10 +316,22 @@ class TestLazyMarkerMatch:
         assert svc.marker_match("r1") == eager_match(image)
         assert len(calls) == 1
 
+    def test_an_image_without_lux_is_matched_when_read(self, tmp_path, calls):
+        # kills the early return before the match is bound, which left
+        # marker_match None after this first reading; with no lux yet the
+        # step itself does not run
+        svc = self.marker_region(tmp_path)
+        image = marker_frame(1)
+        svc.ingest_reading(SensorReading("s1", "r1", 1000, None, image))
+        assert svc.region_commands("r1") == [] and calls == []
+        assert svc.marker_match("r1") == eager_match(image)
+        assert len(calls) == 1
+
 
 class TestLockedReads:
     @pytest.mark.parametrize("read, want", [("marker_phase", "AdjustLight"),
                                             ("region_commands", []),
+                                            ("region_records", []),
                                             ("marker_match", None)])
     def test_a_read_waits_for_the_region_lock(self, tmp_path, read, want):
         # kills the unlocked read, which returns while an ingest holds the

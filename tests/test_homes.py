@@ -1,6 +1,8 @@
 """Each decision of the loop is spelled out in one module, its home; every
 other module calls the home's name. A pattern below that shows up outside
-its home is a second copy of that decision."""
+its home is a second copy of that decision. Modules meet at public names, so
+each can change its private names and fields alone."""
+import ast
 import re
 from pathlib import Path
 
@@ -30,3 +32,27 @@ def test_a_decision_is_spelled_out_only_in_its_home(pattern, home):
     strays = sorted(name for name, text in SOURCES.items()
                     if name != home and re.search(pattern, text))
     assert strays == [], f"{pattern} outside {home}"
+
+
+def is_private(name):
+    return name.startswith("_") and not (name.startswith("__")
+                                         and name.endswith("__"))
+
+
+def test_modules_meet_at_public_names():
+    # flags a relative `from .x import _name` and an attribute `X._name`
+    # whose base is not self or cls; tests may still read private names
+    strays = []
+    for module, text in sorted(SOURCES.items()):
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute) and not (
+                    isinstance(node.value, ast.Name)
+                    and node.value.id in ("self", "cls")):
+                names = [node.attr]
+            else:
+                continue
+            strays += [f"{module}.py:{node.lineno}: {name}"
+                       for name in names if is_private(name)]
+    assert strays == []
