@@ -47,7 +47,6 @@ from .scene import DEFAULT_LUX_CURVE, LuxCurve, MarkerSpec
 MAX_TREND_WINDOW_S = 365 * 24 * 3600.0   # one year
 # A region id names the region's log file.
 REGION_ID = re.compile(r"(?!\.)[A-Za-z0-9_.-]{1,64}")
-COMMAND_KINDS = ("set-brightness", "set-marker")
 
 
 @dataclass
@@ -75,19 +74,19 @@ class SensorReading(Checked):
 @dataclass
 class ActuatorCommand(Checked):
     actuator_id: str
-    kind: str                    # "set-brightness" | "set-marker"
+    kind: str                    # one of policy.COMMAND_KINDS
     payload: Union[float, MarkerSpec]   # a percent, or the marker to show
     issued_at_ms: int = integer(default=0)
 
     def __post_init__(self):
         super().__post_init__()
-        if self.kind == "set-brightness":
+        if self.kind == policy.SET_BRIGHTNESS:
             if not is_number(self.payload, 0.0, 100.0):
                 raise InvalidArgumentError(
-                    "set-brightness payload must be a percent in [0, 100]")
-        elif self.kind == "set-marker":
+                    f"{self.kind} payload must be a percent in [0, 100]")
+        elif self.kind == policy.SET_MARKER:
             if not isinstance(self.payload, MarkerSpec):
-                raise InvalidArgumentError("set-marker payload must be a marker spec")
+                raise InvalidArgumentError(f"{self.kind} payload must be a marker spec")
         else:
             raise InvalidArgumentError(f"unknown command kind {self.kind!r}")
 
@@ -133,7 +132,8 @@ class RegionConfig(Checked):
 
     def actuator(self, kind: str) -> Optional[str]:
         """The actuator this region names for a command kind, if any."""
-        return self.bulb_actuator if kind == "set-brightness" else self.eink_actuator
+        return (self.bulb_actuator if kind == policy.SET_BRIGHTNESS
+                else self.eink_actuator)
 
 
 class _RegionRuntime:
@@ -177,7 +177,6 @@ class EdgeService:
         self.data_dir.mkdir(parents=True, exist_ok=True)
         self._regions: Dict[str, _RegionRuntime] = {}
         self._actuators: Dict[str, Callable[[ActuatorCommand], None]] = {}
-        self._kinds: Dict[str, set] = {}    # actuator -> kinds regions send
         self._global_lock = threading.Lock()
 
     # -- registration -----------------------------------------------------
@@ -209,9 +208,6 @@ class EdgeService:
             runtime.apply(entry)
         with self._global_lock:
             self._regions[config.region_id] = runtime
-            for kind in COMMAND_KINDS:
-                if actuator := config.actuator(kind):
-                    self._kinds.setdefault(actuator, set()).add(kind)
         return len(data) - keep
 
     def log_path(self, region_id: str) -> Path:
@@ -295,7 +291,7 @@ class EdgeService:
                 runtime.illum_state, config.policy, optimal, runtime.last_lux,
                 config.curve, now_s)
             intents = ([] if command is None
-                       else [policy.Intent("set-brightness", command)])
+                       else [policy.Intent(policy.SET_BRIGHTNESS, command)])
         else:
             runtime.marker_state, intents = policy.marker_control_step(
                 runtime.marker_state, config.policy, runtime.latest_match,
@@ -374,13 +370,16 @@ class EdgeService:
     def dispatch_command(self, cmd: ActuatorCommand) -> float:
         """Forward a command to its actuator; returns dispatch latency in ms.
 
-        An actuator takes the kinds the regions naming it send it, as
-        recorded at registration; an actuator no region names takes both.
+        An actuator takes the kinds the registered regions name it for; an
+        actuator no region names takes every kind.
         """
-        accept = self._actuators.get(cmd.actuator_id)
+        with self._global_lock:
+            accept = self._actuators.get(cmd.actuator_id)
+            kinds = {kind for runtime in self._regions.values()
+                     for kind in policy.COMMAND_KINDS
+                     if runtime.config.actuator(kind) == cmd.actuator_id}
         if accept is None:
             raise NotFoundError(f"unknown actuator {cmd.actuator_id!r}")
-        kinds = self._kinds.get(cmd.actuator_id)
         if kinds and cmd.kind not in kinds:
             raise InvalidArgumentError(
                 f"actuator {cmd.actuator_id!r} takes {' or '.join(sorted(kinds))},"

@@ -7,8 +7,9 @@ its constructor checks them, so a config that exists is valid. The two step
 functions take it, the optimum lux (`optimal_lux`, once a step) and a mutable
 state that holds only what changes between steps. Both use `in_deadband`,
 the deadband test, and `_light_command`, the settle-then-actuate bulb step.
-An intent is `(kind, payload)`, and its kind is the wire's command kind,
-`"set-brightness"` (a percent) or `"set-marker"` (a `MarkerSpec`).
+An intent is `(kind, payload)`, and its kind is one of `COMMAND_KINDS`, the
+wire's command kinds, which this module alone spells: `SET_BRIGHTNESS` (a
+percent) or `SET_MARKER` (a `MarkerSpec`).
 """
 from __future__ import annotations
 
@@ -37,6 +38,9 @@ PATTERN_SWITCH_ORDER = MARKER_PATTERNS
 # the marker a marker region shows first unless its config names one
 INITIAL_MARKER = MarkerSpec(PATTERN_SWITCH_ORDER[0], 0)
 AR_TRACKING_LUX = (50.0, 1000.0)     # the lux range AR tracking works in
+SET_BRIGHTNESS = "set-brightness"    # the bulb's command: a percent
+SET_MARKER = "set-marker"            # the E-Ink display's: a MarkerSpec
+COMMAND_KINDS = (SET_BRIGHTNESS, SET_MARKER)
 
 LUX_BANDS = (("low", 50.0, 100.0), ("medium", 150.0, 450.0), ("high", 500.0, 1000.0))
 
@@ -192,7 +196,7 @@ def marker_control_step(state: MarkerControllerState, config: PolicyConfig,
                                      curve, now)
             if command is not None:
                 state.light_attempts += 1
-                return state, [Intent("set-brightness", command)]
+                return state, [Intent(SET_BRIGHTNESS, command)]
         state.phase = MarkerPhase.ENLARGE_MARKER
 
     spec = state.current_spec
@@ -211,7 +215,7 @@ def marker_control_step(state: MarkerControllerState, config: PolicyConfig,
         spec = replace(spec, pattern=untried[0])
     state.current_spec = spec
     state.settle_until = now + config.settle_s
-    return state, [Intent("set-marker", spec)]
+    return state, [Intent(SET_MARKER, spec)]
 
 
 @dataclass(frozen=True)

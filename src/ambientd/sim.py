@@ -129,10 +129,15 @@ class Scenario(Checked):
             raise InvalidArgumentError("scenario needs at least one region")
         if len(ids) != len(set(ids)):
             raise InvalidArgumentError("region ids must be unique")
+        placed = {r.id for r in self.regions if r.marker is not None}
         for event in self.trajectory:
             if event.region not in ids:
                 raise InvalidArgumentError(
                     f"trajectory references unknown region {event.region!r}")
+            if event.region not in placed:
+                raise InvalidArgumentError(
+                    f"trajectory moves the marker of region {event.region!r},"
+                    " which has no marker placement")
 
     @property
     def marker_fast_threshold(self) -> int:
@@ -225,21 +230,24 @@ class _BulbNode(_ActuatorNode):
 
 
 class _EInkNode(_ActuatorNode):
-    _version = 0    # of the latest accepted command
+    def __init__(self, sim: "Simulator", region_id: str, latency_s: float):
+        super().__init__(sim, region_id, latency_s)
+        # the latest accepted spec, which the display shows once it applies
+        self.spec: MarkerSpec = sim.env.region(region_id).marker.spec
 
     def accept(self, cmd: ActuatorCommand) -> None:
         sim = self.sim
         spec: MarkerSpec = cmd.payload
         shown = encode(spec)
         region = sim.env.region(self.region_id)
-        if spec == region.marker.spec:
+        if spec == self.spec:
             sim.log(f"eink/{self.region_id}", "command-noop", shown)
             return
-        self._version += 1
-        version = self._version
+        self.spec = spec
         sim.log(f"eink/{self.region_id}", "command-accepted", shown)
         def apply():
-            if version != self._version:  # superseded by a later command
+            # superseded: a later accepted command holds another spec object
+            if spec is not self.spec:
                 return
             region.marker = replace(region.marker, spec=spec)
             sim.log(f"eink/{self.region_id}", "visible-change", shown)
@@ -386,8 +394,6 @@ class Simulator:
 
     def _move_marker(self, event: TrajectoryEvent) -> None:
         region = self.env.region(event.region)
-        if region.marker is None:
-            return
         pose = {"distance_cm": event.distance_cm,
                 "viewing_angle_deg": event.angle_deg}
         region.marker = replace(region.marker, **{
@@ -408,7 +414,7 @@ class Simulator:
             commands = self.service.region_commands(r.id)
             match = self.service.marker_match(r.id)
             bulb_series = [float(c.payload) for c in commands
-                           if c.kind == "set-brightness"]
+                           if c.kind == policy.SET_BRIGHTNESS]
             regions[r.id] = {
                 "final_lux": self.env.region(r.id).illuminance,
                 "converged_lux": (sum(tail) / len(tail)) if tail else None,

@@ -35,7 +35,8 @@ def reference_render(region, camera_seed, width, height, sigma0):
     """The uncached render: a float64 base rebuilt from the texture and the
     marker on every call, rounded, then the noise added and rounded again.
     It shares scene.py's texture, marker and light helpers (the checkerboard
-    reference above checks those for one texture) and checks what the frame
+    reference above checks those for one texture, and test_scene.py's
+    TestTextureSemantics what the other kinds mean) and checks what the frame
     cache must keep: the state each frame belongs to, and the rounding of the
     frame before the noise is added."""
     base = texture_field(region.texture, width, height).copy()

@@ -347,6 +347,20 @@ class TestLockedReads:
         reader.join(10)
         assert not reader.is_alive() and got == [want]
 
+    def test_dispatch_waits_for_the_global_lock(self, service):
+        # kills a dispatch that finds the actuator and walks the regions for
+        # its kinds without the lock, racing a registration
+        accepted = []
+        service.register_actuator("bulb1", accepted.append)
+        cmd = ActuatorCommand("bulb1", "set-brightness", 50.0)
+        sender = Thread(target=service.dispatch_command, args=(cmd,))
+        with service._global_lock:
+            sender.start()
+            sender.join(0.1)
+            assert sender.is_alive() and accepted == []
+        sender.join(10)
+        assert not sender.is_alive() and accepted == [cmd]
+
 
 class TestTrend:
     def test_window_and_stats(self, service):

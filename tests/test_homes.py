@@ -14,8 +14,9 @@ SOURCES = {path.stem: path.read_text(encoding="utf-8")
            for path in Path(ambientd.__file__).parent.glob("*.py")}
 
 # (pattern, its home): the reading request's header and media type, the ROI
-# margin, the system lux constraint, the name of the Satisfied phase, and the
-# settle period, which decides whether a marker step reads its match
+# margin, the system lux constraint, the name of the Satisfied phase, the
+# settle period, which decides whether a marker step reads its match, and the
+# two command kinds, which policy emits and edge and sim read by name
 HOMES = {
     "READING_HEADER": (r"\bREADING_HEADER\b", "httpapi"),
     "PGM_MEDIA_TYPE": (r"\bPGM_MEDIA_TYPE\b", "httpapi"),
@@ -23,6 +24,8 @@ HOMES = {
     "ControlConstraint-call": (r"\bControlConstraint\(", "policy"),
     "Satisfied-literal": (r"""(["'])Satisfied\1""", "policy"),
     "settle_until": (r"\bsettle_until\b", "policy"),
+    "set-brightness-literal": (r"""(["'])set-brightness\1""", "policy"),
+    "set-marker-literal": (r"""(["'])set-marker\1""", "policy"),
 }
 
 

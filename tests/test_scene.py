@@ -13,7 +13,7 @@ from ambientd.scene import (MARKER_PATTERNS, RENDER_CACHE_FRAMES,
                             MarkerPlacement, MarkerSpec, Region,
                             SyntheticImage, TextureSpec, _noise_free_frame,
                             apply_bulb_command, marker_patch_size,
-                            read_light_sensor, render_region)
+                            read_light_sensor, render_region, texture_field)
 
 from oracles import reference_checkerboard_render, reference_render
 
@@ -99,6 +99,53 @@ placements = st.builds(
     distance_cm=st.sampled_from([10.0, 30.0, 45.5, 90.0, 300.0]),
     viewing_angle_deg=st.sampled_from([0.0, 30.0, 60.0, 85.0]))
 odd_sides = st.integers(16, 60).map(lambda n: 2 * n + 1)
+
+
+def cells(field, side):
+    """The side x side cells of a field whose shape is a multiple of side, as
+    a (rows, columns, side * side) array."""
+    h, w = field.shape
+    grid = field.reshape(h // side, side, w // side, side).swapaxes(1, 2)
+    return grid.reshape(h // side, w // side, -1)
+
+
+class TestTextureSemantics:
+    """What stripes, speckle and marker-grid mean; the checkerboard has its
+    reference render above. Kills marker-grid taking speckle's branch (its
+    cells turn uniform values of the frequency's side), horizontal stripes,
+    and speckle blocks of side `cell`."""
+
+    def test_stripes_are_vertical_bands_cell_wide(self):
+        field = texture_field(TextureSpec("stripes", cell=5, low=0.2,
+                                          high=0.8), 23, 7)
+        bands = [0.2 if (x // 5) % 2 == 0 else 0.8 for x in range(23)]
+        assert np.array_equal(field, np.tile(bands, (7, 1)))
+
+    def test_speckle_blocks_of_side_round_inverse_frequency(self):
+        # 1 / 0.3 rounds to 3; `cell` plays no part
+        spec = TextureSpec("speckle", low=0.25, high=0.75, cell=8,
+                           frequency=0.3)
+        blocks = cells(texture_field(spec, 24, 12), 3)
+        assert np.all(blocks == blocks[..., :1])
+        values = blocks[..., 0]
+        assert np.all((values >= 0.25) & (values <= 0.75))
+        # each block differs from its neighbours, so none is wider than 3 px
+        assert np.all(values[:, 1:] != values[:, :-1])
+        assert np.all(values[1:] != values[:-1])
+
+    def test_marker_grid_two_tone_cells_from_texture_seed(self):
+        spec = TextureSpec("marker-grid", low=0.1, high=0.9, cell=4,
+                           texture_seed=3)
+        field = texture_field(spec, 32, 16)
+        assert set(np.unique(field)) == {0.1, 0.9}
+        blocks = cells(field, 4)
+        assert np.all(blocks == blocks[..., :1])
+        wider = cells(field, 8)
+        assert not np.all(wider == wider[..., :1])
+        assert np.array_equal(texture_field(spec, 32, 16), field)
+        reseeded = TextureSpec("marker-grid", low=0.1, high=0.9, cell=4,
+                               texture_seed=4)
+        assert not np.array_equal(texture_field(reseeded, 32, 16), field)
 
 
 class TestRenderCache:

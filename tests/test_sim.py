@@ -157,6 +157,21 @@ class TestScenarioParsing:
         with pytest.raises(ConfigError, match="ghost"):
             scenario_from_json(doc)
 
+    def test_trajectory_region_needs_a_marker_placement(self):
+        # kills a parser that accepts the event, which the run then dropped
+        # without a pose line
+        doc = {"regions": [{"id": "r", "illuminance": 80}],
+               "trajectory": [{"t_s": 1, "region": "r", "distance_cm": 60}]}
+        with pytest.raises(ConfigError,
+                           match="region 'r', which has no marker placement"):
+            scenario_from_json(doc)
+        # a markerless region with a placement keeps its movable marker
+        doc["regions"][0]["marker"] = {"pattern": "binary-grid-A"}
+        scenario = replace(scenario_from_json(doc), duration_s=1.0,
+                           sensor_period_s=1.0)
+        events, _ = run_scenario(scenario)
+        assert [e["t_ms"] for e in events if e["kind"] == "pose"] == [1000]
+
     @pytest.mark.parametrize("points", [
         [[0, 100], [50, 40], [100, 1000]],
         [[0, 10]],
@@ -274,6 +289,22 @@ class TestMarkerLoop:
         sim.queue.run_until(3000)
         kinds = [e["kind"] for e in sim.event_log]
         assert kinds == ["command-noop"]
+
+    def test_eink_back_to_the_shown_spec_within_latency(self, tmp_path):
+        # kills a no-op check against the spec the world shows, which logged
+        # A as command-noop and left the pending B to show
+        scenario = marker_scenario(duration_s=20.0)
+        sim = Simulator(scenario, data_dir=tmp_path)   # never run
+        shown = sim.env.region("m").marker.spec
+        for spec in (MarkerSpec("binary-grid-B", 0), shown):
+            sim.service.dispatch_command(
+                ActuatorCommand("eink:m", "set-marker", spec))
+        sim.queue.run_until(int(scenario.eink_latency_s * 1000) + 1000)
+        kinds = [e["kind"] for e in sim.event_log]
+        assert kinds == ["command-accepted", "command-accepted",
+                         "visible-change"]
+        assert sim.event_log[2]["digest"] == sim.event_log[1]["digest"]
+        assert sim.env.region("m").marker.spec == shown
 
 
 class TestGolden:
