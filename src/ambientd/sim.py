@@ -243,11 +243,12 @@ class _EInkNode(_ActuatorNode):
         if spec == self.spec:
             sim.log(f"eink/{self.region_id}", "command-noop", shown)
             return
-        self.spec = spec
+        # a copy per accepted command, so a later command supersedes this
+        # one even when it sends the same spec object again
+        self.spec = spec = replace(spec)
         sim.log(f"eink/{self.region_id}", "command-accepted", shown)
         def apply():
-            # superseded: a later accepted command holds another spec object
-            if spec is not self.spec:
+            if spec is not self.spec:   # superseded by a later command
                 return
             region.marker = replace(region.marker, spec=spec)
             sim.log(f"eink/{self.region_id}", "visible-change", shown)

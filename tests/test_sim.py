@@ -306,6 +306,23 @@ class TestMarkerLoop:
         assert sim.event_log[2]["digest"] == sim.event_log[1]["digest"]
         assert sim.env.region("m").marker.spec == shown
 
+    def test_eink_same_spec_object_again_applies_once(self, tmp_path):
+        # kills a supersede check by identity of the sent spec: the first A
+        # still passed it, showed A before the last command's latency and
+        # logged a second visible-change
+        scenario = marker_scenario(duration_s=20.0)
+        sim = Simulator(scenario, data_dir=tmp_path)   # never run
+        a, b = MarkerSpec("image-uniform", 1), MarkerSpec("binary-grid-B", 0)
+        latency_ms = int(scenario.eink_latency_s * 1000)
+        for t_ms, spec in ((0, a), (100, b), (200, a)):
+            sim.queue.run_until(t_ms)
+            sim.service.dispatch_command(
+                ActuatorCommand("eink:m", "set-marker", spec))
+        sim.queue.run_until(200 + latency_ms + 1000)
+        visible = [e for e in sim.event_log if e["kind"] == "visible-change"]
+        assert [e["t_ms"] for e in visible] == [200 + latency_ms]
+        assert sim.env.region("m").marker.spec == a
+
 
 class TestGolden:
     # sha256 of the artifacts of the 3-region mix at seed 0; a change to any
