@@ -8,6 +8,17 @@ Routes:
     GET  /v1/regions/{region_id}/prediction?texture=...&lux=...
     GET  /v1/health
 
+The server is a small HTTP/1.1 handler on `socketserver`, one thread per
+connection. It frames a body by Content-Length only. Before routing, it
+refuses a request line over MAX_LINE_BYTES with a 414, a header line over
+that size or more than MAX_HEADERS header lines with a 431, a malformed
+request line or header line with a 400 (HTTP/0.9's bare `GET /path` among
+them), a version other than HTTP/1.x with a 505, and a method it has no
+`do_<METHOD>` for with a 501; each such reply is JSON, like every other, and
+closes the connection. An HTTP/1.0 request, or one with `Connection: close`,
+gets its reply and then a close; a reply that closes says so in its
+Connection header.
+
 Every request body is read in full before routing, so a keep-alive connection
 never takes an unread body for the next request. A body over MAX_BODY_BYTES
 gets a 413, and a request with Transfer-Encoding or with more than one
@@ -35,7 +46,10 @@ body without exactly one such header, or with one that is not JSON, gets a
 from __future__ import annotations
 
 import json
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+import re
+import socketserver
+import time
+from http import HTTPStatus
 from urllib.parse import parse_qs, urlparse
 
 from . import policy
@@ -50,8 +64,21 @@ MAX_BODY_BYTES = 1 << 20
 # seconds one read of a connection may wait; a per-read bound, so a client
 # that trickles bytes faster than this still holds its handler thread
 READ_TIMEOUT_S = 30.0
+MAX_LINE_BYTES = 65536      # of a request line or a header line
+MAX_HEADERS = 100
 PGM_MEDIA_TYPE = "image/x-portable-graymap"
 READING_HEADER = "Ambientd-Reading"
+
+# RFC 9110 5.6.2: a method and a field name are tokens
+_TOKEN = rb"[!#$%&'*+\-.^_`|~0-9A-Za-z]+"
+# RFC 9112 3 and 5; a bare LF ends a line too (RFC 9112 2.2)
+_REQUEST_LINE = re.compile(rb"(%s) (\S+) HTTP/(\d)\.(\d)\r?\n" % _TOKEN)
+_FIELD_LINE = re.compile(rb"(%s):[ \t]*([^\r\n]*?)[ \t]*\r?\n" % _TOKEN)
+_EMPTY_LINES = (b"\r\n", b"\n")
+# an RFC 9110 5.6.7 IMF-fixdate is in English whatever the locale
+_DAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
+_MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep",
+           "Oct", "Nov", "Dec")
 
 
 _STATUS = {NotFoundError: 404, StaleReadingError: 409, PayloadTooLargeError: 413,
@@ -73,8 +100,10 @@ def reading_request(reading: SensorReading) -> tuple:
 
 
 def _reading_parts(headers, raw: bytes):
-    """(the reading's JSON object, its pixels or None) of a PUT request."""
-    if headers.get_content_type() != PGM_MEDIA_TYPE:
+    """(the reading's JSON object, its pixels or None) of a PUT request.
+    headers is a `Headers` or an `email.message.Message`."""
+    media_type = headers.get("Content-Type", "").partition(";")[0]
+    if media_type.strip().lower() != PGM_MEDIA_TYPE:
         return parse_json(raw, "request body"), None
     values = headers.get_all(READING_HEADER, [])
     if len(values) != 1:
@@ -87,28 +116,109 @@ def _reading_parts(headers, raw: bytes):
         raise InvalidArgumentError(f"bad image payload: {e}")
 
 
-class _Handler(BaseHTTPRequestHandler):
+class Headers:
+    """A request's header fields, looked up by name in any case; a name
+    sent more than once keeps each value, in order."""
+
+    def __init__(self, fields: dict):
+        self._fields = fields    # lower-case name -> [value, ...]
+
+    def get(self, name: str, default=None):
+        values = self._fields.get(name.lower())
+        return values[0] if values else default
+
+    def get_all(self, name: str, default=None):
+        return self._fields.get(name.lower(), default)
+
+    def __contains__(self, name: str) -> bool:
+        return name.lower() in self._fields
+
+
+class _Refused(Exception):
+    """A request refused before routing: its status, then a close."""
+
+    def __init__(self, status: int, message: str):
+        super().__init__(message)
+        self.status = status
+
+
+def _http_date() -> str:
+    t = time.gmtime()
+    return (f"{_DAYS[t.tm_wday]}, {t.tm_mday:02d} {_MONTHS[t.tm_mon - 1]} "
+            f"{t.tm_year} {t.tm_hour:02d}:{t.tm_min:02d}:{t.tm_sec:02d} GMT")
+
+
+class _Handler(socketserver.StreamRequestHandler):
     service: EdgeService  # set on the subclass by make_server
-    protocol_version = "HTTP/1.1"
-    # a buffered wfile: the server flushes headers and body together
-    wbufsize = -1
 
-    def log_message(self, fmt, *args):  # quiet by default
-        pass
+    def handle(self) -> None:
+        try:
+            while self._serve_one():
+                pass
+        except (TimeoutError, ConnectionError):
+            pass    # a stalled or dropped connection closes without a reply
 
-    def handle_expect_100(self) -> bool:
-        # the client waits for this before it sends the body
-        ok = super().handle_expect_100()
-        self.wfile.flush()
-        return ok
+    def _serve_one(self) -> bool:
+        """Answer one request; False when the connection is to close."""
+        line = self.rfile.readline(MAX_LINE_BYTES + 1)
+        while line in _EMPTY_LINES:     # RFC 9112 2.2: ignored before a request
+            line = self.rfile.readline(MAX_LINE_BYTES + 1)
+        try:
+            if not line or not self._read_head(line):
+                return False
+            handler = getattr(self, "do_" + self.command, None)
+            if handler is None:
+                raise _Refused(501, f"method {self.command} is not implemented")
+        except _Refused as e:
+            self.close_connection = True
+            self._reply(e.status, {"error": str(e)})
+            return False
+        handler()
+        return not self.close_connection
+
+    def _read_head(self, line: bytes) -> bool:
+        """Read the request line and the header lines into command, path,
+        headers and close_connection; False at the end of the stream."""
+        if len(line) > MAX_LINE_BYTES:
+            raise _Refused(414, f"request line over {MAX_LINE_BYTES} bytes")
+        request = _REQUEST_LINE.fullmatch(line)
+        if request is None:
+            raise _Refused(400, "malformed request line")
+        method, target, major, minor = request.groups()
+        if major != b"1":
+            raise _Refused(505, "only HTTP/1.0 and HTTP/1.1 are served")
+        fields = {}
+        count = 0
+        while (line := self.rfile.readline(MAX_LINE_BYTES + 1)) not in _EMPTY_LINES:
+            if not line:
+                return False
+            if len(line) > MAX_LINE_BYTES:
+                raise _Refused(431, f"header line over {MAX_LINE_BYTES} bytes")
+            count += 1
+            if count > MAX_HEADERS:
+                raise _Refused(431, f"more than {MAX_HEADERS} header lines")
+            field = _FIELD_LINE.fullmatch(line)
+            if field is None:
+                raise _Refused(400, "malformed header line")
+            fields.setdefault(field[1].decode("ascii").lower(), []).append(
+                field[2].decode("latin-1"))
+        self.command = method.decode("ascii")
+        self.path = target.decode("latin-1")
+        self.headers = Headers(fields)
+        self.http10 = minor == b"0"
+        self.close_connection = self.http10 or any(
+            token.strip().lower() == "close"
+            for value in fields.get("connection", ()) for token in value.split(","))
+        return True
 
     def _reply(self, status: int, doc: dict) -> None:
         body = json.dumps(doc, allow_nan=False).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        close = "Connection: close\r\n" if self.close_connection else ""
+        head = (f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n"
+                f"Date: {_http_date()}\r\n"
+                "Content-Type: application/json\r\n"
+                f"Content-Length: {len(body)}\r\n{close}\r\n")
+        self.connection.sendall(head.encode("latin-1") + body)
 
     def _read_body(self) -> bytes:
         # on each error the body's end is unknown or unread, so the
@@ -120,7 +230,7 @@ class _Handler(BaseHTTPRequestHandler):
         if len(lengths) > 1:    # RFC 9112 6.3: the framing is invalid
             self.close_connection = True
             raise InvalidArgumentError("more than one Content-Length")
-        length = lengths[0].strip()
+        length = lengths[0]
         if not length.isdecimal():
             self.close_connection = True
             raise InvalidArgumentError("Content-Length must be a non-negative integer")
@@ -129,6 +239,11 @@ class _Handler(BaseHTTPRequestHandler):
             self.close_connection = True
             raise PayloadTooLargeError(
                 f"request body over {MAX_BODY_BYTES} bytes")
+        # the client waits for this before it sends the body; RFC 9110
+        # 10.1.1: an HTTP/1.0 request's expectation is ignored
+        if (int(length) and not self.http10
+                and self.headers.get("Expect", "").lower() == "100-continue"):
+            self.connection.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
         try:
             return self.rfile.read(int(length))
         except TimeoutError:
@@ -184,10 +299,19 @@ class _Handler(BaseHTTPRequestHandler):
     do_GET = do_PUT = do_POST = _dispatch
 
 
+class _Server(socketserver.ThreadingTCPServer):
+    daemon_threads = True       # an open connection does not hold up exit
+    allow_reuse_address = True  # a restart binds its port at once
+
+    def server_bind(self) -> None:
+        super().server_bind()
+        self.server_port = self.server_address[1]
+
+
 def make_server(service: EdgeService, host: str = "127.0.0.1",
-                port: int = 0) -> ThreadingHTTPServer:
+                port: int = 0) -> _Server:
     # the socket timeout of every connection; read here, so a patched
     # READ_TIMEOUT_S takes effect on the next server
     handler = type("BoundHandler", (_Handler,),
                    {"service": service, "timeout": READ_TIMEOUT_S})
-    return ThreadingHTTPServer((host, port), handler)
+    return _Server((host, port), handler)

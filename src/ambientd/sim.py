@@ -22,6 +22,7 @@ import csv
 import hashlib
 import heapq
 import json
+import re
 import tempfile
 import threading
 from dataclasses import dataclass, replace
@@ -274,12 +275,23 @@ class InProcessTransport:
         pass
 
 
+# RFC 9112 4; a bare LF ends a line too (RFC 9112 2.2)
+_STATUS_LINE = re.compile(rb"HTTP/1\.\d (\d{3}) ([^\r\n]*)\r?\n")
+
+
+def _wire_error(message: str) -> Exception:
+    # imported on this path only: a run whose readings all succeed loads
+    # neither http.client nor the email package under it
+    from http.client import HTTPException
+    return HTTPException(message)
+
+
 class HttpTransport:
     """Drives a local HTTP server wrapping the same edge service, over one
     keep-alive connection for the whole run."""
 
     def __init__(self, service: EdgeService):
-        from http.client import HTTPConnection
+        import socket
         from .httpapi import make_server
         self.server = make_server(service)
         host, port = self.server.server_address[:2]
@@ -287,24 +299,50 @@ class HttpTransport:
             target=self.server.serve_forever,
             kwargs={"poll_interval": SERVE_POLL_S}, daemon=True)
         self._thread.start()
-        self._conn = HTTPConnection(host, port, timeout=30)
+        self._host = f"{host}:{port}"
+        self._sock = socket.create_connection((host, port), timeout=30)
+        self._replies = self._sock.makefile("rb")
 
     def put_reading(self, sensor_id: str, reading: SensorReading) -> None:
-        """PUT one image reading as a PGM body, its sensor id in the path; a
-        reply that is not 2xx raises HTTPException with its status and body,
-        which ends the run."""
-        from http.client import HTTPException
+        """PUT one image reading as a PGM body, its sensor id in the path, in
+        one write. A reply that is not 2xx raises HTTPException with its
+        status and body, which ends the run; so does one that is not HTTP,
+        has no Content-Length, is cut short or closes the connection."""
         from .httpapi import reading_request
         path, body, headers = reading_request(reading)
-        self._conn.request("PUT", path, body, headers)
-        resp = self._conn.getresponse()
-        reply = resp.read()
-        if not 200 <= resp.status < 300:
-            raise HTTPException(f"PUT {path}: {resp.status} {resp.reason}: "
-                                f"{reply.decode('utf-8', 'replace')}")
+        head = "".join([f"PUT {path} HTTP/1.1\r\nHost: {self._host}\r\n",
+                        *(f"{name}: {value}\r\n" for name, value in headers.items()),
+                        f"Content-Length: {len(body)}\r\n\r\n"])
+        self._sock.sendall(head.encode("latin-1") + body)
+        replies = self._replies
+        status_line = replies.readline()
+        if (match := _STATUS_LINE.fullmatch(status_line)) is None:
+            raise _wire_error(f"PUT {path}: not an HTTP status line: "
+                              f"{status_line[:80]!r}")
+        status, reason = int(match[1]), match[2].decode("latin-1")
+        length = closes = None
+        while (line := replies.readline()) not in (b"\r\n", b"\n", b""):
+            name, _, value = line.partition(b":")
+            name = name.strip().lower()
+            if name == b"content-length":
+                length = value.strip()
+            elif name == b"connection":
+                closes = b"close" in value.lower()
+        if length is None or not length.isdigit():
+            raise _wire_error(f"PUT {path}: a reply without a decimal Content-Length")
+        reply = replies.read(int(length))
+        if len(reply) < int(length):
+            raise _wire_error(f"PUT {path}: a reply body cut short at "
+                              f"{len(reply)} of {int(length)} bytes")
+        if not 200 <= status < 300:
+            raise _wire_error(f"PUT {path}: {status} {reason}: "
+                              f"{reply.decode('utf-8', 'replace')}")
+        if closes:
+            raise _wire_error(f"PUT {path}: the server closed the connection")
 
     def close(self):
-        self._conn.close()
+        self._replies.close()
+        self._sock.close()
         self.server.shutdown()
         self.server.server_close()
         self._thread.join(timeout=5)

@@ -5,6 +5,7 @@ that renames one of those names or moves a positional field fails here, in
 the tier-1 suite, rather than only in the benchmark's own smoke run. The
 bench files are imported as they are, and the package is left as it was."""
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -40,3 +41,30 @@ def test_loop_mix3_builds_its_scenario(pkg, tmp_path):
     assert [r.id for r in scenario.regions] == ["desk", "wall", "shelf"]
     assert [r.mode for r in scenario.regions] == ["markerless"] * 2 + ["marker"]
     assert [r.illuminance for r in scenario.regions] == [80.0, 80.0, 60.0]
+
+
+def test_instrument_server_wraps_the_live_handler(pkg, tmp_path):
+    service = pkg["edge"].EdgeService(tmp_path)
+    service.register_region(pkg["edge"].RegionConfig("r"))
+    server = pkg["httpapi"].make_server(service)
+    thread = threading.Thread(target=server.serve_forever,
+                              kwargs={"poll_interval": 0.05}, daemon=True)
+    thread.start()
+    handler = server.RequestHandlerClass
+    put, get = handler.do_PUT, handler.do_GET
+    tracer = Tracer()
+    try:
+        workloads.instrument_server(tracer, server)
+        assert handler.do_PUT is not put and handler.do_GET is not get
+        status, _ = workloads._Client(server.server_port).put_reading(
+            "s1", {"region_id": "r", "timestamp_ms": 1000, "lux": 80.0})
+        assert status == 200
+        names = [span.name for span in tracer.spans]
+        assert names == ["httpapi.handler.do_PUT"]
+    finally:
+        tracer.restore()
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+    assert handler.do_PUT is put and handler.do_GET is get

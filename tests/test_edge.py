@@ -979,6 +979,63 @@ class TestHttpApi:
         assert doc["timestamp_ms"] == 1000 and doc["metrics"]["corner_count"] > 0
 
 
+HEALTH = b"GET /v1/health HTTP/1.1\r\n"
+# (raw request, status): each request ends where the server stops reading
+# it, so no unread byte turns the server's close into a reset
+BEFORE_ROUTING = {
+    # exactly one byte over the line limit, without a line end
+    "request-line-over-64k": (b"GET /" + b"a" * 65532, 414),
+    "header-line-over-64k": (HEALTH + b"X: " + b"a" * 65534, 431),
+    "101-headers": (HEALTH + b"".join(b"X-%d: 1\r\n" % i for i in range(101)),
+                    431),
+    "unknown-method": (b"BREW /v1/health HTTP/1.1\r\n\r\n", 501),
+    "lowercase-method": (b"get /v1/health HTTP/1.1\r\n\r\n", 501),
+    "http-1.0": (b"GET /v1/health HTTP/1.0\r\n\r\n", 200),
+    "connection-close": (HEALTH + b"Connection: close\r\n\r\n", 200),
+    # http.server answered these four without a status line, served the
+    # second as a bare body, and took the fourth as a valid request
+    "one-word": (b"HELLO\r\n", 400),
+    "http-0.9": (b"GET /v1/health\r\n", 400),
+    "http-2.0": (b"GET /v1/health HTTP/2.0\r\n\r\n", 505),
+    "header-without-colon": (HEALTH + b"NoColon\r\n\r\n", 400),
+}
+REFUSALS = {name: request for name, (request, status) in BEFORE_ROUTING.items()
+            if status >= 400}
+
+
+def closing_reply(base_url, request: bytes):
+    """(status, body bytes) of the one reply to request, sent as it is;
+    checks that it has a status line and that the server then closes."""
+    host, port = base_url.removeprefix("http://").split(":")
+    with socket.create_connection((host, int(port)), timeout=5) as sock, \
+            sock.makefile("rb") as replies:
+        sock.sendall(request)
+        status_line = replies.readline()
+        assert status_line.startswith(b"HTTP/1.1 "), status_line[:80]
+        length = 0
+        while (line := replies.readline()) not in (b"\r\n", b""):
+            name, _, value = line.partition(b":")
+            if name.lower() == b"content-length":
+                length = int(value)
+        body = replies.read(length)
+        assert replies.read(1) == b"", "connection left open"
+    return int(status_line.split()[1]), body
+
+
+class TestBeforeRouting:
+    @pytest.mark.parametrize("request_bytes, status", BEFORE_ROUTING.values(),
+                             ids=BEFORE_ROUTING.keys())
+    def test_answered_then_closed(self, http_server, request_bytes, status):
+        assert closing_reply(http_server, request_bytes)[0] == status
+
+    @pytest.mark.parametrize("request_bytes", REFUSALS.values(),
+                             ids=REFUSALS.keys())
+    def test_a_refusal_is_a_json_error(self, http_server, request_bytes):
+        # http.server's refusals were HTML pages
+        doc = json.loads(closing_reply(http_server, request_bytes)[1])
+        assert list(doc) == ["error"] and isinstance(doc["error"], str)
+
+
 READ_DEADLINE_S = 0.5
 
 

@@ -2,6 +2,9 @@ import copy
 import gc
 import hashlib
 import json
+import socketserver
+import subprocess
+import sys
 import time
 import urllib.error
 import urllib.request
@@ -13,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ambientd import httpapi
 from ambientd.checks import encode
 from ambientd.edge import (ActuatorCommand, EdgeService, RegionConfig,
                            SensorReading)
@@ -346,6 +350,21 @@ class TestGolden:
         assert digest("report.json") == self.REPORT_SHA256
 
 
+class OneReply(socketserver.StreamRequestHandler):
+    """Reads one request and its Content-Length body, answers with the bytes
+    of `reply` and closes."""
+    reply = b""
+
+    def handle(self):
+        length = 0
+        while (line := self.rfile.readline()) not in (b"\r\n", b""):
+            name, _, value = line.partition(b":")
+            if name.lower() == b"content-length":
+                length = int(value)
+        self.rfile.read(length)
+        self.wfile.write(self.reply)
+
+
 class TestTransports:
     def test_http_transport_matches_in_process(self, tmp_path):
         scenario = coarse_scenario(duration_s=30.0)
@@ -427,6 +446,45 @@ class TestTransports:
             accepted.append(address), process(request, address))
         sim.run()
         assert sim.event_log and len(accepted) == 1
+
+    @pytest.mark.parametrize("reply", [
+        b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nConnection: close\r\n\r\n{}",
+        b"HTTP/1.1 200 OK\r\n\r\n{}",
+        b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n{}",
+        b"SSH-2.0-OpenSSH_9.6\r\n",
+    ], ids=["connection-close", "no-content-length", "body-cut-short",
+            "not-http"])
+    def test_a_bad_reply_ends_the_http_run(self, monkeypatch, reply):
+        handler = type("OneReply", (OneReply,), {"reply": reply})
+        monkeypatch.setattr(httpapi, "make_server", lambda service: (
+            socketserver.TCPServer(("127.0.0.1", 0), handler)))
+        sim = Simulator(coarse_scenario(duration_s=10.0), transport="real-http")
+        with pytest.raises(HTTPException, match=r"^PUT /v1/sensors/sensor:r/"):
+            sim.run()
+        assert [e["kind"] for e in sim.event_log] == ["reading"]
+
+    def test_a_run_loads_no_http_client_or_email_parser(self):
+        probe = """if True:
+            import sys, tempfile
+            import numpy as np
+            from ambientd import httpapi, sim
+            from ambientd.edge import EdgeService, RegionConfig, SensorReading
+            with tempfile.TemporaryDirectory() as data_dir:
+                service = EdgeService(data_dir)
+                service.register_region(RegionConfig("r"))
+                transport = sim.HttpTransport(service)
+                try:
+                    transport.put_reading("s", SensorReading(
+                        "s", "r", 1000, 80.0, np.zeros((240, 320), np.uint8)))
+                finally:
+                    transport.close()
+                assert len(service.region_records("r")) == 1
+            print(sorted({"http.server", "http.client", "email.parser"}
+                         & set(sys.modules)))"""
+        result = subprocess.run([sys.executable, "-c", probe],
+                                capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
 
     def test_refused_reading_ends_the_http_run(self):
         sim = Simulator(coarse_scenario(duration_s=10.0), transport="real-http")
