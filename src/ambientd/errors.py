@@ -28,11 +28,11 @@ class NotFoundError(AmbientError):
 
 
 class PayloadTooLargeError(InvalidArgumentError):
-    """Request body over the size the HTTP layer accepts."""
+    """A message body over the size the HTTP layer accepts."""
 
 
 class RequestTimeoutError(AmbientError):
-    """A request body that stalls past the HTTP layer's read timeout."""
+    """A message body that stalls past the HTTP layer's read timeout."""
 
 
 class StaleReadingError(AmbientError):

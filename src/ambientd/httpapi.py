@@ -8,28 +8,31 @@ Routes:
     GET  /v1/regions/{region_id}/prediction?texture=...&lux=...
     GET  /v1/health
 
-The server is a small HTTP/1.1 handler on `socketserver`, one thread per
-connection. It frames a body by Content-Length only. Before routing, it
-refuses a request line over MAX_LINE_BYTES with a 414, a header line over
-that size or more than MAX_HEADERS header lines with a 431, a malformed
-request line or header line with a 400 (HTTP/0.9's bare `GET /path` among
-them), a version other than HTTP/1.x with a 505, and a method it has no
-`do_<METHOD>` for with a 501; each such reply is JSON, like every other, and
-closes the connection. An HTTP/1.0 request, or one with `Connection: close`,
-gets its reply and then a close; a reply that closes says so in its
-Connection header.
+This module alone spells HTTP/1.1. The server is a small handler on
+`socketserver`, one thread per connection; `put_reading` is the simulator's
+client, which PUTs an image reading over one keep-alive connection. Both
+read a message by the same rules. A start line over MAX_LINE_BYTES is
+refused with a 414, a header line over that size or more than MAX_HEADERS
+header lines with a 431, a malformed start line or header line with a 400
+(HTTP/0.9's bare `GET /path` among them), and a version other than HTTP/1.x
+with a 505. A body is framed by Content-Length only: Transfer-Encoding, more
+than one Content-Length or a body cut short gets a 400, a body over
+MAX_BODY_BYTES a 413. An HTTP/1.0 message, or one with `Connection: close`,
+is the last on its connection.
 
-Every request body is read in full before routing, so a keep-alive connection
-never takes an unread body for the next request. A body over MAX_BODY_BYTES
-gets a 413, and a request with Transfer-Encoding or with more than one
-Content-Length a 400; each closes the connection, since the end of the body
-is not read or not known. A response leaves in one write: over keep-alive, a
-second small write waits for the client's delayed ACK (Nagle, RFC 896).
+The server answers each refusal, and a method it has no `do_<METHOD>` for
+with a 501, as JSON like every other reply, and then closes the connection,
+since the rest of the stream is not a request; a reply that closes says so
+in its Connection header. Every request body is read in full before
+routing, so a keep-alive connection never takes an unread body for the next
+request. A response leaves in one write: over keep-alive, a second small
+write waits for the client's delayed ACK (Nagle, RFC 896). The client takes
+a reply refused by these rules, one without a Content-Length, one that is
+not 2xx and one that closes the connection as the end of its run.
 
-Every read from a connection waits at most READ_TIMEOUT_S. A request line,
-a header or an idle keep-alive connection that stalls that long is closed
-without a reply; a body that stalls gets a 408 and the connection is closed,
-since the rest of the body is not read.
+Every read from a connection waits at most READ_TIMEOUT_S. A start line, a
+header or an idle keep-alive connection that stalls that long is closed
+without a reply; a request body that stalls gets a 408.
 
 `checks.decode` reads a body into the types of `edge`, whose constructors
 check it, and `checks.encode` writes a reply. An unknown key or a value a
@@ -55,8 +58,8 @@ from urllib.parse import parse_qs, urlparse
 from . import policy
 from .checks import decode, encode, parse_json
 from .edge import ActuatorCommand, EdgeService, SensorReading
-from .errors import (InvalidArgumentError, NotFoundError, PayloadTooLargeError,
-                     RequestTimeoutError, StaleReadingError)
+from .errors import (AmbientError, InvalidArgumentError, NotFoundError,
+                     PayloadTooLargeError, RequestTimeoutError, StaleReadingError)
 from .scene import SyntheticImage
 
 # a 320x240 PGM is 76 815 bytes
@@ -64,15 +67,17 @@ MAX_BODY_BYTES = 1 << 20
 # seconds one read of a connection may wait; a per-read bound, so a client
 # that trickles bytes faster than this still holds its handler thread
 READ_TIMEOUT_S = 30.0
-MAX_LINE_BYTES = 65536      # of a request line or a header line
+MAX_LINE_BYTES = 65536      # of a start line or a header line
 MAX_HEADERS = 100
 PGM_MEDIA_TYPE = "image/x-portable-graymap"
 READING_HEADER = "Ambientd-Reading"
 
 # RFC 9110 5.6.2: a method and a field name are tokens
 _TOKEN = rb"[!#$%&'*+\-.^_`|~0-9A-Za-z]+"
-# RFC 9112 3 and 5; a bare LF ends a line too (RFC 9112 2.2)
-_REQUEST_LINE = re.compile(rb"(%s) (\S+) HTTP/(\d)\.(\d)\r?\n" % _TOKEN)
+_VERSION = rb"HTTP/(?P<major>\d)\.(?P<minor>\d)"
+# RFC 9112 3, 4 and 5; a bare LF ends a line too (RFC 9112 2.2)
+_REQUEST_LINE = re.compile(rb"(%s) (\S+) %s\r?\n" % (_TOKEN, _VERSION))
+_STATUS_LINE = re.compile(rb"%s (\d{3}) ([^\r\n]*)\r?\n" % _VERSION)
 _FIELD_LINE = re.compile(rb"(%s):[ \t]*([^\r\n]*?)[ \t]*\r?\n" % _TOKEN)
 _EMPTY_LINES = (b"\r\n", b"\n")
 # an RFC 9110 5.6.7 IMF-fixdate is in English whatever the locale
@@ -117,7 +122,7 @@ def _reading_parts(headers, raw: bytes):
 
 
 class Headers:
-    """A request's header fields, looked up by name in any case; a name
+    """A message's header fields, looked up by name in any case; a name
     sent more than once keeps each value, in order."""
 
     def __init__(self, fields: dict):
@@ -135,11 +140,78 @@ class Headers:
 
 
 class _Refused(Exception):
-    """A request refused before routing: its status, then a close."""
+    """A message head refused, with the status a request gets for it."""
 
     def __init__(self, status: int, message: str):
         super().__init__(message)
         self.status = status
+
+
+def _message_head(rfile, start_line: re.Pattern):
+    """(the start_line match, Headers, whether the connection then closes)
+    of the next message on rfile, or None if the stream ends first. Raises
+    _Refused with the status of each refusal the module docstring lists."""
+    line = rfile.readline(MAX_LINE_BYTES + 1)
+    while line in _EMPTY_LINES:     # RFC 9112 2.2: ignored before a message
+        line = rfile.readline(MAX_LINE_BYTES + 1)
+    if not line:
+        return None
+    if len(line) > MAX_LINE_BYTES:
+        raise _Refused(414, f"start line over {MAX_LINE_BYTES} bytes")
+    start = start_line.fullmatch(line)
+    if start is None:
+        raise _Refused(400, "malformed start line")
+    if start["major"] != b"1":
+        raise _Refused(505, "only HTTP/1.0 and HTTP/1.1 are spoken")
+    fields = {}
+    count = 0
+    while (line := rfile.readline(MAX_LINE_BYTES + 1)) not in _EMPTY_LINES:
+        if not line:
+            return None
+        if len(line) > MAX_LINE_BYTES:
+            raise _Refused(431, f"header line over {MAX_LINE_BYTES} bytes")
+        count += 1
+        if count > MAX_HEADERS:
+            raise _Refused(431, f"more than {MAX_HEADERS} header lines")
+        field = _FIELD_LINE.fullmatch(line)
+        if field is None:
+            raise _Refused(400, "malformed header line")
+        fields.setdefault(field[1].decode("ascii").lower(), []).append(
+            field[2].decode("latin-1"))
+    closes = start["minor"] == b"0" or any(
+        token.strip().lower() == "close"
+        for value in fields.get("connection", ()) for token in value.split(","))
+    return start, Headers(fields), closes
+
+
+def _message_body(rfile, headers: Headers, continue_to=None) -> bytes:
+    """The body that headers frame, read off rfile in full; continue_to, a
+    socket, gets the 100 (Continue) that a request expecting it waits for.
+    A body that cannot be framed or is cut short raises InvalidArgumentError,
+    one over MAX_BODY_BYTES PayloadTooLargeError, one that stalls
+    RequestTimeoutError; after each, the rest of the stream is not a message."""
+    if "Transfer-Encoding" in headers:
+        raise InvalidArgumentError("Transfer-Encoding is not supported")
+    lengths = headers.get_all("Content-Length", ["0"])
+    if len(lengths) > 1:    # RFC 9112 6.3: the framing is invalid
+        raise InvalidArgumentError("more than one Content-Length")
+    length = lengths[0]
+    if not length.isdecimal():
+        raise InvalidArgumentError("Content-Length must be a non-negative integer")
+    # int() refuses more than 4 300 digits
+    if len(length) > len(str(MAX_BODY_BYTES)) or int(length) > MAX_BODY_BYTES:
+        raise PayloadTooLargeError(f"body over {MAX_BODY_BYTES} bytes")
+    length = int(length)
+    if (continue_to and length
+            and headers.get("Expect", "").lower() == "100-continue"):
+        continue_to.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
+    try:
+        body = rfile.read(length)
+    except TimeoutError:
+        raise RequestTimeoutError(f"body not read within {READ_TIMEOUT_S} s")
+    if len(body) < length:
+        raise InvalidArgumentError(f"body cut short at {len(body)} of {length} bytes")
+    return body
 
 
 def _http_date() -> str:
@@ -160,56 +232,27 @@ class _Handler(socketserver.StreamRequestHandler):
 
     def _serve_one(self) -> bool:
         """Answer one request; False when the connection is to close."""
-        line = self.rfile.readline(MAX_LINE_BYTES + 1)
-        while line in _EMPTY_LINES:     # RFC 9112 2.2: ignored before a request
-            line = self.rfile.readline(MAX_LINE_BYTES + 1)
         try:
-            if not line or not self._read_head(line):
+            head = _message_head(self.rfile, _REQUEST_LINE)
+            if head is None:
                 return False
+            request, self.headers, self.close_connection = head
+            self.command = request[1].decode("ascii")
+            self.path = request[2].decode("latin-1")
             handler = getattr(self, "do_" + self.command, None)
             if handler is None:
                 raise _Refused(501, f"method {self.command} is not implemented")
-        except _Refused as e:
+            # RFC 9110 10.1.1: an HTTP/1.0 request's expectation is ignored
+            expects = None if request["minor"] == b"0" else self.connection
+            self.body = _message_body(self.rfile, self.headers, expects)
+        except (_Refused, AmbientError) as e:
             self.close_connection = True
-            self._reply(e.status, {"error": str(e)})
+            self._reply(e.status if isinstance(e, _Refused) else _status_for(e),
+                        {"error": str(e)})
             return False
         handler()
+        self.body = None    # an idle keep-alive connection holds no body
         return not self.close_connection
-
-    def _read_head(self, line: bytes) -> bool:
-        """Read the request line and the header lines into command, path,
-        headers and close_connection; False at the end of the stream."""
-        if len(line) > MAX_LINE_BYTES:
-            raise _Refused(414, f"request line over {MAX_LINE_BYTES} bytes")
-        request = _REQUEST_LINE.fullmatch(line)
-        if request is None:
-            raise _Refused(400, "malformed request line")
-        method, target, major, minor = request.groups()
-        if major != b"1":
-            raise _Refused(505, "only HTTP/1.0 and HTTP/1.1 are served")
-        fields = {}
-        count = 0
-        while (line := self.rfile.readline(MAX_LINE_BYTES + 1)) not in _EMPTY_LINES:
-            if not line:
-                return False
-            if len(line) > MAX_LINE_BYTES:
-                raise _Refused(431, f"header line over {MAX_LINE_BYTES} bytes")
-            count += 1
-            if count > MAX_HEADERS:
-                raise _Refused(431, f"more than {MAX_HEADERS} header lines")
-            field = _FIELD_LINE.fullmatch(line)
-            if field is None:
-                raise _Refused(400, "malformed header line")
-            fields.setdefault(field[1].decode("ascii").lower(), []).append(
-                field[2].decode("latin-1"))
-        self.command = method.decode("ascii")
-        self.path = target.decode("latin-1")
-        self.headers = Headers(fields)
-        self.http10 = minor == b"0"
-        self.close_connection = self.http10 or any(
-            token.strip().lower() == "close"
-            for value in fields.get("connection", ()) for token in value.split(","))
-        return True
 
     def _reply(self, status: int, doc: dict) -> None:
         body = json.dumps(doc, allow_nan=False).encode("utf-8")
@@ -220,40 +263,8 @@ class _Handler(socketserver.StreamRequestHandler):
                 f"Content-Length: {len(body)}\r\n{close}\r\n")
         self.connection.sendall(head.encode("latin-1") + body)
 
-    def _read_body(self) -> bytes:
-        # on each error the body's end is unknown or unread, so the
-        # connection cannot be reused
-        if "Transfer-Encoding" in self.headers:
-            self.close_connection = True
-            raise InvalidArgumentError("Transfer-Encoding is not supported")
-        lengths = self.headers.get_all("Content-Length", ["0"])
-        if len(lengths) > 1:    # RFC 9112 6.3: the framing is invalid
-            self.close_connection = True
-            raise InvalidArgumentError("more than one Content-Length")
-        length = lengths[0]
-        if not length.isdecimal():
-            self.close_connection = True
-            raise InvalidArgumentError("Content-Length must be a non-negative integer")
-        # int() refuses more than 4 300 digits
-        if len(length) > len(str(MAX_BODY_BYTES)) or int(length) > MAX_BODY_BYTES:
-            self.close_connection = True
-            raise PayloadTooLargeError(
-                f"request body over {MAX_BODY_BYTES} bytes")
-        # the client waits for this before it sends the body; RFC 9110
-        # 10.1.1: an HTTP/1.0 request's expectation is ignored
-        if (int(length) and not self.http10
-                and self.headers.get("Expect", "").lower() == "100-continue"):
-            self.connection.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
-        try:
-            return self.rfile.read(int(length))
-        except TimeoutError:
-            self.close_connection = True
-            raise RequestTimeoutError(
-                f"request body not read within {READ_TIMEOUT_S} s")
-
     def _dispatch(self):
         try:
-            raw = self._read_body()
             url = urlparse(self.path)
             parts = url.path.strip("/").split("/")
             query = parse_qs(url.query)
@@ -280,12 +291,12 @@ class _Handler(socketserver.StreamRequestHandler):
                 self.service.region_config(rid)     # a 404 if unknown
                 status, doc = 200, encode(policy.predict_tracking(texture, lux))
             elif route == "PUT v1/sensors/{id}/readings":
-                fields, image = _reading_parts(self.headers, raw)
+                fields, image = _reading_parts(self.headers, self.body)
                 reading = decode(SensorReading, fields, "malformed reading",
                                  sensor_id=rid, image=image)
                 status, doc = 200, encode(self.service.ingest_reading(reading))
             elif route == "POST v1/actuators/{id}/commands":
-                body = parse_json(raw, "request body")
+                body = parse_json(self.body, "request body")
                 cmd = decode(ActuatorCommand, body, "malformed command body",
                              actuator_id=rid)
                 status, doc = 202, {
@@ -315,3 +326,34 @@ def make_server(service: EdgeService, host: str = "127.0.0.1",
     handler = type("BoundHandler", (_Handler,),
                    {"service": service, "timeout": READ_TIMEOUT_S})
     return _Server((host, port), handler)
+
+
+def put_reading(sock, replies, host: str, reading: SensorReading) -> None:
+    """PUT the request `reading_request` builds in one write to sock, a
+    keep-alive connection to host, and read its reply off replies, sock's
+    buffered reader; a reply the client refuses raises HTTPException."""
+    path, body, headers = reading_request(reading)
+    request = "".join([f"PUT {path} HTTP/1.1\r\nHost: {host}\r\n",
+                       *(f"{name}: {value}\r\n" for name, value in headers.items()),
+                       f"Content-Length: {len(body)}\r\n\r\n"])
+    sock.sendall(request.encode("latin-1") + body)
+    try:
+        head = _message_head(replies, _STATUS_LINE)
+        if head is None:
+            raise InvalidArgumentError("the server closed the connection")
+        status, fields, closes = head
+        # RFC 9112 6.3: without one, the reply would end at the close
+        if "Content-Length" not in fields:
+            raise InvalidArgumentError("a reply without a Content-Length")
+        reply = _message_body(replies, fields)
+        if not status[3].startswith(b"2"):
+            raise InvalidArgumentError(
+                f"{status[3].decode()} {status[4].decode('latin-1')}: "
+                f"{reply.decode('utf-8', 'replace')}")
+        if closes:
+            raise InvalidArgumentError("the server closed the connection")
+    except (_Refused, AmbientError) as e:
+        # imported on this path only: a run whose readings all succeed
+        # loads neither http.client nor the email package under it
+        from http.client import HTTPException
+        raise HTTPException(f"PUT {path}: {e}") from None

@@ -4,7 +4,8 @@ Wires synthetic sensors, actuators and the edge service together on a virtual
 clock. Each sensor tick sends one `edge.SensorReading`: the in-process
 transport hands it to the edge service, single-threaded and byte-reproducible;
 the real-http transport PUTs it, its pixels as the PGM body, to a local HTTP
-server in front of the same edge service.
+server in front of the same edge service by `httpapi.put_reading`, which reads
+each reply by the framing and limits the server reads a request by.
 
 A scenario file parses into a frozen `Scenario` by `checks.decode`: each
 JSON value goes to the constructor of the type that owns it
@@ -22,7 +23,6 @@ import csv
 import hashlib
 import heapq
 import json
-import re
 import tempfile
 import threading
 from dataclasses import dataclass, replace
@@ -275,17 +275,6 @@ class InProcessTransport:
         pass
 
 
-# RFC 9112 4; a bare LF ends a line too (RFC 9112 2.2)
-_STATUS_LINE = re.compile(rb"HTTP/1\.\d (\d{3}) ([^\r\n]*)\r?\n")
-
-
-def _wire_error(message: str) -> Exception:
-    # imported on this path only: a run whose readings all succeed loads
-    # neither http.client nor the email package under it
-    from http.client import HTTPException
-    return HTTPException(message)
-
-
 class HttpTransport:
     """Drives a local HTTP server wrapping the same edge service, over one
     keep-alive connection for the whole run."""
@@ -304,41 +293,9 @@ class HttpTransport:
         self._replies = self._sock.makefile("rb")
 
     def put_reading(self, sensor_id: str, reading: SensorReading) -> None:
-        """PUT one image reading as a PGM body, its sensor id in the path, in
-        one write. A reply that is not 2xx raises HTTPException with its
-        status and body, which ends the run; so does one that is not HTTP,
-        has no Content-Length, is cut short or closes the connection."""
-        from .httpapi import reading_request
-        path, body, headers = reading_request(reading)
-        head = "".join([f"PUT {path} HTTP/1.1\r\nHost: {self._host}\r\n",
-                        *(f"{name}: {value}\r\n" for name, value in headers.items()),
-                        f"Content-Length: {len(body)}\r\n\r\n"])
-        self._sock.sendall(head.encode("latin-1") + body)
-        replies = self._replies
-        status_line = replies.readline()
-        if (match := _STATUS_LINE.fullmatch(status_line)) is None:
-            raise _wire_error(f"PUT {path}: not an HTTP status line: "
-                              f"{status_line[:80]!r}")
-        status, reason = int(match[1]), match[2].decode("latin-1")
-        length = closes = None
-        while (line := replies.readline()) not in (b"\r\n", b"\n", b""):
-            name, _, value = line.partition(b":")
-            name = name.strip().lower()
-            if name == b"content-length":
-                length = value.strip()
-            elif name == b"connection":
-                closes = b"close" in value.lower()
-        if length is None or not length.isdigit():
-            raise _wire_error(f"PUT {path}: a reply without a decimal Content-Length")
-        reply = replies.read(int(length))
-        if len(reply) < int(length):
-            raise _wire_error(f"PUT {path}: a reply body cut short at "
-                              f"{len(reply)} of {int(length)} bytes")
-        if not 200 <= status < 300:
-            raise _wire_error(f"PUT {path}: {status} {reason}: "
-                              f"{reply.decode('utf-8', 'replace')}")
-        if closes:
-            raise _wire_error(f"PUT {path}: the server closed the connection")
+        """PUT one reading by `httpapi.put_reading`; a refused reply ends the run."""
+        from .httpapi import put_reading
+        put_reading(self._sock, self._replies, self._host, reading)
 
     def close(self):
         self._replies.close()

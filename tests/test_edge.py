@@ -666,17 +666,22 @@ class TestWire:
             0, 256, (height, width), dtype=np.uint8)
         sent = SensorReading(sensor_id, region_id, timestamp_ms, lux, pixels)
         path, body, headers = httpapi.reading_request(sent)
-        # the headers as the server's parser reads them off the wire
+        # the headers as the server's parser reads them off the wire, and as
+        # the email parser reads them
         head = "".join(f"{k}: {v}\r\n" for k, v in headers.items()) + "\r\n"
-        parsed = parse_headers(io.BytesIO(head.encode("iso-8859-1")))
-        fields, image = httpapi._reading_parts(parsed, body)
+        _, own, _ = httpapi._message_head(io.BytesIO(
+            f"PUT {path} HTTP/1.1\r\n{head}".encode("iso-8859-1")),
+            httpapi._REQUEST_LINE)
+        email = parse_headers(io.BytesIO(head.encode("iso-8859-1")))
         # the third path segment, as the handler routes it
         path_id = urlparse(path).path.strip("/").split("/")[2]
-        got = decode(SensorReading, fields, "malformed reading",
-                     sensor_id=path_id, image=image)
-        assert got == sent
-        assert got.image.dtype == np.uint8
-        assert np.array_equal(got.image, pixels)
+        for parsed in (own, email):
+            fields, image = httpapi._reading_parts(parsed, body)
+            got = decode(SensorReading, fields, "malformed reading",
+                         sensor_id=path_id, image=image)
+            assert got == sent
+            assert got.image.dtype == np.uint8
+            assert np.array_equal(got.image, pixels)
 
 
 class TestHttpApi:
@@ -895,6 +900,21 @@ class TestHttpApi:
             % (len(body), len(body) + len(smuggled), body, smuggled),
             expect_close=True)
         assert (status, doc) == (400, {"error": "more than one Content-Length"})
+        assert not (tmp_path / "region_r1.jsonl").exists()
+
+    def test_body_cut_short_400_and_closed(self, http_server, tmp_path):
+        # the end of the stream comes before the body's Content-Length does
+        body = b'{"region_id": "r1", "timestamp_ms": 1000, "lux": 80.0}'
+        host, port = http_server.removeprefix("http://").split(":")
+        with socket.create_connection((host, int(port)), timeout=5) as sock:
+            sock.sendall(b"PUT /v1/sensors/s1/readings HTTP/1.1\r\n"
+                         b"Content-Length: %d\r\n\r\n%s" % (len(body) + 4, body))
+            sock.shutdown(socket.SHUT_WR)
+            replies = sock.makefile("rb")
+            status, doc = read_response(replies)
+            assert replies.read(1) == b"", "connection left open"
+        assert (status, doc) == (400, {
+            "error": f"body cut short at {len(body)} of {len(body) + 4} bytes"})
         assert not (tmp_path / "region_r1.jsonl").exists()
 
     @pytest.mark.parametrize("key", ["image_pgm_b64", "image"])

@@ -15,8 +15,9 @@ SOURCES = {path.stem: path.read_text(encoding="utf-8")
 
 # (pattern, its home): the reading request's header and media type, the ROI
 # margin, the system lux constraint, the name of the Satisfied phase, the
-# settle period, which decides whether a marker step reads its match, and the
-# two command kinds, which policy emits and edge and sim read by name
+# settle period, which decides whether a marker step reads its match, the
+# two command kinds, which policy emits and edge and sim read by name, and the
+# HTTP/1.1 message framing, which the server and the simulator's client share
 HOMES = {
     "READING_HEADER": (r"\bREADING_HEADER\b", "httpapi"),
     "PGM_MEDIA_TYPE": (r"\bPGM_MEDIA_TYPE\b", "httpapi"),
@@ -26,6 +27,8 @@ HOMES = {
     "settle_until": (r"\bsettle_until\b", "policy"),
     "set-brightness-literal": (r"""(["'])set-brightness\1""", "policy"),
     "set-marker-literal": (r"""(["'])set-marker\1""", "policy"),
+    "HTTP-version": (r"HTTP/1", "httpapi"),
+    "Content-Length": (r"(?i)content-length", "httpapi"),
 }
 
 

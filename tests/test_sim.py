@@ -452,8 +452,14 @@ class TestTransports:
         b"HTTP/1.1 200 OK\r\n\r\n{}",
         b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n{}",
         b"SSH-2.0-OpenSSH_9.6\r\n",
+        b"HTTP/1.1 200 OK\r\nX: %s\r\nContent-Length: 2\r\n\r\n{}"
+        % (b"a" * httpapi.MAX_LINE_BYTES),
+        b"HTTP/1.1 200 OK\r\n%sContent-Length: 2\r\n\r\n{}"
+        % (b"X: 1\r\n" * httpapi.MAX_HEADERS),
+        b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\nContent-Length: 2\r\n\r\n{}",
     ], ids=["connection-close", "no-content-length", "body-cut-short",
-            "not-http"])
+            "not-http", "header-line-over-limit", "too-many-headers",
+            "two-content-lengths"])
     def test_a_bad_reply_ends_the_http_run(self, monkeypatch, reply):
         handler = type("OneReply", (OneReply,), {"reply": reply})
         monkeypatch.setattr(httpapi, "make_server", lambda service: (
